@@ -26,7 +26,9 @@ print("relations from points above the level:",
 print("relations from points below the level:",
       [str(g) for _, g in pres.negative])
 
-# The quotient ring, degree by degree, via Smith normal form.
+# The quotient ring, degree by degree: one integer echelon basis of the
+# relations per degree gives the rank, and Smith normal form of that basis
+# the torsion.
 q = graded_quotient(pres, 2 * (n - 1))
 print("\nBetti numbers of the reduced space:", q.ranks)
 print("torsion:", q.torsion, "(always empty here)")
@@ -36,9 +38,10 @@ print("Euler characteristic:", q.euler_characteristic)
 data = hypercube_data(n, with_moment=True, c=model.c)
 print("by counting:", tuple(betti_by_counting(data, i) for i in range(n)))
 
-# Duality of the reduced space, and the images of the Chern classes.
+# Duality of the reduced space, and the images of the Chern classes,
+# reduced against the echelon bases the quotient kept.
 print("Poincare duality:", poincare_check(q, n).passed)
-for entry in reduced_chern_series(pres, 2):
+for entry in reduced_chern_series(q, 2):
     print(f"c{entry.degree} image over the degree-{entry.degree} monomials:",
           list(entry.coefficients))
 

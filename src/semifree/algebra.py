@@ -8,6 +8,7 @@ stripped.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -330,28 +331,6 @@ def solve_exact(
     return sol
 
 
-def rational_rank(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals by Gaussian elimination."""
-    m = [[_as_fraction(e) for e in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [e * inv for e in m[rank]]
-        for i in range(rank + 1, len(m)):
-            if m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
 def vandermonde_kernel(n: int) -> tuple[Fraction, ...]:
     """The kernel vector of moment_matrix(n, n+1), normalized to start at 1.
 
@@ -359,12 +338,7 @@ def vandermonde_kernel(n: int) -> tuple[Fraction, ...]:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    v = moment_matrix(n, n + 1).entries
-    # A_0 = 1 is the normalization; solve the n x n system in A_1..A_n.
-    rows = [[Fraction(row[j]) for j in range(1, n + 1)] for row in v]
-    rhs = [Fraction(-row[0]) for row in v]
-    tail = solve_exact(rows, rhs)
-    return (Fraction(1), *tail)
+    return tuple(Fraction((-1) ** k * math.comb(n, k)) for k in range(n + 1))
 
 
 def vandermonde_complete(
@@ -463,3 +437,45 @@ def smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], int]:
         factors.append(abs(a[t][t]))
         t += 1
     return tuple(factors), len(factors)
+
+
+def echelon_basis(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
+    """Row echelon basis of the integer row lattice, sorted by pivot column.
+
+    Rows are taken one at a time.  A row is reduced by floor division
+    against the kept row with the same pivot column; a nonzero remainder
+    there makes the two rows swap roles, so this is Euclid on rows and the
+    kept pivot only shrinks.  Zero rows are dropped and pivots are positive,
+    so the basis has at most `ncols` rows and its length is the rank.
+    """
+    kept: dict[int, list[int]] = {}
+    for row in rows:
+        r = list(row)
+        c = 0
+        while (c := next((j for j in range(c, ncols) if r[j]), ncols)) < ncols:
+            p = kept.get(c)
+            if p is None:
+                kept[c] = r if r[c] > 0 else [-e for e in r]
+                break
+            q = r[c] // p[c]
+            r = [a - q * b for a, b in zip(r, p)]
+            if r[c]:
+                kept[c], r = r, p
+    return [kept[c] for c in sorted(kept)]
+
+
+def reduce_mod_rows(vec: Sequence[int], basis: Sequence[Sequence[int]]) -> list[int]:
+    """Canonical representative of vec modulo the row lattice of `basis`.
+
+    `basis` must be an echelon basis with positive pivots, as returned by
+    echelon_basis: later rows vanish at earlier pivot columns, so each
+    pivot entry of the result ends in [0, pivot) and the result does not
+    depend on which echelon basis of the lattice is given.
+    """
+    v = list(vec)
+    for row in basis:
+        col = next(j for j, e in enumerate(row) if e)
+        q = v[col] // row[col]
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+    return v

@@ -42,6 +42,17 @@ EXIT_OK = 0
 EXIT_CONSTRAINT = 1
 EXIT_INPUT = 2
 
+# Smallest value each numeric option accepts, by argparse destination.
+MINIMUM = {"n": 1, "N0": 1, "points": 1, "bound": 1, "degree": 1, "max_degree": 0}
+
+
+def check_ranges(args) -> None:
+    for dest, least in MINIMUM.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < least:
+            option = "--" + dest.replace("_", "-")
+            raise InputError(f"{option} must be at least {least}, got {value}")
+
 
 def parse_rational(text: str) -> Fraction:
     try:
@@ -217,7 +228,7 @@ def cmd_reduce(args) -> int:
     duality = reduction.poincare_check(q, n)
     print("poincare duality:", "ok" if duality.passed else "FAIL")
     failed |= not duality.passed
-    for entry in reduction.reduced_chern_series(pres, min(n, max_degree // 2)):
+    for entry in reduction.reduced_chern_series(q, min(n, max_degree // 2)):
         print(f"c{entry.degree} image: {list(entry.coefficients)}")
     print("euler characteristic:", q.euler_characteristic)
     return EXIT_CONSTRAINT if failed else EXIT_OK
@@ -280,6 +291,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_ranges(args)
         return args.func(args)
     except (InputError, DuplicateId, WrongWeightCount, ZeroWeight) as e:
         print(f"input error: {e}", file=sys.stderr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import UniPoly, rational_rank
+from .algebra import UniPoly, echelon_basis
 from .errors import NotInModule, ZeroIsCritical
 from .fixed_points import FixedPoint, FixedPointData
 
@@ -272,7 +272,7 @@ def injectivity_rank_check(n: int, max_n: int = 12) -> RankCheckReport:
         for J in basis:
             # alpha_J * x^(d-|J|) restricts to x^d at supersets of J, else 0
             rows.append([1 if J <= Jp else 0 for Jp in subsets])
-        rank = rational_rank(rows)
+        rank = len(echelon_basis(rows, len(subsets)))
         entries.append(RankCheckEntry(d, len(basis), rank))
     return RankCheckReport(n, tuple(entries))
 

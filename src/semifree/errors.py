@@ -48,6 +48,11 @@ class SearchSpaceTooLarge(SemifreeError):
     """The candidate enumeration exceeds the configured cap."""
 
 
+# reduction
+class ReductionTooLarge(SemifreeError):
+    """The graded quotient is asked for at an n above the supported bound."""
+
+
 # deduction pipeline
 class NoIntegerSolution(SemifreeError):
     """No multiset of integers satisfies the sum / square-sum constraints."""

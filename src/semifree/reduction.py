@@ -4,17 +4,18 @@ The kernel of the surjection onto the reduced space's cohomology is spanned
 by the upward classes at points above the level and the downward classes at
 points below it.  Each graded piece of the quotient is a finite integer
 linear-algebra problem: square-free monomials times powers of y form a basis
-of the ambient degree slice, the relations are spanned by generators times
-complementary-degree monomials, and Smith normal form gives free rank and
-torsion.
+of the ambient degree slice, and the relations are spanned by generators
+times complementary-degree monomials.  One integer echelon basis per degree
+gives the free rank (its length), the torsion (Smith normal form of that
+basis alone) and the canonical images of the Chern classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
-from .algebra import IntMatrix, smith_normal_form
+from .algebra import IntMatrix, echelon_basis, reduce_mod_rows, smith_normal_form
 from .cube import (
     CubeClass,
     ModelData,
@@ -23,9 +24,14 @@ from .cube import (
     beta_class,
     equivariant_chern_series,
 )
-from .errors import CountMismatch, NotSemifree
+from .errors import CountMismatch, NotSemifree, ReductionTooLarge
 from .fixed_points import FixedPointData, counts, split_by_moment_sign, validate
 from .localization import predict_counts
+
+# Largest n that graded_quotient accepts: `reduce --n 9` takes 30-40 s and
+# about 200 MB, while n = 10 has 185642 relation rows of length 1023 in its
+# top degree, several times the time and over a gigabyte as dense rows.
+MAX_REDUCE_N = 9
 
 
 @dataclass(frozen=True)
@@ -45,11 +51,18 @@ class IdealPresentation:
 
 @dataclass(frozen=True)
 class GradedQuotient:
-    """Free rank and torsion of each degree-2d piece, d = 0..len-1."""
+    """Free rank and torsion of each degree-2d piece, d = 0..len-1.
+
+    `bases` holds each degree's echelon basis of the relation lattice, for
+    reducing classes into the quotient; it takes no part in equality.
+    """
 
     n: int
     ranks: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
+    bases: tuple[tuple[tuple[int, ...], ...], ...] = field(
+        default=(), compare=False, repr=False
+    )
 
     @property
     def euler_characteristic(self) -> int:
@@ -126,18 +139,19 @@ def relation_rows(pres: IdealPresentation, d: int) -> list[list[int]]:
 
 def graded_quotient(pres: IdealPresentation, max_degree: int) -> GradedQuotient:
     """Quotient ring data in cohomological degrees 0, 2, ..., max_degree."""
-    ranks = []
-    torsion = []
+    if pres.n > MAX_REDUCE_N:
+        raise ReductionTooLarge(
+            f"n={pres.n} exceeds the reduction bound {MAX_REDUCE_N}"
+        )
+    ranks, torsion, bases = [], [], []
     for d in range(max_degree // 2 + 1):
-        basis = degree_basis(pres.n, d)
-        rows = relation_rows(pres, d)
-        if rows:
-            factors, rank = smith_normal_form(IntMatrix(rows))
-        else:
-            factors, rank = (), 0
-        ranks.append(len(basis) - rank)
+        ncols = len(degree_basis(pres.n, d))
+        basis = echelon_basis(relation_rows(pres, d), ncols)
+        factors, _ = smith_normal_form(IntMatrix(basis))
+        ranks.append(ncols - len(basis))
         torsion.append(tuple(f for f in factors if f > 1))
-    return GradedQuotient(pres.n, tuple(ranks), tuple(torsion))
+        bases.append(tuple(map(tuple, basis)))
+    return GradedQuotient(pres.n, tuple(ranks), tuple(torsion), tuple(bases))
 
 
 def betti_by_counting(data: FixedPointData, i: int) -> int:
@@ -159,57 +173,6 @@ def betti_by_counting(data: FixedPointData, i: int) -> int:
     return low - high
 
 
-def hermite_rows(rows: list[list[int]]) -> list[list[int]]:
-    """Row Hermite normal form (positive pivots, reduced above)."""
-    m = [list(r) for r in rows if any(r)]
-    ncols = len(rows[0]) if rows else 0
-    result = []
-    col = 0
-    while m and col < ncols:
-        live = [r for r in m if any(r[col:])]
-        m = live
-        if not m:
-            break
-        if not any(r[col] for r in m):
-            col += 1
-            continue
-        while True:
-            nonzero = [r for r in m if r[col]]
-            if len(nonzero) <= 1:
-                break
-            nonzero.sort(key=lambda r: abs(r[col]))
-            pivot = nonzero[0]
-            for r in nonzero[1:]:
-                q = r[col] // pivot[col]
-                for j in range(ncols):
-                    r[j] -= q * pivot[j]
-        pivot = next(r for r in m if r[col])
-        if pivot[col] < 0:
-            for j in range(ncols):
-                pivot[j] = -pivot[j]
-        m.remove(pivot)
-        for prev in result:
-            if prev[col]:
-                q = prev[col] // pivot[col]
-                for j in range(ncols):
-                    prev[j] -= q * pivot[j]
-        result.append(pivot)
-        col += 1
-    return result
-
-
-def reduce_mod_rows(vec: list[int], hnf: list[list[int]]) -> list[int]:
-    """Canonical representative of vec modulo the integer row space."""
-    v = list(vec)
-    for row in hnf:
-        col = next(j for j, e in enumerate(row) if e)
-        q = v[col] // row[col]
-        if q:
-            for j in range(len(v)):
-                v[j] -= q * row[j]
-    return v
-
-
 @dataclass(frozen=True)
 class ReducedChernEntry:
     degree: int  # cohomological degree 2*degree_index
@@ -217,19 +180,21 @@ class ReducedChernEntry:
     coefficients: tuple[int, ...]
 
 
-def reduced_chern_series(
-    pres: IdealPresentation, up_to: int
-) -> list[ReducedChernEntry]:
-    """Images of the Chern coefficient classes in the graded quotient."""
+def reduced_chern_series(q: GradedQuotient, up_to: int) -> list[ReducedChernEntry]:
+    """Images of the Chern coefficient classes c_1..c_up_to in the quotient."""
+    if up_to >= len(q.bases):
+        raise ValueError(
+            f"c_{up_to} needs the relation basis in degree {up_to}; "
+            f"the quotient holds bases for {len(q.bases)} degree(s)"
+        )
     out = []
-    for i, cls in enumerate(equivariant_chern_series(pres.n, up_to), start=1):
-        basis = degree_basis(pres.n, i)
+    for i, cls in enumerate(equivariant_chern_series(q.n, up_to), start=1):
+        basis = degree_basis(q.n, i)
         index = {b: k for k, b in enumerate(basis)}
         vec = [0] * len(basis)
         for key, c in cls.terms.items():
             vec[index[key]] = c
-        hnf = hermite_rows(relation_rows(pres, i))
-        reduced = reduce_mod_rows(vec, hnf)
+        reduced = reduce_mod_rows(vec, q.bases[i])
         out.append(ReducedChernEntry(i, tuple(basis), tuple(reduced)))
     return out
 

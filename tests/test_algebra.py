@@ -11,9 +11,11 @@ from semifree.algebra import (
     RatFunc,
     UniPoly,
     X,
+    echelon_basis,
     moment_matrix,
     poly_gcd,
     ratfunc_to_poly,
+    reduce_mod_rows,
     smith_normal_form,
     vandermonde_complete,
     vandermonde_kernel,
@@ -230,3 +232,65 @@ class TestSmithNormalForm:
                 assert math.prod(factors) == abs(det)
             else:
                 assert rank < size
+
+
+# --- echelon basis -----------------------------------------------------------
+
+def small_matrix(rng, nrows, ncols):
+    """Mostly 0/+-1 entries, like the relation rows, with an occasional 2."""
+    return [[rng.choice((0, 0, 0, 1, -1, 1, -1, 2)) for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+class TestEchelonBasis:
+    def test_echelon_shape(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            ncols = rng.randint(1, 6)
+            basis = echelon_basis(small_matrix(rng, rng.randint(0, 8), ncols), ncols)
+            pivots = [next(j for j, e in enumerate(row) if e) for row in basis]
+            assert pivots == sorted(set(pivots))
+            assert all(row[j] > 0 for row, j in zip(basis, pivots))
+
+    def test_rank_and_invariant_factors_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        rng = random.Random(3)
+        for _ in range(150):
+            nrows, ncols = rng.randint(1, 7), rng.randint(1, 6)
+            m = small_matrix(rng, nrows, ncols)
+            basis = echelon_basis(m, ncols)
+            assert len(basis) == sympy.Matrix(m).rank()
+            expected = tuple(abs(int(f)) for f in invariant_factors(sympy.Matrix(m)) if f)
+            assert smith_normal_form(IntMatrix(basis)) == (expected, len(basis))
+
+    def test_zero_and_empty_rows(self):
+        assert echelon_basis([], 3) == []
+        assert echelon_basis([[0, 0, 0], [0, 0, 0]], 3) == []
+        assert echelon_basis([[0, -2, 4], [0, 3, 0]], 3) == [[0, 1, 4], [0, 0, 12]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=5).flatmap(
+            lambda ncols: st.tuples(
+                st.lists(st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols),
+                         max_size=6),
+                st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols),
+                st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+            )
+        )
+    )
+    def test_reduction_is_constant_on_cosets(self, case):
+        rows, v, coeffs = case
+        ncols = len(v)
+        basis = echelon_basis(rows, ncols)
+        shifted = list(v)
+        for c, row in zip(coeffs, rows):
+            shifted = [a + c * b for a, b in zip(shifted, row)]
+        assert reduce_mod_rows(shifted, basis) == reduce_mod_rows(v, basis)
+        # and the representative differs from v by a lattice vector:
+        # adding it as a row leaves the lattice unchanged
+        r = reduce_mod_rows(v, basis)
+        diff = [a - b for a, b in zip(v, r)]
+        assert echelon_basis([*rows, diff], ncols) == basis

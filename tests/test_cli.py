@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from semifree.cli import main, parse_document
 from semifree.cube import all_subsets, alpha_class, restrict_class
 from semifree.errors import InputError
+from semifree.reduction import MAX_REDUCE_N
 
 HYPERCUBE_3 = """
 # the model datum in dimension 6
@@ -146,3 +149,69 @@ class TestCommands:
         ) == 0
         out = capsys.readouterr().out
         assert "(-2,1,1)  (-1,-1,2)" in out
+
+
+class TestOutOfRange:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--n", "0"],
+            ["count", "--n", "3", "--N0", "0"],
+            ["ring", "--n", "0"],
+            ["reduce", "--n", "0"],
+            ["reduce", "--n", "-2"],
+            ["reduce", "--n", "3", "--max-degree", "-1"],
+            ["search", "--n", "0", "--points", "1", "--bound", "1", "--degree", "1"],
+            ["search", "--n", "1", "--points", "0", "--bound", "1", "--degree", "1"],
+            ["search", "--n", "1", "--points", "1", "--bound", "0", "--degree", "1"],
+            ["search", "--n", "1", "--points", "1", "--bound", "1", "--degree", "0"],
+            ["check", "CUBE", "--max-degree", "-1"],
+        ],
+    )
+    def test_rejected_as_input_error(self, argv, cube_file, capsys):
+        argv = [cube_file if a == "CUBE" else a for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+
+    def test_reduce_above_the_size_bound_fails_fast(self, capsys):
+        start = time.perf_counter()
+        assert main(["reduce", "--n", str(MAX_REDUCE_N + 1)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert "exceeds the reduction bound" in capsys.readouterr().err
+
+
+# sha256 of `reduce --n n --c c` stdout for every regular level with n <= 6,
+# frozen from the Smith-normal-form / Hermite implementation that preceded
+# the echelon kernel.
+REDUCE_DIGESTS = {
+    (1, "1/2"): "a55aefa9299f21e6d09c3f6235e5c68e431377f6151da7328deeab5061ea3927",
+    (2, "1/2"): "81b5fce734e88d1c38c402fe5c03e7939bb84c6b34bbbb82779fb5478753a87d",
+    (2, "3/2"): "f939cba0487aea5f29d314fe120238b6714923966c2d63b8bf279b1cf545848e",
+    (3, "1/2"): "ffd61f7c58c4766fa51d8b50efff713370fcd39bb732a8fd761b0d1d8fa3f09a",
+    (3, "3/2"): "fb2ec65cdda247a712ff5a66e52362b0a17420ff6980fc33b6abc5c719421ce9",
+    (3, "5/2"): "dec50cc019ebe6da1f92524be7f991052a2f5681d68b1756f4bd44ef1a011257",
+    (4, "1/2"): "45072190bfc59503325e291cfb88b7050e37b250b397bc63714ca87dc2459d6c",
+    (4, "3/2"): "89a58126cdd381a0b9d3e72318aa70a75498342453fa09b8707628094021f48b",
+    (4, "5/2"): "c08237c478690fd8ab700492b3a451ae74afb69e8a0e9b66a68934bd5ee4288c",
+    (4, "7/2"): "6e2e81c5755354ea6eb945688ac5e841d069efd211b6fde0b49ecadbc6090ba8",
+    (5, "1/2"): "fb181dfc7c45b77b7401eb3df0fca45d34c7854a9ee8ca6366e92d6c298de4ce",
+    (5, "3/2"): "609d41f382e34360cf6b9f5307a965130c56d3333969f400534a3a95852124e1",
+    (5, "5/2"): "0231ceae893f790f888628ea9b562d0e671ebf505001e3023a52b2c5b1275cce",
+    (5, "7/2"): "3c3e82525bb691a0ea381f597eea861e0ee044ac270050ec37620ec8cfd4d2c8",
+    (5, "9/2"): "59f18a28f05dd3802ccf799f0d180b5aef67cbcb80aedb475ab39d40aa2d88d2",
+    (6, "1/2"): "19bf84a629bece8f6c6367912fb559012de44b0c4162bfea9a6512261d9c84c1",
+    (6, "3/2"): "2b473484dfb3b9f16095ccea75a8332016673db6789038cff1f4bd1165ad50f3",
+    (6, "5/2"): "5f4f23d1e99e92be3451d37d28400e7a6cfe67486cb70bb6dad11456ce25891c",
+    (6, "7/2"): "cb67a5175ece33830d9eac9d9cca7f19fd4ec3399a9683d2acfbc584a5acb75b",
+    (6, "9/2"): "6c622924a0e178995c624b5e388ec9296134e062644248b10ce3507bb0c835cc",
+    (6, "11/2"): "baf99531570bf48f97f892a15a3477e5ea9a79d77173357df2c057892b2851da",
+}
+
+
+@pytest.mark.parametrize("n,c", REDUCE_DIGESTS)
+def test_reduce_output_is_frozen(n, c, capsys):
+    assert main(["reduce", "--n", str(n), "--c", c]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REDUCE_DIGESTS[(n, c)]

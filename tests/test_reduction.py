@@ -2,19 +2,19 @@ from fractions import Fraction
 
 import pytest
 
+from semifree.algebra import echelon_basis, reduce_mod_rows
 from semifree.cube import CubeClass, ModelData, hypercube_data
-from semifree.errors import MissingMomentValue, ZeroIsCritical
+from semifree.errors import MissingMomentValue, ReductionTooLarge, ZeroIsCritical
 from semifree.fixed_points import FixedPointData
 from semifree.reduction import (
     GradedQuotient,
     betti_by_counting,
     degree_basis,
+    MAX_REDUCE_N,
     graded_quotient,
-    hermite_rows,
     kernel_generators,
     poincare_check,
     presentation_from_data,
-    reduce_mod_rows,
     reduced_chern_series,
 )
 
@@ -64,6 +64,17 @@ class TestGradedQuotient:
         q = graded_quotient(pres, 2)
         assert q.ranks == (1, 1)
 
+    def test_bases_take_no_part_in_equality(self):
+        pres = kernel_generators(ModelData(3, Fraction(3, 2)))
+        q = graded_quotient(pres, 4)
+        assert len(q.bases) == 3
+        assert q == GradedQuotient(3, (1, 4, 1), ((), (), ()))
+
+    def test_size_guard(self):
+        pres = kernel_generators(ModelData(MAX_REDUCE_N + 1, None))
+        with pytest.raises(ReductionTooLarge):
+            graded_quotient(pres, 0)
+
     def test_degree_basis_sizes(self):
         assert len(degree_basis(3, 0)) == 1
         assert len(degree_basis(3, 1)) == 4  # a1, a2, a3, y
@@ -94,19 +105,26 @@ class TestBettiByCounting:
 class TestReducedChern:
     def test_n1_vanishing(self):
         pres = kernel_generators(ModelData(1, Fraction(1, 2)))
-        (c1,) = reduced_chern_series(pres, 1)
+        (c1,) = reduced_chern_series(graded_quotient(pres, 2), 1)
         assert all(c == 0 for c in c1.coefficients)
 
     def test_n3_nonzero_first_class(self):
         pres = kernel_generators(ModelData(3, Fraction(3, 2)))
-        entries = reduced_chern_series(pres, 2)
+        entries = reduced_chern_series(graded_quotient(pres, 4), 2)
         assert any(c != 0 for c in entries[0].coefficients)
 
     def test_unit_class_degreezero(self):
         # degree-0 statement: the empty product is the unit, untouched by
         # relations of positive degree
         pres = kernel_generators(ModelData(2, Fraction(3, 2)))
-        assert reduce_mod_rows([1], hermite_rows([])) == [1]
+        q = graded_quotient(pres, 0)
+        assert q.bases == ((),)
+        assert reduce_mod_rows([1], q.bases[0]) == [1]
+
+    def test_needs_the_basis_of_each_degree(self):
+        pres = kernel_generators(ModelData(3, Fraction(3, 2)))
+        with pytest.raises(ValueError):
+            reduced_chern_series(graded_quotient(pres, 2), 2)
 
 
 class TestPoincare:
@@ -161,11 +179,11 @@ class TestPresentationFromData:
 class TestHermite:
     def test_reduction_idempotent(self):
         rows = [[2, 4, 0], [0, 6, 3]]
-        h = hermite_rows(rows)
+        h = echelon_basis(rows, 3)
         v = reduce_mod_rows([5, 7, 2], h)
         assert reduce_mod_rows(v, h) == v
 
     def test_row_space_membership(self):
         rows = [[1, 2], [0, 3]]
-        h = hermite_rows(rows)
+        h = echelon_basis(rows, 2)
         assert reduce_mod_rows([1, 5], h) == [0, 0]
