@@ -49,7 +49,6 @@ from .pipeline import (
     Bijection,
     RestrictionTable,
     assemble_bijection,
-    forced_level_square_sum,
     forced_level_sum,
     model_restriction_table,
     per_point_count,

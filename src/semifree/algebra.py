@@ -1,4 +1,4 @@
-"""Exact scalar, polynomial, rational-function and integer-matrix arithmetic.
+"""Exact scalar, polynomial, Laurent-polynomial and integer-matrix arithmetic.
 
 Scalars are ``fractions.Fraction`` throughout; nothing in this package ever
 touches floating point.  Polynomials are univariate in a single generator
@@ -114,34 +114,9 @@ class UniPoly:
             k >>= 1
         return result
 
-    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        """Exact long division over the rationals."""
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        lead = other.coeffs[-1]
-        d = other.degree
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            factor = rem[-1] / lead
-            q[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-        return UniPoly(q), UniPoly(rem)
-
     def is_monomial(self) -> bool:
         """True if at most one coefficient is nonzero."""
         return sum(1 for c in self.coeffs if c) <= 1
-
-    def monic(self) -> "UniPoly":
-        if not self:
-            return self
-        return self * (1 / self.coeffs[-1])
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -166,40 +141,52 @@ ONE = UniPoly([1])
 ZERO = UniPoly()
 
 
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over the rationals (Euclid)."""
-    while b:
-        a, b = b, a.divmod(b)[1]
-    return a.monic() if a else a
-
-
 class RatFunc:
-    """Quotient of two polynomials, stored fully reduced with monic denominator."""
+    """Laurent polynomial num / x^shift in the generator x.
 
-    __slots__ = ("num", "den")
+    Localization divides restrictions only by Euler classes c*x^n, so a
+    denominator is always a monomial.  The constructor accepts exactly
+    those and cancels common powers of x: either shift is 0 or num has a
+    nonzero constant term.  `den` is the view x^shift.
+    """
+
+    __slots__ = ("num", "shift")
 
     def __init__(self, num: UniPoly, den: UniPoly = ONE):
         if not den:
             raise ZeroDivisionError("zero denominator")
-        g = poly_gcd(num, den)
-        if g:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        lead = den.coeffs[-1]
-        object.__setattr__(self, "num", num * (1 / lead))
-        object.__setattr__(self, "den", den * (1 / lead))
+        if not den.is_monomial():
+            raise NotPolynomial(f"denominator {den} is not a monomial c*x^k")
+        self._set(num * (1 / den.coeffs[-1]), den.degree)
+
+    def _set(self, num: UniPoly, shift: int) -> None:
+        k = 0
+        while k < shift and not num.coefficient(k):
+            k += 1
+        object.__setattr__(self, "num", UniPoly(num.coeffs[k:]) if k else num)
+        object.__setattr__(self, "shift", shift - k)
+
+    @staticmethod
+    def _laurent(num: UniPoly, shift: int) -> "RatFunc":
+        f = object.__new__(RatFunc)
+        f._set(num, shift)
+        return f
 
     def __setattr__(self, *args):
         raise AttributeError("RatFunc is immutable")
+
+    @property
+    def den(self) -> UniPoly:
+        return UniPoly.monomial(1, self.shift)
 
     @staticmethod
     def _coerce(v) -> "RatFunc":
         if isinstance(v, RatFunc):
             return v
         if isinstance(v, UniPoly):
-            return RatFunc(v)
+            return RatFunc._laurent(v, 0)
         if isinstance(v, (int, Fraction)):
-            return RatFunc(UniPoly([v]))
+            return RatFunc._laurent(UniPoly([v]), 0)
         raise TypeError(f"cannot coerce {type(v).__name__} to RatFunc")
 
     def __eq__(self, other) -> bool:
@@ -207,7 +194,7 @@ class RatFunc:
             other = RatFunc._coerce(other)
         except TypeError:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num == other.num and self.shift == other.shift
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -217,13 +204,14 @@ class RatFunc:
 
     def __add__(self, other) -> "RatFunc":
         other = RatFunc._coerce(other)
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        lo, hi = (self, other) if self.shift <= other.shift else (other, self)
+        padded = UniPoly((0,) * (hi.shift - lo.shift) + lo.num.coeffs)
+        return RatFunc._laurent(hi.num + padded, hi.shift)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
+        return RatFunc._laurent(-self.num, self.shift)
 
     def __sub__(self, other) -> "RatFunc":
         return self + (-RatFunc._coerce(other))
@@ -233,18 +221,12 @@ class RatFunc:
 
     def __mul__(self, other) -> "RatFunc":
         other = RatFunc._coerce(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return RatFunc._laurent(self.num * other.num, self.shift + other.shift)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "RatFunc":
-        other = RatFunc._coerce(other)
-        if not other.num:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
     def __str__(self) -> str:
-        if self.den == ONE:
+        if not self.shift:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
@@ -253,8 +235,8 @@ class RatFunc:
 
 
 def ratfunc_to_poly(f: RatFunc) -> UniPoly:
-    """The polynomial a rational function reduces to, or NotPolynomial."""
-    if f.den.degree > 0:
+    """The polynomial a Laurent polynomial reduces to, or NotPolynomial."""
+    if f.shift:
         raise NotPolynomial(f"denominator {f.den} has positive degree")
     return f.num
 

@@ -213,7 +213,13 @@ def cmd_reduce(args) -> int:
         model = ModelData(n, c)
         pres = reduction.kernel_generators(model)
         moment_data = hypercube_data(n, with_moment=True, c=model.c)
-    max_degree = args.max_degree if args.max_degree is not None else 2 * (n - 1)
+    # the reduced space has dimension 2(n-1): nothing lives above that degree
+    top = 2 * (n - 1)
+    max_degree = args.max_degree if args.max_degree is not None else top
+    if max_degree // 2 > n - 1:
+        raise InputError(
+            f"--max-degree {max_degree} is above the top degree {top} for n={n}"
+        )
     q = reduction.graded_quotient(pres, max_degree)
     print("betti:", " ".join(str(r) for r in q.ranks))
     failed = False

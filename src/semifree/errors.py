@@ -7,7 +7,8 @@ class SemifreeError(Exception):
 
 # exact_algebra
 class NotPolynomial(SemifreeError):
-    """A rational function was required to reduce to a polynomial but did not."""
+    """A value needed to be a polynomial in x, or a denominator a monomial
+    c*x^k, and was not."""
 
 
 class Inconsistent(SemifreeError):

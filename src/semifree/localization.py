@@ -2,9 +2,10 @@
 moment-constraint machinery for fixed-point data.
 
 The central operation sums restriction / Euler class over the fixed points,
-exactly, as a rational function of the degree-two generator x.  Everything
-else here (count prediction, consistency sieve, candidate search) is built
-on top of that sum.
+exactly.  Every restriction is c*x^d and every Euler class w*x^n, so the sum
+is a Laurent polynomial in the degree-two generator x.  Everything else here
+(count prediction, consistency sieve, candidate search) is built on top of
+that sum.
 """
 
 from __future__ import annotations

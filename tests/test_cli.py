@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +165,8 @@ class TestOutOfRange:
             ["reduce", "--n", "0"],
             ["reduce", "--n", "-2"],
             ["reduce", "--n", "3", "--max-degree", "-1"],
+            ["reduce", "--n", "3", "--max-degree", "6"],
+            ["reduce", "CUBE", "--max-degree", "6"],
             ["search", "--n", "0", "--points", "1", "--bound", "1", "--degree", "1"],
             ["search", "--n", "1", "--points", "0", "--bound", "1", "--degree", "1"],
             ["search", "--n", "1", "--points", "1", "--bound", "0", "--degree", "1"],
@@ -174,6 +180,24 @@ class TestOutOfRange:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("input error: ")
+
+    def test_max_degree_within_the_top_degree_is_accepted(self, capsys):
+        assert main(["reduce", "--n", "3", "--max-degree", "5"]) == 0
+        assert capsys.readouterr().out.startswith("betti: 1 4 1\n")
+
+    def test_huge_max_degree_fails_fast(self):
+        # in a subprocess, so that a missing guard fails on the timeout
+        # instead of eliminating degree after degree for hours
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        argv = ["reduce", "--n", str(MAX_REDUCE_N), "--max-degree", "1000"]
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "semifree.cli", *argv],
+                              capture_output=True, text=True, timeout=10, env=env)
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 2
+        assert "above the top degree" in proc.stderr
 
     def test_reduce_above_the_size_bound_fails_fast(self, capsys):
         start = time.perf_counter()

@@ -114,6 +114,41 @@ class TestIntegrate:
             ) * RatFunc(X)
 
 
+class TestIntegrateAgainstSympy:
+    """integrate against sympy.cancel of the sum of c_p x^d / (w_p x^n)."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_homogeneous_data(self, seed):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        weights = [w for w in range(-3, 4) if w]
+        points = tuple(
+            FixedPoint(f"p{i}", tuple(rng.choice(weights) for _ in range(n)))
+            for i in range(rng.randint(1, 5))
+        )
+        d = rng.randint(0, 2 * n)
+        coeffs = {p.id: rng.randint(-4, 4) for p in points}
+        alpha = RestrictionAssignment(
+            {pid: UniPoly.monomial(c, d) for pid, c in coeffs.items()}
+        )
+        value = integrate(FixedPointData(n, points), alpha)
+
+        expected = sympy.cancel(sum(
+            sympy.Integer(coeffs[p.id]) * x**d / (math.prod(p.weights) * x**n)
+            for p in points
+        ))
+        num, den = sympy.fraction(expected)
+        lead = sympy.Poly(den, x).LC()  # RatFunc keeps a monic denominator
+        ours = sum(
+            sympy.Rational(c.numerator, c.denominator) * x**i
+            for i, c in enumerate(value.num.coeffs)
+        )
+        assert sympy.expand(num / lead) == ours
+        assert sympy.expand(den / lead) == x**value.shift
+
+
 class TestGammaRestrictions:
     def test_hypercube_values(self):
         data = hypercube_data(3)

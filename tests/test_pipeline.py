@@ -16,7 +16,6 @@ from semifree.pipeline import (
     RestrictionTable,
     assemble_bijection,
     beta_comparison_check,
-    forced_level_square_sum,
     forced_level_sum,
     model_restriction_table,
     per_point_count,
@@ -31,11 +30,6 @@ class TestForcedLevelSums:
         assert forced_level_sum(3, 3) == X
         assert forced_level_sum(3, 2) == UniPoly.monomial(2, 1)
         assert forced_level_sum(5, 0) == UniPoly()
-
-    def test_square_sums(self):
-        assert forced_level_square_sum(3, 1) == UniPoly.monomial(1, 2)
-        assert forced_level_square_sum(2, 2) == UniPoly.monomial(1, 2)
-        assert forced_level_square_sum(4, 2) == UniPoly.monomial(3, 2)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_total_over_levels(self, n):
@@ -57,14 +51,14 @@ class TestForcedLevelSums:
 
 class TestSolveValueMultiset:
     def test_forced_zero_one(self):
-        assert solve_value_multiset(2, True, 3) == (1, 1, 0)
+        assert solve_value_multiset(2, 3) == (1, 1, 0)
 
     def test_all_zero(self):
-        assert solve_value_multiset(0, True, 5) == (0,) * 5
+        assert solve_value_multiset(0, 5) == (0,) * 5
 
     def test_excess_sum(self):
         with pytest.raises(NoIntegerSolution):
-            solve_value_multiset(4, True, 3)
+            solve_value_multiset(4, 3)
 
     def test_brute_force_oracle(self):
         # over all integer tuples with small entries, sum == square sum
@@ -75,14 +69,12 @@ class TestSolveValueMultiset:
             if sum(tup) == sum(c * c for c in tup):
                 assert all(c in (0, 1) for c in tup)
                 s = sum(tup)
-                assert tuple(sorted(tup, reverse=True)) == solve_value_multiset(
-                    s, True, 3
-                )
+                assert tuple(sorted(tup, reverse=True)) == solve_value_multiset(s, 3)
 
     def test_constraints_hold(self):
         for count in range(1, 7):
             for total in range(count + 1):
-                values = solve_value_multiset(total, True, count)
+                values = solve_value_multiset(total, count)
                 assert sum(values) == total
                 assert sum(v * v for v in values) == total
 
@@ -147,7 +139,7 @@ class TestRunPipeline:
         for k in range(5):
             assert cert.level_sums[k] == forced_level_sum(4, k)
             assert cert.level_value_multisets[k] == solve_value_multiset(
-                math.comb(3, k - 1) if k else 0, True, math.comb(4, k)
+                math.comb(3, k - 1) if k else 0, math.comb(4, k)
             )
 
     def test_count_mismatch(self):
