@@ -274,45 +274,6 @@ def moment_matrix(num_rows: int, num_cols: int) -> IntMatrix:
     return IntMatrix([[j**i for j in range(num_cols)] for i in range(num_rows)])
 
 
-def solve_exact(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> list[Fraction]:
-    """Solve a linear system exactly; requires a unique solution.
-
-    Raises Inconsistent if no solution exists, Underdetermined if the
-    solution is not unique.
-    """
-    m = [[_as_fraction(e) for e in row] + [_as_fraction(b)]
-         for row, b in zip(rows, rhs, strict=True)]
-    ncols = len(m[0]) - 1 if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [e * inv for e in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    for i in range(r, len(m)):
-        if m[i][-1]:
-            raise Inconsistent("system has no solution")
-    if len(pivots) < ncols:
-        raise Underdetermined("system has a positive-dimensional solution set")
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = m[i][-1]
-    return sol
-
-
 def vandermonde_kernel(n: int) -> tuple[Fraction, ...]:
     """The kernel vector of moment_matrix(n, n+1), normalized to start at 1.
 
@@ -330,6 +291,9 @@ def vandermonde_complete(
 
     Finds the length-(n+1) vector killed by moment_matrix(n-l, n+1) that
     agrees with `known` (a map index -> value with at least l+1 entries).
+    That kernel is {((-1)^k C(n,k) p(k))_k : deg p <= l}: the n-th finite
+    difference kills every degree below n, and the dimensions agree.  So p
+    is interpolated through l+1 known entries and checked on the others.
     """
     if not 0 <= l < n:
         raise ValueError("need 0 <= l < n")
@@ -340,84 +304,42 @@ def vandermonde_complete(
         raise Underdetermined(
             f"need at least {l + 1} prescribed entries, got {len(known)}"
         )
-    v = moment_matrix(n - l, n + 1).entries
-    unknown = [j for j in range(n + 1) if j not in known]
-    rows = [[Fraction(row[j]) for j in unknown] for row in v]
-    rhs = [
-        -sum((_as_fraction(known[k]) * row[k] for k in known), Fraction(0))
-        for row in v
-    ]
-    sol = solve_exact(rows, rhs)
-    out = [Fraction(0)] * (n + 1)
-    for k, val in known.items():
-        out[k] = _as_fraction(val)
-    for j, val in zip(unknown, sol):
-        out[j] = val
-    return tuple(out)
+    values = {k: _as_fraction(v) for k, v in known.items()}
+    kernel = vandermonde_kernel(n)
+    nodes = list(values)[: l + 1]
+    out = tuple(
+        kernel[x] * sum(
+            values[a] / kernel[a]
+            * math.prod(Fraction(x - b, a - b) for b in nodes if b != a)
+            for a in nodes
+        )
+        for x in range(n + 1)
+    )
+    if any(out[k] != v for k, v in values.items()):
+        raise Inconsistent("prescribed entries have no common completion")
+    return out
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], int]:
     """Invariant factors (with the divisibility chain) and rank.
 
-    Row/column reduction by unimodular operations; only the factors are
-    returned, not the transforms.
+    Alternates echelon_basis on the rows and on the columns (each pass
+    drops zero lines) until the matrix is diagonal, then sorts the
+    diagonal into a divisibility chain by replacing pairs with their gcd
+    and lcm.  This ends: the (0, 0) entry becomes the gcd of its column,
+    then of its row, so it is a positive integer that only shrinks; once
+    it stops, it divides its column and its row, both clear, and the same
+    argument applies to the trailing block.  Only the factors are returned.
     """
-    a = [list(row) for row in m.entries]
-    nr, nc = m.rows, m.cols
-    factors = []
-    t = 0
-    while t < min(nr, nc):
-        # find a nonzero pivot in the trailing submatrix
-        pos = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pos = (i, j)
-        if pos is None:
-            break
-        i0, j0 = pos
-        a[t], a[i0] = a[i0], a[t]
-        for row in a:
-            row[t], row[j0] = row[j0], row[t]
-        while True:
-            # clear column t
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:  # remainder smaller than pivot: swap and redo
-                        a[t], a[i] = a[i], a[t]
-            if any(a[i][t] for i in range(t + 1, nr)):
-                continue
-            # clear row t
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-            if any(a[t][j] for j in range(t + 1, nc)) or any(
-                a[i][t] for i in range(t + 1, nr)
-            ):
-                continue
-            # pivot must divide the rest of the submatrix
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-        factors.append(abs(a[t][t]))
-        t += 1
+    rows = echelon_basis(m.entries, m.cols)
+    # echelon rows vanish left of the diagonal, so check only to its right
+    while any(any(row[i + 1:]) for i, row in enumerate(rows)):
+        rows = echelon_basis(zip(*rows), len(rows))
+    factors = [row[i] for i, row in enumerate(rows)]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            a, b = factors[i], factors[j]
+            factors[i], factors[j] = math.gcd(a, b), math.lcm(a, b)
     return tuple(factors), len(factors)
 
 

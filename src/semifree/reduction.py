@@ -28,9 +28,10 @@ from .errors import CountMismatch, NotSemifree, ReductionTooLarge
 from .fixed_points import FixedPointData, counts, split_by_moment_sign, validate
 from .localization import predict_counts
 
-# Largest n that graded_quotient accepts: `reduce --n 9` takes 30-40 s and
-# about 200 MB, while n = 10 has 185642 relation rows of length 1023 in its
-# top degree, several times the time and over a gigabyte as dense rows.
+# Largest n that graded_quotient accepts: `reduce --n 9` takes about 25 s
+# and 40 MB peak on a 2-core Xeon.  At n = 10 building the top degree's
+# 12332 distinct rows of length 1023 (from 185642 products) alone takes
+# 20 s, and the elimination has grown five- to tenfold per step of n.
 MAX_REDUCE_N = 9
 
 
@@ -119,22 +120,29 @@ def _generator_degree(cls: CubeClass) -> int:
     return degs.pop()
 
 
-def relation_rows(pres: IdealPresentation, d: int) -> list[list[int]]:
-    """Integer coefficient vectors spanning the degree-d slice of the ideal."""
+def relation_rows(pres: IdealPresentation, d: int) -> list[tuple[int, ...]]:
+    """Integer coefficient vectors spanning the degree-d slice of the ideal.
+
+    Zero products are skipped and repeats kept once, in first-seen order:
+    a_J times a monomial is a single monomial, so alpha rows repeat, and
+    a_j (y - a_j) = 0 kills beta_J times a_S y^m unless S lies in J.
+    """
     basis = degree_basis(pres.n, d)
     index = {b: i for i, b in enumerate(basis)}
-    rows = []
+    rows = {}
     for _, gen in (*pres.positive, *pres.negative):
         g = _generator_degree(gen)
         if g > d:
             continue
         for mono in degree_basis(pres.n, d - g):
             product = gen * CubeClass({mono: 1})
+            if not product:
+                continue
             row = [0] * len(basis)
             for key, c in product.terms.items():
                 row[index[key]] = c
-            rows.append(row)
-    return rows
+            rows.setdefault(tuple(row), None)
+    return list(rows)
 
 
 def graded_quotient(pres: IdealPresentation, max_degree: int) -> GradedQuotient:

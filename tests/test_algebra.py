@@ -194,6 +194,48 @@ class TestVandermondeComplete:
         for row in v:
             assert sum(Fraction(a) * b for a, b in zip(row, d)) == 0
 
+    def test_float_value_rejected(self):
+        with pytest.raises(TypeError):
+            vandermonde_complete(2, 0, {0: 1.0})
+
+    def test_against_sympy_linsolve(self):
+        sympy = pytest.importorskip("sympy")
+
+        rng = random.Random(13)
+        seen = {"solved": 0, "inconsistent": 0, "underdetermined": 0}
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            l = rng.randint(0, n - 1)
+            known = {}
+            for k in rng.sample(range(n + 1), rng.randint(0, n + 1)):
+                known[k] = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+            if rng.random() < 0.5:
+                # values of a kernel vector, so the prescription is consistent
+                coeffs = [rng.randint(-3, 3) for _ in range(l + 1)]
+                known = {
+                    k: (-1) ** k * math.comb(n, k) * sum(c * k**i for i, c in enumerate(coeffs))
+                    for k in known
+                }
+            d = sympy.symbols(f"d0:{n + 1}")
+            eqs = [sum(a * b for a, b in zip(row, d)) for row in moment_matrix(n - l, n + 1).entries]
+            eqs += [d[k] - sympy.Rational(v.numerator, v.denominator) for k, v in known.items()]
+            solutions = sympy.linsolve(eqs, d)
+            if solutions == sympy.S.EmptySet:
+                with pytest.raises(Inconsistent):
+                    vandermonde_complete(n, l, known)
+                seen["inconsistent"] += 1
+                continue
+            (solution,) = solutions
+            if any(e.free_symbols for e in solution):
+                with pytest.raises(Underdetermined):
+                    vandermonde_complete(n, l, known)
+                seen["underdetermined"] += 1
+            else:
+                expected = tuple(Fraction(int(e.p), int(e.q)) for e in solution)
+                assert vandermonde_complete(n, l, known) == expected
+                seen["solved"] += 1
+        assert all(seen.values()), seen
+
 
 # --- Smith normal form -------------------------------------------------------
 
@@ -206,6 +248,9 @@ class TestSmithNormalForm:
 
     def test_zero(self):
         assert smith_normal_form(IntMatrix([[0, 0], [0, 0]])) == ((), 0)
+
+    def test_empty(self):
+        assert smith_normal_form(IntMatrix([])) == ((), 0)
 
     def test_rectangular(self):
         factors, rank = smith_normal_form(IntMatrix([[2, 4, 4], [-6, 6, 12]]))
@@ -226,6 +271,24 @@ class TestSmithNormalForm:
                 assert math.prod(factors) == abs(det)
             else:
                 assert rank < size
+
+    def test_raw_matrices_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        rng = random.Random(17)
+        shapes = [(7, 3), (3, 7), (5, 5), (6, 1), (1, 6), (8, 8)]
+        for trial in range(120):
+            nrows, ncols = shapes[trial % len(shapes)]
+            bound = rng.choice((1, 6, 50))
+            # common column factors give nontrivial chains such as (1, 4) from
+            # [[2, 1], [0, 2]], where a triangular diagonal is not the answer
+            scale = [rng.choice((1, 1, 2, 3, 4, 6)) for _ in range(ncols)]
+            m = [[rng.randint(-bound, bound) * s for s in scale] for _ in range(nrows)]
+            for i in rng.sample(range(nrows), rng.randint(0, nrows // 2)):
+                m[i] = [0] * ncols  # zero rows
+            expected = tuple(abs(int(f)) for f in invariant_factors(sympy.Matrix(m)) if f)
+            assert smith_normal_form(IntMatrix(m)) == (expected, len(expected))
 
 
 # --- echelon basis -----------------------------------------------------------

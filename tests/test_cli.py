@@ -185,25 +185,29 @@ class TestOutOfRange:
         assert main(["reduce", "--n", "3", "--max-degree", "5"]) == 0
         assert capsys.readouterr().out.startswith("betti: 1 4 1\n")
 
-    def test_huge_max_degree_fails_fast(self):
-        # in a subprocess, so that a missing guard fails on the timeout
-        # instead of eliminating degree after degree for hours
+    # These two run in a subprocess with a timeout, so that a missing guard
+    # fails the test instead of eliminating for hours.
+    @staticmethod
+    def run_cli_subprocess(argv):
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        argv = ["reduce", "--n", str(MAX_REDUCE_N), "--max-degree", "1000"]
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "semifree.cli", *argv],
                               capture_output=True, text=True, timeout=10, env=env)
         assert time.perf_counter() - start < 1.0
+        return proc
+
+    def test_huge_max_degree_fails_fast(self):
+        proc = self.run_cli_subprocess(
+            ["reduce", "--n", str(MAX_REDUCE_N), "--max-degree", "1000"])
         assert proc.returncode == 2
         assert "above the top degree" in proc.stderr
 
-    def test_reduce_above_the_size_bound_fails_fast(self, capsys):
-        start = time.perf_counter()
-        assert main(["reduce", "--n", str(MAX_REDUCE_N + 1)]) == 1
-        assert time.perf_counter() - start < 1.0
-        assert "exceeds the reduction bound" in capsys.readouterr().err
+    def test_reduce_above_the_size_bound_fails_fast(self):
+        proc = self.run_cli_subprocess(["reduce", "--n", str(MAX_REDUCE_N + 1)])
+        assert proc.returncode == 1
+        assert "exceeds the reduction bound" in proc.stderr
 
 
 # sha256 of `reduce --n n --c c` stdout for every regular level with n <= 6,

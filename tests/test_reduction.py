@@ -16,6 +16,7 @@ from semifree.reduction import (
     poincare_check,
     presentation_from_data,
     reduced_chern_series,
+    relation_rows,
 )
 
 
@@ -74,6 +75,15 @@ class TestGradedQuotient:
         pres = kernel_generators(ModelData(MAX_REDUCE_N + 1, None))
         with pytest.raises(ReductionTooLarge):
             graded_quotient(pres, 0)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_relation_rows_are_nonzero_and_distinct(self, n):
+        for c in half_integers(n):
+            pres = kernel_generators(ModelData(n, c))
+            for d in range(n):
+                rows = [tuple(row) for row in relation_rows(pres, d)]
+                assert all(any(row) for row in rows)
+                assert len(set(rows)) == len(rows)
 
     def test_degree_basis_sizes(self):
         assert len(degree_basis(3, 0)) == 1
