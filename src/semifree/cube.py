@@ -255,15 +255,19 @@ class RankCheckReport:
         return all(e.ok for e in self.entries)
 
 
-def injectivity_rank_check(n: int, max_n: int = 12) -> RankCheckReport:
+# Largest n that injectivity_rank_check accepts.
+MAX_INJECTIVITY_N = 12
+
+
+def injectivity_rank_check(n: int) -> RankCheckReport:
     """Restriction to the fixed points is injective degree by degree.
 
     For each degree 2d <= 2n, the restrictions of the module basis elements
     alpha_J * x^(d-|J|), |J| <= d, to all 2^n fixed points must be linearly
     independent over the rationals.
     """
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds the configured bound {max_n}")
+    if n > MAX_INJECTIVITY_N:
+        raise ValueError(f"n={n} exceeds the bound {MAX_INJECTIVITY_N}")
     subsets = all_subsets(n)
     entries = []
     for d in range(n + 1):

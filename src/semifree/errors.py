@@ -49,6 +49,10 @@ class SearchSpaceTooLarge(SemifreeError):
     """The candidate enumeration exceeds the configured cap."""
 
 
+class CountTooLarge(SemifreeError):
+    """Fixed-point counts are asked for at an n above the supported bound."""
+
+
 # reduction
 class ReductionTooLarge(SemifreeError):
     """The graded quotient is asked for at an n above the supported bound."""
@@ -76,6 +80,10 @@ class CountMismatch(SemifreeError):
 
 
 # hypercube model
+class RingTooLarge(SemifreeError):
+    """The model ring tables are asked for at an n above the supported bound."""
+
+
 class NotInModule(SemifreeError):
     """A basis expansion produced a non-integral or negative-degree coefficient."""
 

@@ -4,8 +4,8 @@ The kernel of the surjection onto the reduced space's cohomology is spanned
 by the upward classes at points above the level and the downward classes at
 points below it.  Each graded piece of the quotient is a finite integer
 linear-algebra problem: square-free monomials times powers of y form a basis
-of the ambient degree slice, and the relations are spanned by generators
-times complementary-degree monomials.  One integer echelon basis per degree
+of the ambient degree slice, and the relations in it are written in closed
+form from the generators' subsets.  One integer echelon basis per degree
 gives the free rank (its length), the torsion (Smith normal form of that
 basis alone) and the canonical images of the Chern classes.
 """
@@ -28,10 +28,9 @@ from .errors import CountMismatch, NotSemifree, ReductionTooLarge
 from .fixed_points import FixedPointData, counts, split_by_moment_sign, validate
 from .localization import predict_counts
 
-# Largest n that graded_quotient accepts: `reduce --n 9` takes about 25 s
-# and 40 MB peak on a 2-core Xeon.  At n = 10 building the top degree's
-# 12332 distinct rows of length 1023 (from 185642 products) alone takes
-# 20 s, and the elimination has grown five- to tenfold per step of n.
+# Largest n that graded_quotient accepts: on a 2-core Xeon `reduce --n 9`
+# takes 7-9 s at 37 MB peak; n = 10 takes about 134 s at 107 MB, 125 s of
+# it in echelon_basis over at most 8197 relation rows per degree.
 MAX_REDUCE_N = 9
 
 
@@ -41,8 +40,9 @@ class IdealPresentation:
 
     The rewrite relations a_i y - a_i^2 are absorbed by the square-free
     normal form of CubeClass; the two explicit families are the upward
-    classes of the mu-positive subsets and the downward classes of the
-    mu-negative subsets.
+    classes alpha_J of the mu-positive subsets and the downward classes
+    beta_J of the mu-negative subsets.  The classes are alpha_J and beta_J
+    by definition, so relation_rows writes its rows from the subsets J.
     """
 
     n: int
@@ -113,36 +113,34 @@ def degree_basis(n: int, d: int) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def _generator_degree(cls: CubeClass) -> int:
-    degs = {len(S) + m for (S, m) in cls.terms}
-    if len(degs) != 1:
-        raise ValueError("relation generator is not homogeneous")
-    return degs.pop()
-
-
 def relation_rows(pres: IdealPresentation, d: int) -> list[tuple[int, ...]]:
     """Integer coefficient vectors spanning the degree-d slice of the ideal.
 
-    Zero products are skipped and repeats kept once, in first-seen order:
-    a_J times a monomial is a single monomial, so alpha rows repeat, and
-    a_j (y - a_j) = 0 kills beta_J times a_S y^m unless S lies in J.
+    The generators are alpha_J and beta_J by definition and a degree-d
+    monomial a_S y^(d-|S|) is fixed by S, so rows are written from J and S:
+    alpha_J a_S y^m is the unit row at J | S; beta_J is a multiple of beta_K
+    for J < K, so only maximal negative J count, and a_j (y - a_j) = 0 makes
+    beta_J a_S y^m zero unless S lies in J, when it is the sum over T in J^c
+    of (-1)^|T| a_(S|T) y^(...).  The supports [S, S | J^c] differ, so rows
+    are nonzero and distinct unless a negative full set (beta = 1) meets alpha.
     """
-    basis = degree_basis(pres.n, d)
-    index = {b: i for i, b in enumerate(basis)}
-    rows = {}
-    for _, gen in (*pres.positive, *pres.negative):
-        g = _generator_degree(gen)
-        if g > d:
+    col = {S: i for i, (S, _) in enumerate(degree_basis(pres.n, d))}
+    ups = [J for J, _ in pres.positive]
+    rows = [tuple(int(j == i) for j in range(len(col)))
+            for S, i in col.items() if any(J.issubset(S) for J in ups)]
+    downs = [J for J, _ in pres.negative]
+    for J in downs:
+        if any(J < K for K in downs):
             continue
-        for mono in degree_basis(pres.n, d - g):
-            product = gen * CubeClass({mono: 1})
-            if not product:
-                continue
-            row = [0] * len(basis)
-            for key, c in product.terms.items():
-                row[index[key]] = c
-            rows.setdefault(tuple(row), None)
-    return list(rows)
+        comp = tuple(sorted(set(range(1, pres.n + 1)) - J))
+        for k in range(d - len(comp) + 1):
+            for S in combinations(sorted(J), k):
+                row = [0] * len(col)
+                for t in range(len(comp) + 1):
+                    for T in combinations(comp, t):
+                        row[col[tuple(sorted(S + T))]] = (-1) ** t
+                rows.append(tuple(row))
+    return rows
 
 
 def graded_quotient(pres: IdealPresentation, max_degree: int) -> GradedQuotient:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -9,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from semifree.cli import main, parse_document
+from semifree.cli import MAX_RING_N, main, parse_document
 from semifree.cube import all_subsets, alpha_class, restrict_class
 from semifree.errors import InputError
+from semifree.localization import MAX_COUNT_N
 from semifree.reduction import MAX_REDUCE_N
 
 HYPERCUBE_3 = """
@@ -185,16 +187,17 @@ class TestOutOfRange:
         assert main(["reduce", "--n", "3", "--max-degree", "5"]) == 0
         assert capsys.readouterr().out.startswith("betti: 1 4 1\n")
 
-    # These two run in a subprocess with a timeout, so that a missing guard
-    # fails the test instead of eliminating for hours.
+    # These run in a subprocess with a timeout, so that a missing guard
+    # fails the test instead of computing for hours.
     @staticmethod
-    def run_cli_subprocess(argv):
+    def run_cli_subprocess(argv, preexec_fn=None):
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "semifree.cli", *argv],
-                              capture_output=True, text=True, timeout=10, env=env)
+                              capture_output=True, text=True, timeout=10, env=env,
+                              preexec_fn=preexec_fn)
         assert time.perf_counter() - start < 1.0
         return proc
 
@@ -209,10 +212,36 @@ class TestOutOfRange:
         assert proc.returncode == 1
         assert "exceeds the reduction bound" in proc.stderr
 
+    def test_search_refuses_before_listing_point_shapes(self):
+        # 20 million point shapes of 22 weights: listing them needs gigabytes,
+        # so under a 1 GB address space only counting them can refuse cleanly
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
-# sha256 of `reduce --n n --c c` stdout for every regular level with n <= 6,
+        proc = self.run_cli_subprocess(
+            ["search", "--n", "22", "--points", "2", "--bound", "5", "--degree", "1"],
+            preexec_fn=limit_address_space)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "exceed cap 200000" in proc.stderr
+
+    def test_count_above_the_size_bound_fails_fast(self):
+        # far above the bound: C(15000, 7500) has more digits than Python prints
+        proc = self.run_cli_subprocess(["count", "--n", "15000"])
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: n=15000 exceeds the count bound {MAX_COUNT_N}\n"
+
+    def test_ring_above_the_size_bound_fails_fast(self):
+        proc = self.run_cli_subprocess(["ring", "--n", str(MAX_RING_N + 1)])
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: n={MAX_RING_N + 1} exceeds the ring table bound {MAX_RING_N}\n")
+
+
+# sha256 of `reduce --n n --c c` stdout for every regular level with n <= 7,
 # frozen from the Smith-normal-form / Hermite implementation that preceded
-# the echelon kernel.
+# the echelon kernel (n <= 6) and from the generator-times-monomial relation
+# rows that preceded the closed-form rows (n = 7).
 REDUCE_DIGESTS = {
     (1, "1/2"): "a55aefa9299f21e6d09c3f6235e5c68e431377f6151da7328deeab5061ea3927",
     (2, "1/2"): "81b5fce734e88d1c38c402fe5c03e7939bb84c6b34bbbb82779fb5478753a87d",
@@ -235,6 +264,13 @@ REDUCE_DIGESTS = {
     (6, "7/2"): "cb67a5175ece33830d9eac9d9cca7f19fd4ec3399a9683d2acfbc584a5acb75b",
     (6, "9/2"): "6c622924a0e178995c624b5e388ec9296134e062644248b10ce3507bb0c835cc",
     (6, "11/2"): "baf99531570bf48f97f892a15a3477e5ea9a79d77173357df2c057892b2851da",
+    (7, "1/2"): "2755df73621c0a3798aeffdaf1894db5622d39a090c94edd9428fbea8e990886",
+    (7, "3/2"): "8be8ca5e1a76d01a34925ecc360adec7ddc11d40c906c829bc61ec09c799a232",
+    (7, "5/2"): "bb76ea0fbb26c86c8ddbf6d80375a4b46d46a20e20ccf58231e857b53868e5a0",
+    (7, "7/2"): "a6d06bebbaf0c09099aee1533b27c8a82c47c1b51c896277dae067a78505dc75",
+    (7, "9/2"): "25d6ac44e86a00b6fc4c1b8e24b50eb08bd04b5a13f33f2f4ee1149f68d5c754",
+    (7, "11/2"): "740a8529af7f6d099b25f549eceb2994a7f8a4d4359f4d3a84b61160ea5a7972",
+    (7, "13/2"): "6793bd68cbe62ee1b2762453d6a90f77f96303c1793a9e71b32f7ef66a4c77a6",
 }
 
 

@@ -160,6 +160,10 @@ class TestInjectivity:
     def test_full_rank_all_degrees(self, n):
         assert injectivity_rank_check(n).passed
 
+    def test_above_the_bound_is_rejected(self):
+        with pytest.raises(ValueError):
+            injectivity_rank_check(13)
+
 
 class TestExpressInBasis:
     def test_y_is_x_times_unit(self):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from semifree.algebra import echelon_basis, reduce_mod_rows
 from semifree.cube import CubeClass, ModelData, hypercube_data
 from semifree.errors import MissingMomentValue, ReductionTooLarge, ZeroIsCritical
-from semifree.fixed_points import FixedPointData
+from semifree.fixed_points import FixedPoint, FixedPointData
 from semifree.reduction import (
     GradedQuotient,
     betti_by_counting,
@@ -22,6 +23,43 @@ from semifree.reduction import (
 
 def half_integers(n):
     return [Fraction(2 * k + 1, 2) for k in range(n)]
+
+
+def product_rows(pres, d):
+    """Every generator times every complementary-degree monomial, multiplied
+    out by CubeClass, zero and repeated products included."""
+    basis = degree_basis(pres.n, d)
+    index = {b: i for i, b in enumerate(basis)}
+    rows = []
+    for _, gen in (*pres.positive, *pres.negative):
+        (g,) = {len(S) + m for S, m in gen.terms}
+        for mono in degree_basis(pres.n, d - g) if g <= d else ():
+            row = [0] * len(basis)
+            for key, c in (gen * CubeClass({mono: 1})).terms.items():
+                row[index[key]] = c
+            rows.append(row)
+    return rows
+
+
+def assert_same_lattice(pres, d):
+    ncols = len(degree_basis(pres.n, d))
+    ours, reference = relation_rows(pres, d), product_rows(pres, d)
+    for rows, other in ((ours, reference), (reference, ours)):
+        basis = echelon_basis(other, ncols)
+        for row in rows:
+            assert not any(reduce_mod_rows(row, basis)), (pres.n, d, row)
+
+
+def random_sign_document(n, seed):
+    """The hypercube's points under shuffled ids, with random moment signs."""
+    rng = random.Random(seed)
+    points = list(hypercube_data(n).points)
+    rng.shuffle(points)
+    return FixedPointData(n, tuple(
+        FixedPoint(f"z{i}", p.weights,
+                   Fraction(rng.choice((-1, 1)) * (2 * rng.randrange(3) + 1), 2))
+        for i, p in enumerate(points)
+    ))
 
 
 class TestKernelGenerators:
@@ -84,6 +122,20 @@ class TestGradedQuotient:
                 rows = [tuple(row) for row in relation_rows(pres, d)]
                 assert all(any(row) for row in rows)
                 assert len(set(rows)) == len(rows)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_relation_rows_span_the_generator_products(self, n):
+        for c in half_integers(n):
+            pres = kernel_generators(ModelData(n, c))
+            for d in range(n + 1):
+                assert_same_lattice(pres, d)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_relation_rows_span_the_products_for_random_signs(self, seed):
+        n = 2 + seed % 4
+        pres = presentation_from_data(random_sign_document(n, seed))
+        for d in range(n + 1):
+            assert_same_lattice(pres, d)
 
     def test_degree_basis_sizes(self):
         assert len(degree_basis(3, 0)) == 1
@@ -173,8 +225,6 @@ class TestPresentationFromData:
 
     def test_relabeled_points(self):
         base = hypercube_data(2, with_moment=True)
-        from semifree.fixed_points import FixedPoint
-
         renamed = FixedPointData(
             2,
             tuple(
