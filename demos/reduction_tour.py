@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from semifree import (
     ModelData,
+    beta_class,
     betti_by_counting,
     graded_quotient,
     hypercube_data,
@@ -22,9 +23,9 @@ n = 3
 model = ModelData(n, Fraction(3, 2))
 pres = kernel_generators(model)
 print("relations from points above the level:",
-      [sorted(J) for J, _ in pres.positive])
+      [sorted(J) for J in pres.positive])
 print("relations from points below the level:",
-      [str(g) for _, g in pres.negative])
+      [str(beta_class(J, n)) for J in pres.negative])
 
 # The quotient ring, degree by degree: one integer echelon basis of the
 # relations per degree gives the rank, and Smith normal form of that basis

@@ -10,7 +10,6 @@ from .algebra import (
     Rational,
     UniPoly,
     moment_matrix,
-    ratfunc_to_poly,
     smith_normal_form,
     vandermonde_complete,
     vandermonde_kernel,

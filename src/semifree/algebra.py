@@ -234,13 +234,6 @@ class RatFunc:
         return f"RatFunc({self.num!r}, {self.den!r})"
 
 
-def ratfunc_to_poly(f: RatFunc) -> UniPoly:
-    """The polynomial a Laurent polynomial reduces to, or NotPolynomial."""
-    if f.shift:
-        raise NotPolynomial(f"denominator {f.den} has positive degree")
-    return f.num
-
-
 class IntMatrix:
     """Rectangular matrix of arbitrary-precision integers."""
 
@@ -281,7 +274,11 @@ def vandermonde_kernel(n: int) -> tuple[Fraction, ...]:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return tuple(Fraction((-1) ** k * math.comb(n, k)) for k in range(n + 1))
+    row = [1]
+    for k in range(n):
+        # C(n, k+1) = C(n, k) (n-k) / (k+1), exactly
+        row.append(-row[-1] * (n - k) // (k + 1))
+    return tuple(map(Fraction, row))
 
 
 def vandermonde_complete(
@@ -331,10 +328,15 @@ def smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], int]:
     it stops, it divides its column and its row, both clear, and the same
     argument applies to the trailing block.  Only the factors are returned.
     """
-    rows = echelon_basis(m.entries, m.cols)
-    # echelon rows vanish left of the diagonal, so check only to its right
-    while any(any(row[i + 1:]) for i, row in enumerate(rows)):
-        rows = echelon_basis(zip(*rows), len(rows))
+    rows = echelon_basis(dict(enumerate(row)) for row in m.entries)
+    # row i has its pivot at column i or later, so it is diagonal when its
+    # last column is i
+    while any(max(row) > i for i, row in enumerate(rows)):
+        cols: dict[int, dict[int, int]] = {}
+        for i, row in enumerate(rows):
+            for j, e in row.items():
+                cols.setdefault(j, {})[i] = e
+        rows = echelon_basis(cols[j] for j in sorted(cols))
     factors = [row[i] for i, row in enumerate(rows)]
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
@@ -343,43 +345,50 @@ def smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], int]:
     return tuple(factors), len(factors)
 
 
-def echelon_basis(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
+def echelon_basis(rows: Iterable[Mapping[int, int]]) -> list[dict[int, int]]:
     """Row echelon basis of the integer row lattice, sorted by pivot column.
 
-    Rows are taken one at a time.  A row is reduced by floor division
-    against the kept row with the same pivot column; a nonzero remainder
-    there makes the two rows swap roles, so this is Euclid on rows and the
-    kept pivot only shrinks.  Zero rows are dropped and pivots are positive,
-    so the basis has at most `ncols` rows and its length is the rank.
+    A row is a sparse map {column: entry}; zero entries are dropped on the
+    way in and never stored, so a row's pivot is its smallest column.  Rows
+    are taken one at a time.  A row is reduced by floor division against
+    the kept row with the same pivot, touching only that row's entries; a
+    nonzero remainder at the pivot makes the two rows swap roles, so this
+    is Euclid on rows and the kept pivot only shrinks.  Zero rows are
+    dropped and pivots are positive, so the length of the basis is the rank.
     """
-    kept: dict[int, list[int]] = {}
+    kept: dict[int, dict[int, int]] = {}
     for row in rows:
-        r = list(row)
-        c = 0
-        while (c := next((j for j in range(c, ncols) if r[j]), ncols)) < ncols:
+        r = {j: e for j, e in row.items() if e}
+        while r:
+            c = min(r)
             p = kept.get(c)
             if p is None:
-                kept[c] = r if r[c] > 0 else [-e for e in r]
+                kept[c] = r if r[c] > 0 else {j: -e for j, e in r.items()}
                 break
             q = r[c] // p[c]
-            r = [a - q * b for a, b in zip(r, p)]
-            if r[c]:
+            for j, b in p.items():
+                if e := r.get(j, 0) - q * b:
+                    r[j] = e
+                else:
+                    r.pop(j, None)
+            if c in r:
                 kept[c], r = r, p
     return [kept[c] for c in sorted(kept)]
 
 
-def reduce_mod_rows(vec: Sequence[int], basis: Sequence[Sequence[int]]) -> list[int]:
+def reduce_mod_rows(vec: Sequence[int], basis: Sequence[Mapping[int, int]]) -> list[int]:
     """Canonical representative of vec modulo the row lattice of `basis`.
 
-    `basis` must be an echelon basis with positive pivots, as returned by
-    echelon_basis: later rows vanish at earlier pivot columns, so each
-    pivot entry of the result ends in [0, pivot) and the result does not
-    depend on which echelon basis of the lattice is given.
+    `vec` is dense.  `basis` must be an echelon basis with positive pivots,
+    as returned by echelon_basis: later rows vanish at earlier pivot
+    columns, so each pivot entry of the result ends in [0, pivot) and the
+    result does not depend on which echelon basis of the lattice is given.
     """
     v = list(vec)
     for row in basis:
-        col = next(j for j, e in enumerate(row) if e)
+        col = min(row)
         q = v[col] // row[col]
         if q:
-            v = [a - q * b for a, b in zip(v, row)]
+            for j, b in row.items():
+                v[j] -= q * b
     return v

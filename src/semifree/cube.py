@@ -272,11 +272,9 @@ def injectivity_rank_check(n: int) -> RankCheckReport:
     entries = []
     for d in range(n + 1):
         basis = [J for J in subsets if len(J) <= d]
-        rows = []
-        for J in basis:
-            # alpha_J * x^(d-|J|) restricts to x^d at supersets of J, else 0
-            rows.append([1 if J <= Jp else 0 for Jp in subsets])
-        rank = len(echelon_basis(rows, len(subsets)))
+        # alpha_J * x^(d-|J|) restricts to x^d at supersets of J, else 0
+        rows = ({k: 1 for k, Jp in enumerate(subsets) if J <= Jp} for J in basis)
+        rank = len(echelon_basis(rows))
         entries.append(RankCheckEntry(d, len(basis), rank))
     return RankCheckReport(n, tuple(entries))
 

@@ -13,7 +13,7 @@ import pytest
 from semifree.cli import MAX_RING_N, main, parse_document
 from semifree.cube import all_subsets, alpha_class, restrict_class
 from semifree.errors import InputError
-from semifree.localization import MAX_COUNT_N
+from semifree.localization import MAX_COUNT_DIGITS, MAX_COUNT_N
 from semifree.reduction import MAX_REDUCE_N
 
 HYPERCUBE_3 = """
@@ -231,6 +231,13 @@ class TestOutOfRange:
         assert proc.returncode == 1
         assert proc.stderr == f"error: n=15000 exceeds the count bound {MAX_COUNT_N}\n"
 
+    def test_count_with_too_many_digits_fails_fast(self):
+        # 252 times 4299 nines has 4302 digits, more than Python prints
+        proc = self.run_cli_subprocess(["count", "--n", "10", "--N0", "9" * 4299])
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: N0 * C(10, 5) has more than {MAX_COUNT_DIGITS} digits\n")
+
     def test_ring_above_the_size_bound_fails_fast(self):
         proc = self.run_cli_subprocess(["ring", "--n", str(MAX_RING_N + 1)])
         assert proc.returncode == 1
@@ -238,10 +245,11 @@ class TestOutOfRange:
             f"error: n={MAX_RING_N + 1} exceeds the ring table bound {MAX_RING_N}\n")
 
 
-# sha256 of `reduce --n n --c c` stdout for every regular level with n <= 7,
+# sha256 of `reduce --n n --c c` stdout for every regular level with n <= 8,
 # frozen from the Smith-normal-form / Hermite implementation that preceded
-# the echelon kernel (n <= 6) and from the generator-times-monomial relation
-# rows that preceded the closed-form rows (n = 7).
+# the echelon kernel (n <= 6), from the generator-times-monomial relation
+# rows that preceded the closed-form rows (n = 7) and from the dense echelon
+# rows that preceded the sparse ones (n = 8).
 REDUCE_DIGESTS = {
     (1, "1/2"): "a55aefa9299f21e6d09c3f6235e5c68e431377f6151da7328deeab5061ea3927",
     (2, "1/2"): "81b5fce734e88d1c38c402fe5c03e7939bb84c6b34bbbb82779fb5478753a87d",
@@ -271,6 +279,14 @@ REDUCE_DIGESTS = {
     (7, "9/2"): "25d6ac44e86a00b6fc4c1b8e24b50eb08bd04b5a13f33f2f4ee1149f68d5c754",
     (7, "11/2"): "740a8529af7f6d099b25f549eceb2994a7f8a4d4359f4d3a84b61160ea5a7972",
     (7, "13/2"): "6793bd68cbe62ee1b2762453d6a90f77f96303c1793a9e71b32f7ef66a4c77a6",
+    (8, "1/2"): "ce46b8f6e6a1bf79b955658753682189e4f09f3684b6d2fb2602d1df71d650a7",
+    (8, "3/2"): "9365a26842ae38bc0065727f93c4eeb2402303954202b91f4017ff74b31455f7",
+    (8, "5/2"): "95471b878b7ee699b9c477bcf13d6c108f99a09596ee8f7274491afdff1485ca",
+    (8, "7/2"): "f1982e425754ff3e2362276a8f0a08ca24bed4850080b6b7775d476bf0b190e2",
+    (8, "9/2"): "e542a18f2fc610cbebe2497d462bd19af54a29abc4962738481928ad02d442df",
+    (8, "11/2"): "f4395aecf6330aca1bd73431c18620d9b5e73bf18ad64ac5a784a6e8276c5600",
+    (8, "13/2"): "3f0c113d51165158ac7b906fc1680a6d0950dd6d45f126ec0c6f8c2d8a48db33",
+    (8, "15/2"): "5800d83e54ea480e99a1f66ac4bb288555ebe9007d73a46de8608f4e0aff23c8",
 }
 
 
