@@ -143,12 +143,13 @@ def graded_quotient(pres: IdealPresentation, max_degree: int) -> GradedQuotient:
     return GradedQuotient(pres.n, tuple(ranks), tuple(torsion), tuple(bases))
 
 
-def betti_by_counting(data: FixedPointData, i: int) -> int:
-    """Rank of degree 2i of the reduced space, from fixed points alone.
+def betti_by_counting(data: FixedPointData) -> tuple[int, ...]:
+    """Ranks of degrees 0, 2, .., 2(n-1) of the reduced space, from fixed
+    points alone.
 
-    Counts the downward-class basis elements that survive in degree 2i:
-    points below the level whose index allows an upward contribution minus
-    those whose co-index already does.
+    The data is checked once.  Rank 2i counts the downward-class basis
+    elements that survive in degree 2i: points below the level whose index
+    allows an upward contribution minus those whose co-index already does.
     """
     validate(data)
     if not data.semifree:
@@ -157,9 +158,11 @@ def betti_by_counting(data: FixedPointData, i: int) -> int:
     if counts(data).N != predict_counts(n, 1).N:
         raise CountMismatch("counts are not the binomial row")
     _, minus = split_by_moment_sign(data)
-    low = sum(1 for p in minus if p.negative_count <= i)
-    high = sum(1 for p in minus if n - p.negative_count <= i)
-    return low - high
+    return tuple(
+        sum(1 for p in minus if p.negative_count <= i)
+        - sum(1 for p in minus if n - p.negative_count <= i)
+        for i in range(n)
+    )
 
 
 @dataclass(frozen=True)

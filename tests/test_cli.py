@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from semifree.cli import MAX_RING_N, main, parse_document
 from semifree.cube import all_subsets, alpha_class, restrict_class
 from semifree.errors import InputError
-from semifree.localization import MAX_COUNT_DIGITS, MAX_COUNT_N
+from semifree.localization import MAX_COUNT_DIGITS, MAX_COUNT_N, MAX_SEARCH_POINTS_SUMMED
 from semifree.reduction import MAX_REDUCE_N
 
 HYPERCUBE_3 = """
@@ -223,7 +224,17 @@ class TestOutOfRange:
             preexec_fn=limit_address_space)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-        assert "exceed cap 200000" in proc.stderr
+        assert "exceed cap 2000000" in proc.stderr
+
+    def test_search_refuses_many_points_of_few_shapes(self):
+        # 1 000 001 configurations, under the configuration cap, but each
+        # sums a million points
+        proc = self.run_cli_subprocess(
+            ["search", "--n", "1", "--points", "1000000", "--bound", "1", "--degree", "1"])
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: 1000001 candidate configurations of 1000000 points sum "
+            f"1000001000000 points, over cap {MAX_SEARCH_POINTS_SUMMED}\n")
 
     def test_count_above_the_size_bound_fails_fast(self):
         # far above the bound: C(15000, 7500) has more digits than Python prints
@@ -295,3 +306,57 @@ def test_reduce_output_is_frozen(n, c, capsys):
     assert main(["reduce", "--n", str(n), "--c", c]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == REDUCE_DIGESTS[(n, c)]
+
+
+def seeded_check_document(seed: int) -> tuple[str, int]:
+    """A document of up to five points, weights in +-5 with mixed signs or
+    all +-1, and a --max-degree below, at or above n."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    values = rng.choice([[-1, 1], [w for w in range(-5, 6) if w]])
+    lines = [f"n = {n}"] + [
+        f"point P{i} weights " + " ".join(str(rng.choice(values)) for _ in range(n))
+        for i in range(rng.randint(1, 5))
+    ]
+    return "\n".join(lines) + "\n", rng.choice([0, n - 1, n, n + 2])
+
+
+CHECK_DOCUMENTS = {
+    **{f"seed{s}": seeded_check_document(s) for s in range(10)},
+    "remark-3": (REMARK_PAIR, 3),
+    "remark-6": (REMARK_PAIR, 6),
+    "bad-pair-3": (BAD_PAIR, 3),
+    "cube-2": (HYPERCUBE_3, 2),
+    "cube-5": (HYPERCUBE_3, 5),
+}
+
+# (exit code, sha256 of stdout) of `check FILE --max-degree D` for each
+# document above, frozen from the sieve that summed one Fraction per point
+# per monomial.
+CHECK_DIGESTS = {
+    "seed0": (1, "6444180561ffdf6264880dfad2b96de4baab3b36d10b7d698f2d807135bc9d1e"),
+    "seed1": (1, "93d3f4689c7b1b575132899ec84600c49b21038b063080f8ec2ba26a99d2bfd8"),
+    "seed2": (1, "0d6e81ad6336e7f2a7d21a50375bfd9fc5e277c211105fe3e991eec64dee5825"),
+    "seed3": (1, "6ff553026e849946a68647594b6fea432d8b0dd20a6365f036bd5d4c68bf2108"),
+    "seed4": (1, "2dddf6f35483f6ae1681a1e1f62c10bb81a7650735d928e6867024edb2d3279a"),
+    "seed5": (1, "e373a726746652d3d9036ba8bc9ebce56bc2953aa1ec8d5ef8f526b557336386"),
+    "seed6": (1, "ffb6fb3582081b655d6bfd28463783db43509b8b998148b03ee23b869899e0ed"),
+    "seed7": (1, "e6fd6c4bcf39ed4a9167ceebe567eae94938f3141073b8c33f32f2a69688eebe"),
+    "seed8": (1, "b671edb8b1da3cdeeb812c971ba59a4b4e9999a51564c0e227bbe4c91f869358"),
+    "seed9": (1, "cc7df5d71d9810cb751baf962806d9e3d7fc4da8a5d7c100b8c31b9cb7c4e275"),
+    "remark-3": (0, "6a784d4c69eed656f9ac0ae3d491488bf97b98214e9a6a46cbe9eed7c0fd4f3c"),
+    "remark-6": (0, "4081330ba6ab9d0ac1b3fc591669e2f4fe4b9cbe87e0dca99d32caa9293df85b"),
+    "bad-pair-3": (1, "87c8ec713500a26cd4c036b8cbbb3e843f1152aaba92be1d86b0407bb2470efd"),
+    "cube-2": (0, "1e1431db004065afa5cbf89a836b9d5b622968be7396e73048596d9ab7819932"),
+    "cube-5": (0, "b517b1aa73fc7758e93976b5dadacbb463443043b92525d26c02e4db185f8fa7"),
+}
+
+
+@pytest.mark.parametrize("name", CHECK_DIGESTS)
+def test_check_output_is_frozen(name, tmp_path, capsys):
+    text, max_degree = CHECK_DOCUMENTS[name]
+    path = tmp_path / "doc.txt"
+    path.write_text(text)
+    rc = main(["check", str(path), "--max-degree", str(max_degree)])
+    out = capsys.readouterr().out
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == CHECK_DIGESTS[name]

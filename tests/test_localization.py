@@ -1,6 +1,8 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -9,12 +11,16 @@ from semifree.cube import hypercube_data
 from semifree.errors import NotSemifree, SearchSpaceTooLarge, ZeroWeight
 from semifree.fixed_points import FixedPoint, FixedPointData, counts
 from semifree.localization import (
+    MAX_SEARCH_POINTS_SUMMED,
     RestrictionAssignment,
+    chern_monomials,
     consistency_check,
     elementary_symmetric,
     euler_class,
     gamma_restrictions,
     integrate,
+    monomial_integrals,
+    monomial_numerators,
     predict_counts,
     rep_chern_classes,
     search_candidates,
@@ -239,11 +245,156 @@ class TestSearch:
         with pytest.raises(SearchSpaceTooLarge):
             search_candidates(4, 6, 5, 4, cap=10)
 
+    def test_cap_counts_configurations(self):
+        # 20 point shapes of 3 weights in +-2, so C(21, 2) = 210 pairs
+        with pytest.raises(SearchSpaceTooLarge, match="210 candidate"):
+            search_candidates(3, 2, 2, 3, cap=209)
+        assert search_candidates(3, 2, 2, 3, cap=210) == [((-2, 1, 1), (-1, -1, 2))]
+
+    def test_cap_counts_points_summed(self):
+        # two point shapes: p + 1 configurations of p points each
+        assert 5001 * 5000 > MAX_SEARCH_POINTS_SUMMED
+        with pytest.raises(SearchSpaceTooLarge, match="5001 candidate .* over cap"):
+            search_candidates(1, 5000, 1, 1)
+        assert search_candidates(1, 1000, 1, 1) == [((-1,),) * 500 + ((1,),) * 500]
+
     def test_canonical_and_duplicate_free(self):
         results = search_candidates(3, 2, 2, 3)
         assert results == sorted(set(results))
         for config in results:
             assert all(tuple(sorted(w)) == w for w in config)
+
+
+def random_document(rng: random.Random) -> FixedPointData:
+    """Up to five points; weights in +-5 with mixed signs, or all +-1."""
+    n = rng.randint(1, 4)
+    values = rng.choice([[-1, 1], [w for w in range(-5, 6) if w]])
+    return FixedPointData(n, tuple(
+        FixedPoint(f"p{i}", tuple(rng.choice(values) for _ in range(n)))
+        for i in range(rng.randint(1, 5))
+    ))
+
+
+class TestConsistencyCheckIsExact:
+    """Every entry against a per-point Fraction sum written out here."""
+
+    @staticmethod
+    def expected_entries(data: FixedPointData, max_degree: int):
+        n = data.n
+        exponents = [
+            e for e in product(range(max_degree + 1), repeat=n)
+            if sum(i * ei for i, ei in enumerate(e, start=1)) <= max_degree
+        ]
+        degree = {e: sum(i * ei for i, ei in enumerate(e, start=1)) for e in exponents}
+        exponents.sort(key=lambda e: (degree[e], [-ei for ei in e]))
+        out = []
+        for e in exponents:
+            value = Fraction(0)
+            for p in data.points:
+                sigma = [sum(math.prod(c) for c in combinations(p.weights, i))
+                         for i in range(1, n + 1)]
+                value += Fraction(math.prod(s**ei for s, ei in zip(sigma, e)),
+                                  math.prod(p.weights))
+            ok = value == 0 if degree[e] < n else value.denominator == 1
+            out.append((e, degree[e], value, ok))
+        return out
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_documents(self, seed):
+        rng = random.Random(seed)
+        data = random_document(rng)
+        # below, at and above the middle degree
+        max_degree = rng.choice([0, data.n - 1, data.n, data.n + 2])
+        report = consistency_check(data, max_degree)
+        got = [(e.exponents, e.degree, e.value, e.ok) for e in report.entries]
+        assert got == self.expected_entries(data, max_degree)
+        assert all(isinstance(e.value, Fraction) for e in report.entries)
+
+    def test_documents_cover_both_outcomes(self):
+        outcomes = set()
+        for seed in range(60):
+            rng = random.Random(seed)
+            data = random_document(rng)
+            max_degree = rng.choice([0, data.n - 1, data.n, data.n + 2])
+            for e in consistency_check(data, max_degree).entries:
+                outcomes.add((e.degree < data.n, e.ok))
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+class TestMonomialNumerators:
+    def test_remark_pair(self):
+        monomials = chern_monomials(3, 3)
+        top = monomials.exponents.index((0, 0, 1))
+        denominator, rows = monomial_numerators(monomials, [(1, 1, -2), (-1, -1, 2)])
+        # sigma_3 = -2 and 2, scaled by 2 / (-2) and 2 / 2
+        assert denominator == 2
+        assert [row[top] for row in rows] == [2, 2]
+        assert monomial_integrals(monomials, [(1, 1, -2), (-1, -1, 2)])[1][top] == 4
+
+    def test_no_shapes(self):
+        monomials = chern_monomials(2, 2)
+        assert monomial_integrals(monomials, []) == (1, [0] * len(monomials.exponents))
+
+
+@lru_cache(maxsize=None)
+def reference_search(n, points, bound, degree):
+    """The sieve as one consistency_check per configuration.
+
+    Returns the survivors and the number of configurations that pass every
+    integral below degree n and fail integrality from degree n on.
+    """
+    values = [w for w in range(-bound, bound + 1) if w]
+    shapes = list(combinations_with_replacement(values, n))
+    passing, integrality_only = [], 0
+    for config in combinations_with_replacement(shapes, points):
+        data = FixedPointData(
+            n, tuple(FixedPoint(f"F{i}", w) for i, w in enumerate(config))
+        )
+        report = consistency_check(data, degree)
+        if report.passed:
+            passing.append(config)
+        elif all(e.ok for e in report.entries if e.degree < n):
+            integrality_only += 1
+    return passing, integrality_only
+
+
+def seeded_grid(seed: int, size: int, most_configs: int):
+    rng = random.Random(seed)
+    grid = []
+    while len(grid) < size:
+        n, points, bound = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)
+        key = (n, points, bound, rng.randint(1, n + 2))
+        shapes = math.comb(2 * bound + n - 1, n)
+        if math.comb(shapes + points - 1, points) <= most_configs and key not in grid:
+            grid.append(key)
+    return grid
+
+
+# In (2, 4, 3, 2) two of the 10 626 configurations pass every integral below
+# the middle degree and fail integrality; no search space of fewer than 8 855
+# configurations has one (checked for n <= 8, points and bound <= 7 and
+# degree <= 2n).  Each reference search here takes at most about 0.5 s.
+SIEVE_GRID = [(2, 4, 3, 2), (3, 2, 2, 3), (2, 1, 3, 2)] + seeded_grid(5, 10, 2000)
+
+
+class TestSieveAgainstReference:
+    @pytest.mark.parametrize("key", SIEVE_GRID, ids=str)
+    def test_survivors_and_order(self, key):
+        assert search_candidates(*key) == reference_search(*key)[0]
+
+    def test_grid_reaches_integrality(self):
+        assert sum(reference_search(*key)[1] for key in SIEVE_GRID) >= 1
+
+    @pytest.mark.parametrize("key", SIEVE_GRID + [
+        (3, 2, 3, 3), (3, 3, 2, 3), (2, 3, 3, 2), (3, 2, 3, 4), (2, 4, 2, 3),
+        (4, 2, 2, 4), (2, 4, 4, 3), (3, 4, 2, 4), (1, 6, 4, 2),
+    ], ids=str)
+    def test_negation_maps_survivors_to_survivors(self, key):
+        # w -> -w multiplies the integral of a degree-d monomial by (-1)^(d-n)
+        survivors = search_candidates(*key)
+        for config in survivors:
+            negated = tuple(sorted(tuple(sorted(-w for w in p)) for p in config))
+            assert negated in survivors
 
 
 def test_elementary_symmetric_matches_binomials():
