@@ -5,11 +5,8 @@ identifying points with subsets, and the cohomology of reductions.
 """
 
 from .algebra import (
-    IntMatrix,
     RatFunc,
-    Rational,
     UniPoly,
-    moment_matrix,
     smith_normal_form,
     vandermonde_complete,
     vandermonde_kernel,

@@ -3,7 +3,8 @@
 Scalars are ``fractions.Fraction`` throughout; nothing in this package ever
 touches floating point.  Polynomials are univariate in a single generator
 ``x`` of degree two (cohomologically), stored dense with trailing zeros
-stripped.
+stripped.  An integer matrix is an iterable of sparse rows, maps
+{column: entry} with non-negative integer columns.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import Inconsistent, NotPolynomial, Underdetermined
-
-Rational = Fraction
 
 
 def _as_fraction(c) -> Fraction:
@@ -234,41 +233,9 @@ class RatFunc:
         return f"RatFunc({self.num!r}, {self.den!r})"
 
 
-class IntMatrix:
-    """Rectangular matrix of arbitrary-precision integers."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Sequence[Sequence[int]]):
-        rows = [tuple(int(e) for e in row) for row in entries]
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "entries", tuple(rows))
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
-
-    def __setattr__(self, *args):
-        raise AttributeError("IntMatrix is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"IntMatrix({[list(r) for r in self.entries]!r})"
-
-
-def moment_matrix(num_rows: int, num_cols: int) -> IntMatrix:
-    """The power matrix with entry (i, j) = j**i; 0**0 counts as 1."""
-    if num_rows < 1 or num_cols < 1:
-        raise ValueError("matrix dimensions must be positive")
-    return IntMatrix([[j**i for j in range(num_cols)] for i in range(num_rows)])
-
-
 def vandermonde_kernel(n: int) -> tuple[Fraction, ...]:
-    """The kernel vector of moment_matrix(n, n+1), normalized to start at 1.
+    """The kernel vector of the n x (n+1) power matrix, entry (i, j) = j**i
+    with 0**0 = 1, normalized to start at 1.
 
     Equals ((-1)^k * C(n, k)) for k = 0..n.
     """
@@ -286,8 +253,9 @@ def vandermonde_complete(
 ) -> tuple[Fraction, ...]:
     """Complete prescribed entries to the unique kernel vector.
 
-    Finds the length-(n+1) vector killed by moment_matrix(n-l, n+1) that
-    agrees with `known` (a map index -> value with at least l+1 entries).
+    Finds the length-(n+1) vector killed by the first n-l rows of the power
+    matrix of vandermonde_kernel that agrees with `known` (a map index ->
+    value with at least l+1 entries).
     That kernel is {((-1)^k C(n,k) p(k))_k : deg p <= l}: the n-th finite
     difference kills every degree below n, and the dimensions agree.  So p
     is interpolated through l+1 known entries and checked on the others.
@@ -317,20 +285,22 @@ def vandermonde_complete(
     return out
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], int]:
+def smith_normal_form(rows: Iterable[Mapping[int, int]]) -> tuple[tuple[int, ...], int]:
     """Invariant factors (with the divisibility chain) and rank.
 
-    Alternates echelon_basis on the rows and on the columns (each pass
-    drops zero lines) until the matrix is diagonal, then sorts the
-    diagonal into a divisibility chain by replacing pairs with their gcd
-    and lcm.  This ends: the (0, 0) entry becomes the gcd of its column,
-    then of its row, so it is a positive integer that only shrinks; once
-    it stops, it divides its column and its row, both clear, and the same
-    argument applies to the trailing block.  Only the factors are returned.
+    Rows are maps {column: entry} as echelon_basis takes them, read once;
+    column keys must be non-negative integers.  Alternates echelon_basis on
+    the rows and on the columns (each pass drops zero lines) until the
+    matrix is diagonal, then sorts the diagonal into a divisibility chain
+    by replacing pairs with their gcd and lcm.  This ends: the (0, 0) entry
+    becomes the gcd of its column, then of its row, so it is a positive
+    integer that only shrinks; once it stops, it divides its column and its
+    row, both clear, and the same argument applies to the trailing block.
+    Only the factors are returned.
     """
-    rows = echelon_basis(dict(enumerate(row)) for row in m.entries)
-    # row i has its pivot at column i or later, so it is diagonal when its
-    # last column is i
+    rows = echelon_basis(rows)
+    # pivots increase from column 0 on, since keys are non-negative, so row
+    # i has its pivot at column i or later: diagonal when its last column is i
     while any(max(row) > i for i, row in enumerate(rows)):
         cols: dict[int, dict[int, int]] = {}
         for i, row in enumerate(rows):

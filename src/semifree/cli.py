@@ -130,6 +130,8 @@ def cmd_check(args) -> int:
     data = load_document(args.file)
     validate(data)
     max_degree = args.max_degree if args.max_degree is not None else data.n
+    # first, so that too many Chern monomials are refused before any output
+    creport = localization.consistency_check(data, max_degree)
     failed = False
     if data.semifree:
         report = localization.verify_moment_equations(data)
@@ -139,7 +141,6 @@ def cmd_check(args) -> int:
         failed |= not report.passed
     else:
         print("data is not semifree; skipping moment equations")
-    creport = localization.consistency_check(data, max_degree)
     for entry in creport.entries:
         mono = " ".join(
             f"c{i+1}^{e}" if e > 1 else f"c{i+1}"

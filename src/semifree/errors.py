@@ -49,6 +49,10 @@ class SearchSpaceTooLarge(SemifreeError):
     """The candidate enumeration exceeds the configured cap."""
 
 
+class TooManyMonomials(SemifreeError):
+    """The Chern monomials up to a degree are more than the supported bound."""
+
+
 class CountTooLarge(SemifreeError):
     """Fixed-point counts are asked for at an n above the supported bound."""
 

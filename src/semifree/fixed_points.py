@@ -41,13 +41,6 @@ class FixedPoint:
     def index(self) -> int:
         return 2 * self.negative_count
 
-    @property
-    def weight_product(self) -> int:
-        p = 1
-        for w in self.weights:
-            p *= w
-        return p
-
 
 @dataclass(frozen=True)
 class FixedPointData:
@@ -80,10 +73,6 @@ class CountVector:
         object.__setattr__(self, "N", tuple(int(c) for c in self.N))
         if any(c < 0 for c in self.N):
             raise ValueError("counts must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return sum(self.N)
 
 
 def validate(data: FixedPointData) -> None:

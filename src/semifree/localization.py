@@ -22,11 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from operator import add
 
 from .algebra import RatFunc, UniPoly, vandermonde_kernel
-from .errors import CountTooLarge, NotSemifree, SearchSpaceTooLarge, ZeroWeight
+from .errors import (CountTooLarge, NotSemifree, SearchSpaceTooLarge,
+                     TooManyMonomials, ZeroWeight)
 from .fixed_points import CountVector, FixedPointData, counts, validate
 
 
@@ -153,6 +154,14 @@ def verify_moment_equations(data: FixedPointData) -> MomentEquationReport:
     return MomentEquationReport(tuple(sums))
 
 
+# Most Chern monomials that chern_monomials lists, and most exponents they
+# hold (monomials times n).  On a 2-core Xeon the largest `check` of a
+# two-point document these allow takes 1.8-2.3 s at 53-75 MB (n = 1..10) or
+# less (larger n); the tests and the benchmark use degrees up to 6.
+MAX_CHERN_MONOMIALS = 100_000
+MAX_CHERN_EXPONENTS = 2_000_000
+
+
 @dataclass(frozen=True)
 class ChernMonomials:
     """The monomials c_1^e1 ... c_n^en of degree <= a bound, in graded-lex order.
@@ -167,31 +176,49 @@ class ChernMonomials:
     steps: tuple[tuple[int, int], ...]
 
 
+def _more_monomials_than(cap: int, n: int, max_degree: int) -> bool:
+    """Whether more than cap (e_1..e_n) have sum i*e_i <= max_degree: the
+    partitions of each degree into parts of size at most n, counted one part
+    size at a time, so the count only grows and stops at the first over cap."""
+    if max_degree >= cap:  # c_1^e alone gives max_degree + 1
+        return True
+    ways = [1] * (max_degree + 1)  # parts of size 1 only
+    for i in range(2, min(n, max_degree) + 1):
+        for r in range(i):
+            ways[r::i] = accumulate(ways[r::i])
+        if sum(ways) > cap:
+            return True
+    return False
+
+
 def chern_monomials(n: int, max_degree: int) -> ChernMonomials:
     """All (e_1..e_n) with sum i*e_i <= max_degree, with their degrees and
-    steps (see ChernMonomials)."""
-    by_degree: dict[int, list[tuple[int, ...]]] = {
-        d: [] for d in range(max_degree + 1)
-    }
+    steps (see ChernMonomials).
 
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i > n:
-            by_degree[max_degree - remaining].append(prefix)
-            return
-        for e in range(remaining // i, -1, -1):
-            rec(i + 1, remaining - i * e, prefix + (e,))
-
-    rec(1, max_degree, ())
-    exponents, degrees = [], []
-    for d in range(max_degree + 1):
-        exponents.extend(sorted(by_degree[d], reverse=True))
-        degrees.extend([d] * len(by_degree[d]))
+    Refused, before any is listed, above MAX_CHERN_MONOMIALS monomials or
+    MAX_CHERN_EXPONENTS exponents.  Only c_i with i <= max_degree occur.
+    """
+    cap = min(MAX_CHERN_MONOMIALS, MAX_CHERN_EXPONENTS // n)
+    if _more_monomials_than(cap, n, max_degree):
+        raise TooManyMonomials(
+            f"Chern monomials of degree <= {max_degree} in n={n} exceed cap {cap}"
+        )
+    m = min(n, max_degree)
+    vectors = [((), 0)]  # (e_1..e_i, degree)
+    for i in range(1, m + 1):
+        vectors = [(e + (k,), d + i * k) for e, d in vectors
+                   for k in range((max_degree - d) // i + 1)]
+    # by degree, then by exponents in decreasing lexicographic order
+    vectors.sort(key=lambda v: (v[1], tuple(-k for k in v[0])))
+    zeros = (0,) * (n - m)
+    exponents = [e + zeros for e, _ in vectors]
     index = {e: j for j, e in enumerate(exponents)}
     steps = []
     for e in exponents[1:]:
         i = next(i for i, ei in enumerate(e) if ei)
         steps.append((index[e[:i] + (e[i] - 1,) + e[i + 1:]], i))
-    return ChernMonomials(n, tuple(exponents), tuple(degrees), tuple(steps))
+    degrees = tuple(d for _, d in vectors)
+    return ChernMonomials(n, tuple(exponents), degrees, tuple(steps))
 
 
 def monomial_numerators(
@@ -207,9 +234,11 @@ def monomial_numerators(
     """
     products = [math.prod(w) for w in shapes]
     denominator = math.lcm(*products)
+    # c_i with i above the largest degree has exponent 0 in every monomial
+    top = min(monomials.n, monomials.degrees[-1])
     rows = []
     for w, wprod in zip(shapes, products):
-        sigma = elementary_symmetric(w, monomials.n)
+        sigma = elementary_symmetric(w, top)
         values = [denominator // wprod]
         for k, i in monomials.steps:
             values.append(values[k] * sigma[i])
@@ -240,10 +269,6 @@ class ConsistencyEntry:
 class ConsistencyReport:
     n: int
     entries: tuple[ConsistencyEntry, ...]
-
-    @property
-    def failures(self) -> tuple[ConsistencyEntry, ...]:
-        return tuple(e for e in self.entries if not e.ok)
 
     @property
     def passed(self) -> bool:
@@ -283,6 +308,18 @@ MAX_SEARCH_CONFIGS = 2_000_000
 MAX_SEARCH_POINTS_SUMMED = 20_000_000
 
 
+def _binomial_past(a: int, k: int, cap: int) -> int:
+    """C(a, k) when it is at most cap, else the first C(a, i) above cap for
+    i <= min(k, a - k).  C(a, i) grows with i there and is at least 2^i, so
+    this takes about log2(cap) steps whatever the size of C(a, k)."""
+    c = 1
+    for i in range(min(k, a - k)):
+        c = c * (a - i) // (i + 1)
+        if c > cap:
+            break
+    return c
+
+
 def search_candidates(
     n: int,
     num_points: int,
@@ -295,9 +332,10 @@ def search_candidates(
     A configuration is a multiset of points, each a sorted tuple of n
     nonzero weights in [-weight_bound, weight_bound]; the returned list is
     canonical (weights sorted within a point, points sorted) and
-    duplicate-free.  The number of configurations is counted, and refused
-    above cap or when they sum more than MAX_SEARCH_POINTS_SUMMED points,
-    before any point shape is listed.
+    duplicate-free.  The configurations are counted, and refused above cap
+    or when they sum more than MAX_SEARCH_POINTS_SUMMED points, and the
+    Chern monomials are counted (chern_monomials), before any point shape
+    is listed; counting stops once a count passes its cap.
 
     The numerators of the monomials below the middle degree are computed
     once per point shape, over one common denominator for all shapes
@@ -312,10 +350,11 @@ def search_candidates(
     """
     if min(n, num_points, weight_bound, max_degree) < 1:
         raise ValueError("all search parameters must be at least 1")
-    shapes = math.comb(2 * weight_bound + n - 1, n)
-    total = math.comb(shapes + num_points - 1, num_points)
+    # both counts stop past cap, and a shape count past cap gives a total past it
+    shapes = _binomial_past(2 * weight_bound + n - 1, n, cap)
+    total = _binomial_past(shapes + num_points - 1, num_points, cap)
     if total > cap:
-        raise SearchSpaceTooLarge(f"{total} candidate configurations exceed cap {cap}")
+        raise SearchSpaceTooLarge(f"at least {total} candidate configurations exceed cap {cap}")
     if total * num_points > MAX_SEARCH_POINTS_SUMMED:
         raise SearchSpaceTooLarge(
             f"{total} candidate configurations of {num_points} points sum "
@@ -324,13 +363,13 @@ def search_candidates(
     if num_points == 1:
         # one point's degree-0 integral, 1 / prod w, never vanishes
         return []
+    monomials = chern_monomials(n, max_degree)
     values = [w for w in range(-weight_bound, weight_bound + 1) if w != 0]
     point_shapes = list(combinations_with_replacement(values, n))
     below_middle = chern_monomials(n, min(max_degree, n - 1))
     _, rows = monomial_numerators(below_middle, point_shapes)
     # nearly every configuration fails at the degree-0 column, sum of 1 / prod w
     degree_zero, *low = zip(*rows)
-    monomials = chern_monomials(n, max_degree)
     passing = []
     for config in combinations_with_replacement(range(len(point_shapes)), num_points):
         if (sum(degree_zero[k] for k in config)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .algebra import IntMatrix, echelon_basis, reduce_mod_rows, smith_normal_form
+from .algebra import echelon_basis, reduce_mod_rows, smith_normal_form
 from .cube import ModelData, all_subsets, equivariant_chern_series
 from .errors import CountMismatch, NotSemifree, ReductionTooLarge
 from .fixed_points import FixedPointData, counts, split_by_moment_sign, validate
@@ -133,11 +133,9 @@ def graded_quotient(pres: IdealPresentation, max_degree: int) -> GradedQuotient:
         )
     ranks, torsion, bases = [], [], []
     for d in range(max_degree // 2 + 1):
-        ncols = len(degree_basis(pres.n, d))
         basis = echelon_basis(relation_rows(pres, d))
-        dense = IntMatrix([[row.get(j, 0) for j in range(ncols)] for row in basis])
-        factors, _ = smith_normal_form(dense)
-        ranks.append(ncols - len(basis))
+        factors, _ = smith_normal_form(basis)
+        ranks.append(len(degree_basis(pres.n, d)) - len(basis))
         torsion.append(tuple(f for f in factors if f > 1))
         bases.append(tuple(basis))
     return GradedQuotient(pres.n, tuple(ranks), tuple(torsion), tuple(bases))

@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semifree.algebra import (
-    IntMatrix,
     RatFunc,
     UniPoly,
     X,
     echelon_basis,
-    moment_matrix,
     reduce_mod_rows,
     smith_normal_form,
     vandermonde_complete,
@@ -118,18 +116,11 @@ class TestRatFunc:
         assert f * (g + h) == f * g + f * h
 
 
-# --- moment matrix and kernels ----------------------------------------------
+# --- Vandermonde kernels ----------------------------------------------------
 
-class TestMomentMatrix:
-    def test_row_of_ones(self):
-        assert moment_matrix(1, 3).entries == ((1, 1, 1),)
-
-    def test_two_rows(self):
-        assert moment_matrix(2, 3).entries == ((1, 1, 1), (0, 1, 2))
-
-    def test_three_rows_direct_evaluation(self):
-        expected = tuple(tuple(j**i for j in range(3)) for i in range(3))
-        assert moment_matrix(3, 3).entries == expected
+def power_rows(num_rows, num_cols):
+    """The power matrix with entry (i, j) = j**i; 0**0 counts as 1."""
+    return [[j**i for j in range(num_cols)] for i in range(num_rows)]
 
 
 class TestVandermondeKernel:
@@ -147,7 +138,7 @@ class TestVandermondeKernel:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
     def test_against_nullspace_oracle(self, n):
-        basis = nullspace_oracle(moment_matrix(n, n + 1).entries, n + 1)
+        basis = nullspace_oracle(power_rows(n, n + 1), n + 1)
         assert len(basis) == 1
         scaled = tuple(v / basis[0][0] for v in basis[0])
         assert vandermonde_kernel(n) == scaled
@@ -161,7 +152,7 @@ class TestVandermondeComplete:
         assert vandermonde_complete(2, 0, {0: 1}) == (1, -2, 1)
 
     def test_inconsistent_prescription(self):
-        # kernel of the (2 x 4) moment matrix with D0 = D3 = 0 forces D = 0,
+        # kernel of the (2 x 4) power matrix with D0 = D3 = 0 forces D = 0,
         # so prescribing D1 = 1 as well has no completion (rank oracle: the
         # 2x2 subsystem in D1, D2 is nonsingular)
         with pytest.raises(Inconsistent):
@@ -178,7 +169,7 @@ class TestVandermondeComplete:
 
     def test_completion_lies_in_kernel(self):
         d = vandermonde_complete(4, 2, {0: 2, 1: -5, 4: 2})
-        v = moment_matrix(2, 5).entries
+        v = power_rows(2, 5)
         for row in v:
             assert sum(Fraction(a) * b for a, b in zip(row, d)) == 0
 
@@ -205,7 +196,7 @@ class TestVandermondeComplete:
                     for k in known
                 }
             d = sympy.symbols(f"d0:{n + 1}")
-            eqs = [sum(a * b for a, b in zip(row, d)) for row in moment_matrix(n - l, n + 1).entries]
+            eqs = [sum(a * b for a, b in zip(row, d)) for row in power_rows(n - l, n + 1)]
             eqs += [d[k] - sympy.Rational(v.numerator, v.denominator) for k, v in known.items()]
             solutions = sympy.linsolve(eqs, d)
             if solutions == sympy.S.EmptySet:
@@ -225,23 +216,39 @@ class TestVandermondeComplete:
         assert all(seen.values()), seen
 
 
+# --- sparse rows -------------------------------------------------------------
+
+def sparse(row):
+    return dict(enumerate(row))
+
+
+def dense(rows, ncols):
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
 # --- Smith normal form -------------------------------------------------------
 
 class TestSmithNormalForm:
     def test_identity(self):
-        assert smith_normal_form(IntMatrix([[1, 0], [0, 1]])) == ((1, 1), 2)
+        assert smith_normal_form(map(sparse, [[1, 0], [0, 1]])) == ((1, 1), 2)
 
     def test_diagonal_2_3(self):
-        assert smith_normal_form(IntMatrix([[2, 0], [0, 3]])) == ((1, 6), 2)
+        assert smith_normal_form(map(sparse, [[2, 0], [0, 3]])) == ((1, 6), 2)
 
     def test_zero(self):
-        assert smith_normal_form(IntMatrix([[0, 0], [0, 0]])) == ((), 0)
+        assert smith_normal_form(map(sparse, [[0, 0], [0, 0]])) == ((), 0)
 
     def test_empty(self):
-        assert smith_normal_form(IntMatrix([])) == ((), 0)
+        assert smith_normal_form([]) == ((), 0)
+
+    def test_one_shot_iterator_of_gapped_rows(self):
+        # rows are read once; keys need not be contiguous, a stored zero is
+        # not an entry and an empty map is a zero row
+        rows = iter([{3: 2, 7: 0}, {7: 6}, {}])
+        assert smith_normal_form(rows) == ((2, 6), 2)
 
     def test_rectangular(self):
-        factors, rank = smith_normal_form(IntMatrix([[2, 4, 4], [-6, 6, 12]]))
+        factors, rank = smith_normal_form(map(sparse, [[2, 4, 4], [-6, 6, 12]]))
         assert rank == 2
         assert factors == (2, 6)
 
@@ -250,7 +257,7 @@ class TestSmithNormalForm:
         for _ in range(40):
             size = rng.randint(1, 4)
             rows = [[rng.randint(-6, 6) for _ in range(size)] for _ in range(size)]
-            factors, rank = smith_normal_form(IntMatrix(rows))
+            factors, rank = smith_normal_form(map(sparse, rows))
             for a, b in zip(factors, factors[1:]):
                 assert b % a == 0
             det = det_oracle(rows)
@@ -276,18 +283,10 @@ class TestSmithNormalForm:
             for i in rng.sample(range(nrows), rng.randint(0, nrows // 2)):
                 m[i] = [0] * ncols  # zero rows
             expected = tuple(abs(int(f)) for f in invariant_factors(sympy.Matrix(m)) if f)
-            assert smith_normal_form(IntMatrix(m)) == (expected, len(expected))
+            assert smith_normal_form(map(sparse, m)) == (expected, len(expected))
 
 
 # --- echelon basis -----------------------------------------------------------
-
-def sparse(row):
-    return dict(enumerate(row))
-
-
-def dense(rows, ncols):
-    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
-
 
 def small_matrix(rng, nrows, ncols):
     """Mostly 0/+-1 entries, like the relation rows, with an occasional 2."""
@@ -317,7 +316,7 @@ class TestEchelonBasis:
             basis = echelon_basis(map(sparse, m))
             assert len(basis) == sympy.Matrix(m).rank()
             expected = tuple(abs(int(f)) for f in invariant_factors(sympy.Matrix(m)) if f)
-            assert smith_normal_form(IntMatrix(dense(basis, ncols))) == (expected, len(basis))
+            assert smith_normal_form(basis) == (expected, len(basis))
 
     def test_zero_and_empty_rows(self):
         assert echelon_basis([]) == []

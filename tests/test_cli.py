@@ -14,7 +14,12 @@ import pytest
 from semifree.cli import MAX_RING_N, main, parse_document
 from semifree.cube import all_subsets, alpha_class, restrict_class
 from semifree.errors import InputError
-from semifree.localization import MAX_COUNT_DIGITS, MAX_COUNT_N, MAX_SEARCH_POINTS_SUMMED
+from semifree.localization import (
+    MAX_CHERN_MONOMIALS,
+    MAX_COUNT_DIGITS,
+    MAX_COUNT_N,
+    MAX_SEARCH_POINTS_SUMMED,
+)
 from semifree.reduction import MAX_REDUCE_N
 
 HYPERCUBE_3 = """
@@ -254,6 +259,48 @@ class TestOutOfRange:
         assert proc.returncode == 1
         assert proc.stderr == (
             f"error: n={MAX_RING_N + 1} exceeds the ring table bound {MAX_RING_N}\n")
+
+    def test_search_count_stops_at_the_cap(self):
+        # the configurations number C(2000000 + 10^9 - 1, 10^9), a binomial of
+        # billions of digits; counting must stop once past the cap
+        proc = self.run_cli_subprocess(
+            ["search", "--n", "1", "--points", "1000000000", "--bound", "1000000",
+             "--degree", "1"])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "exceed cap 2000000" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["check", "search"])
+    def test_too_many_chern_monomials_are_refused_before_listing(self, command, tmp_path):
+        # about 3000^3 / 36 exponent vectors of degree <= 3000 in c_1, c_2, c_3
+        path = tmp_path / "pair.txt"
+        path.write_text(REMARK_PAIR)
+        argv = {"check": ["check", str(path), "--max-degree", "3000"],
+                "search": ["search", "--n", "3", "--points", "2", "--bound", "2",
+                           "--degree", "3000"]}[command]
+        proc = self.run_cli_subprocess(argv)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == (
+            "error: Chern monomials of degree <= 3000 in n=3 exceed cap "
+            f"{MAX_CHERN_MONOMIALS}\n")
+
+    def test_check_of_many_weights_needs_no_recursion_per_weight(self, tmp_path):
+        # not semifree, so the moment equations are skipped; listing the
+        # monomials with one recursion level per weight overflowed the stack
+        path = tmp_path / "wide.txt"
+        path.write_text("n = 1200\npoint A weights 2" + " 1" * 1199
+                        + "\npoint B weights -2" + " -1" * 1199 + "\n")
+        proc = self.run_cli_subprocess(["check", str(path), "--max-degree", "1"])
+        assert proc.returncode == 1 and proc.stderr == ""
+        assert proc.stdout.endswith("check: FAIL\n")
+
+    def test_search_of_many_weights_at_degree_one(self):
+        # degree 1 needs sigma_1 of each of the 501 point shapes, not
+        # sigma_1 .. sigma_500
+        proc = self.run_cli_subprocess(
+            ["search", "--n", "500", "--points", "2", "--bound", "1", "--degree", "1"])
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == "0 configuration(s) pass all checks up to degree 1\n"
 
 
 # sha256 of `reduce --n n --c c` stdout for every regular level with n <= 8,

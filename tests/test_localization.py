@@ -8,7 +8,8 @@ import pytest
 
 from semifree.algebra import RatFunc, UniPoly, X
 from semifree.cube import hypercube_data
-from semifree.errors import NotSemifree, SearchSpaceTooLarge, ZeroWeight
+from semifree import localization
+from semifree.errors import NotSemifree, SearchSpaceTooLarge, TooManyMonomials, ZeroWeight
 from semifree.fixed_points import FixedPoint, FixedPointData, counts
 from semifree.localization import (
     MAX_SEARCH_POINTS_SUMMED,
@@ -319,6 +320,24 @@ class TestConsistencyCheckIsExact:
             for e in consistency_check(data, max_degree).entries:
                 outcomes.add((e.degree < data.n, e.ok))
         assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+class TestChernMonomials:
+    @pytest.mark.parametrize("n, max_degree", [(1, 5), (3, 7), (4, 2), (6, 9), (40, 3)])
+    def test_count_refuses_exactly_above_the_cap(self, n, max_degree, monkeypatch):
+        count = len(chern_monomials(n, max_degree).exponents)
+        monkeypatch.setattr(localization, "MAX_CHERN_MONOMIALS", count)
+        assert len(chern_monomials(n, max_degree).exponents) == count
+        monkeypatch.setattr(localization, "MAX_CHERN_MONOMIALS", count - 1)
+        with pytest.raises(TooManyMonomials):
+            chern_monomials(n, max_degree)
+
+    def test_exponents_are_bounded_too(self, monkeypatch):
+        # 1, c_1, c_2, c_1^2 with four exponents each
+        assert len(chern_monomials(4, 2).exponents) == 4
+        monkeypatch.setattr(localization, "MAX_CHERN_EXPONENTS", 15)
+        with pytest.raises(TooManyMonomials, match="exceed cap 3"):
+            chern_monomials(4, 2)
 
 
 class TestMonomialNumerators:
