@@ -44,10 +44,8 @@ from .localization import (
 from .pipeline import (
     Bijection,
     RestrictionTable,
-    assemble_bijection,
     forced_level_sum,
     model_restriction_table,
-    per_point_count,
     run_pipeline,
     solve_value_multiset,
 )

@@ -32,6 +32,7 @@ from .cube import (
 from .errors import (
     DuplicateId,
     InputError,
+    IntegralTooLarge,
     RingTooLarge,
     SemifreeError,
     WrongWeightCount,
@@ -130,8 +131,16 @@ def cmd_check(args) -> int:
     data = load_document(args.file)
     validate(data)
     max_degree = args.max_degree if args.max_degree is not None else data.n
-    # first, so that too many Chern monomials are refused before any output
+    # first, so that too many Chern monomials or integrals too large to print
+    # are refused before any output
     creport = localization.consistency_check(data, max_degree)
+    for entry in creport.entries:
+        value = entry.value
+        if max(abs(value.numerator), value.denominator) >= localization.DIGITS_LIMIT:
+            raise IntegralTooLarge(
+                f"the integral of degree {entry.degree} has more than "
+                f"{localization.MAX_COUNT_DIGITS} digits"
+            )
     failed = False
     if data.semifree:
         report = localization.verify_moment_equations(data)

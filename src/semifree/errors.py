@@ -57,6 +57,10 @@ class CountTooLarge(SemifreeError):
     """Fixed-point counts are asked for at an n above the supported bound."""
 
 
+class IntegralTooLarge(SemifreeError):
+    """An integral has more digits than can be printed."""
+
+
 # reduction
 class ReductionTooLarge(SemifreeError):
     """The graded quotient is asked for at an n above the supported bound."""
@@ -65,18 +69,6 @@ class ReductionTooLarge(SemifreeError):
 # deduction pipeline
 class NoIntegerSolution(SemifreeError):
     """No multiset of integers satisfies the sum / square-sum constraints."""
-
-
-class WrongCount(SemifreeError):
-    """A point's count of unit restrictions differs from its index."""
-
-
-class NotInjective(SemifreeError):
-    """Two points were assigned the same subset."""
-
-
-class NotSurjective(SemifreeError):
-    """Some subset is not hit by the point-to-subset map."""
 
 
 class CountMismatch(SemifreeError):

@@ -59,9 +59,6 @@ class RestrictionAssignment:
     def __getitem__(self, pid: str) -> UniPoly:
         return self.values[pid]
 
-    def __contains__(self, pid: str) -> bool:
-        return pid in self.values
-
 
 def euler_class(weights) -> UniPoly:
     """Product of the weights times x^(number of weights)."""
@@ -113,9 +110,12 @@ def gamma_restrictions(data: FixedPointData) -> RestrictionAssignment:
 # prints 3.5 MB on a 2-core Xeon; the row and its text take 0.09 s at
 # n = 4000 and 0.54 s at n = 8000.
 MAX_COUNT_N = 4000
-# Most digits a count may have: Python converts no longer integer to text.
+# Most digits a count, or a numerator or denominator of an integral that
+# `check` prints, may have: Python converts no longer integer to text.
 # With N0 = 1, C(n, n/2) passes it near n = 14300.
 MAX_COUNT_DIGITS = 4300
+# The least integer of more than MAX_COUNT_DIGITS digits.
+DIGITS_LIMIT = 10**MAX_COUNT_DIGITS
 
 
 def predict_counts(n: int, N0: int) -> CountVector:
@@ -124,7 +124,7 @@ def predict_counts(n: int, N0: int) -> CountVector:
         raise ValueError("n and N0 must be at least 1")
     if n > MAX_COUNT_N:
         raise CountTooLarge(f"n={n} exceeds the count bound {MAX_COUNT_N}")
-    if N0 * math.comb(n, n // 2) >= 10**MAX_COUNT_DIGITS:
+    if N0 * math.comb(n, n // 2) >= DIGITS_LIMIT:
         raise CountTooLarge(
             f"N0 * C({n}, {n // 2}) has more than {MAX_COUNT_DIGITS} digits"
         )

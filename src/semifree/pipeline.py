@@ -2,11 +2,11 @@
 
 Given semifree data with binomial counts, the restrictions of the degree-two
 generator classes are forced: their level sums and squared level sums are
-binomial multiples of x, every individual restriction is 0 or x, each point
-of index 2k sees exactly k unit restrictions, and the resulting point ->
-subset map is a bijection.  The pipeline checks the counts, builds the
-canonical table and certifies the bijection (per-point counts, injectivity,
-surjectivity), producing a certificate.
+binomial multiples of x, every individual restriction is 0 or x, and each
+point of index 2k sees exactly k unit restrictions.  The pipeline checks the
+counts and builds the canonical table, matching the C(n, k) points of index
+2k with the C(n, k) subsets of size k; the same loop records the point ->
+subset map, a bijection respecting the index, in the certificate.
 """
 
 from __future__ import annotations
@@ -17,14 +17,7 @@ from itertools import combinations
 
 from .algebra import UniPoly, X
 from .cube import alpha_class, all_subsets, beta_class, restrict_class, subset_id
-from .errors import (
-    CountMismatch,
-    NoIntegerSolution,
-    NotInjective,
-    NotSemifree,
-    NotSurjective,
-    WrongCount,
-)
+from .errors import CountMismatch, NoIntegerSolution, NotSemifree
 from .fixed_points import FixedPointData, counts, validate
 from .localization import predict_counts
 
@@ -36,9 +29,6 @@ class RestrictionTable:
     n: int
     point_levels: tuple[tuple[str, int], ...]  # (point id, negative-weight count)
     entries: dict[tuple[int, str], UniPoly]  # (generator j, point id) -> poly
-
-    def entry(self, j: int, pid: str) -> UniPoly:
-        return self.entries[(j, pid)]
 
 
 @dataclass(frozen=True)
@@ -69,43 +59,6 @@ def solve_value_multiset(total: int, count: int) -> tuple[int, ...]:
             f"no 0/1 multiset of size {count} sums to {total}"
         )
     return (1,) * total + (0,) * (count - total)
-
-
-def per_point_count(table: RestrictionTable, pid: str) -> int:
-    """Number of generators restricting to x at the given point."""
-    hits = 0
-    for j in range(1, table.n + 1):
-        e = table.entries[(j, pid)]
-        if e == X:
-            hits += 1
-        elif e:
-            raise ValueError(f"entry ({j}, {pid}) is {e}, expected 0 or x")
-    return hits
-
-
-def assemble_bijection(table: RestrictionTable) -> Bijection:
-    """Read off point -> subset and certify it is a bijection respecting index."""
-    assignment: dict[str, frozenset] = {}
-    seen: dict[frozenset, str] = {}
-    for pid, level in table.point_levels:
-        J = frozenset(
-            j for j in range(1, table.n + 1) if table.entries[(j, pid)] == X
-        )
-        if len(J) != level:
-            raise WrongCount(
-                f"point {pid} of index {2 * level} sees {len(J)} unit restrictions"
-            )
-        if J in seen:
-            raise NotInjective(
-                f"points {seen[J]} and {pid} both map to {sorted(J)}"
-            )
-        seen[J] = pid
-        assignment[pid] = J
-    for size in range(table.n + 1):
-        for J in combinations(range(1, table.n + 1), size):
-            if frozenset(J) not in seen:
-                raise NotSurjective(f"subset {list(J)} is not hit")
-    return Bijection(table.n, assignment)
 
 
 @dataclass(frozen=True)
@@ -148,22 +101,24 @@ def run_pipeline(data: FixedPointData) -> tuple[Certificate, Bijection]:
     )
 
     # canonical realization: within each level, points ordered by id are
-    # matched with subsets in lexicographic order
+    # matched with subsets in lexicographic order.  With distinct ids and
+    # N_k = C(n, k) this pairs every point with its own subset of size k
+    # and uses every subset, so the map is a bijection respecting the index.
     by_level: dict[int, list[str]] = {}
     for p in data.points:
         by_level.setdefault(p.negative_count, []).append(p.id)
     entries: dict[tuple[int, str], UniPoly] = {}
     point_levels = []
+    subsets: dict[str, frozenset] = {}
     for k in range(n + 1):
         pids = sorted(by_level.get(k, []))
-        subsets = list(combinations(range(1, n + 1), k))
-        for pid, J in zip(pids, subsets, strict=True):
+        for pid, J in zip(pids, combinations(range(1, n + 1), k), strict=True):
             point_levels.append((pid, k))
+            subsets[pid] = frozenset(J)
             for j in range(1, n + 1):
                 entries[(j, pid)] = X if j in J else UniPoly()
     table = RestrictionTable(n, tuple(point_levels), entries)
-
-    bijection = assemble_bijection(table)
+    bijection = Bijection(n, subsets)
     cert = Certificate(n, level_sums, multisets, table, bijection)
     return cert, bijection
 

@@ -20,6 +20,7 @@ from .cube import ModelData, all_subsets, equivariant_chern_series
 from .errors import CountMismatch, NotSemifree, ReductionTooLarge
 from .fixed_points import FixedPointData, counts, split_by_moment_sign, validate
 from .localization import predict_counts
+from .pipeline import run_pipeline
 
 # Largest n that graded_quotient accepts: on a 2-core Xeon `reduce --n 9`
 # takes 2.6 s at 25 MB peak; the n = 10 quotient takes about 20 s at 51 MB,
@@ -82,8 +83,6 @@ def presentation_from_data(data: FixedPointData) -> IdealPresentation:
     The deduction pipeline labels points by subsets; the moment sign of a
     point then decides which family its subset lands in.
     """
-    from .pipeline import run_pipeline
-
     validate(data)
     _, bijection = run_pipeline(data)
     plus, _ = split_by_moment_sign(data)

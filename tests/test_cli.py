@@ -3,6 +3,7 @@ import json
 import os
 import random
 import resource
+import string
 import subprocess
 import sys
 import time
@@ -294,6 +295,15 @@ class TestOutOfRange:
         assert proc.returncode == 1 and proc.stderr == ""
         assert proc.stdout.endswith("check: FAIL\n")
 
+    def test_check_refuses_integrals_too_large_to_print(self, tmp_path):
+        # the integral of c1^1435 is 2 * 1000^1434, of 4303 digits
+        path = tmp_path / "steep.txt"
+        path.write_text("n = 1\npoint A weights 1000\npoint B weights -1000\n")
+        proc = self.run_cli_subprocess(["check", str(path), "--max-degree", "1440"])
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == (
+            f"error: the integral of degree 1435 has more than {MAX_COUNT_DIGITS} digits\n")
+
     def test_search_of_many_weights_at_degree_one(self):
         # degree 1 needs sigma_1 of each of the 501 point shapes, not
         # sigma_1 .. sigma_500
@@ -407,3 +417,85 @@ def test_check_output_is_frozen(name, tmp_path, capsys):
     rc = main(["check", str(path), "--max-degree", str(max_degree)])
     out = capsys.readouterr().out
     assert (rc, hashlib.sha256(out.encode()).hexdigest()) == CHECK_DIGESTS[name]
+
+
+def seeded_cube_document(n: int, seed: int, random_signs: bool = False) -> str:
+    """The model datum in dimension 2n under random point ids, in shuffled
+    lines.  Moments are scale * (|J| - c) at a regular level c, or random
+    nonzero fractions of either sign."""
+    rng = random.Random(seed)
+    alphabet = string.ascii_letters + string.digits
+    ids: set[str] = set()
+    while len(ids) < 2**n:
+        ids.add(rng.choice(string.ascii_letters) + "".join(rng.choices(alphabet, k=4)))
+    ids = sorted(ids)
+    rng.shuffle(ids)
+    c = Fraction(2 * rng.randrange(n) + 1, 2)
+    scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    lines = []
+    for pid, J in zip(ids, all_subsets(n)):
+        if random_signs:
+            moment = rng.choice([-1, 1]) * Fraction(2 * rng.randint(0, 4) + 1, 2)
+        else:
+            moment = scale * (len(J) - c)
+        weights = " ".join("-1" if i in J else "1" for i in range(1, n + 1))
+        lines.append(f"point {pid} weights {weights} moment {moment}")
+    rng.shuffle(lines)
+    return f"n = {n}\n" + "\n".join(lines) + "\n"
+
+
+PIPELINE_DOCUMENTS = {
+    **{f"cube{n}": seeded_cube_document(n, n) for n in range(1, 7)},
+    **{f"signs{s}": seeded_cube_document(2 + s % 3, 100 + s, random_signs=True)
+       for s in range(4)},
+    "pair": "n = 2\npoint A weights 1 1 moment -1/2\npoint B weights -1 -1 moment 1/2\n",
+}
+
+# (exit code, sha256 of stdout) of `solve FILE` and of `reduce FILE` for
+# each document above, frozen from the pipeline that re-read its table to
+# certify the point-to-subset bijection.
+SOLVE_DIGESTS = {
+    "cube1": (0, "0ab8afd1c928307488cd713ba6afccbef44f260670f75782b933ce10f0715368"),
+    "cube2": (0, "e8064b7ca55440cd8298151a420ace9de391fcbc69315a95c1299e2c5bb94d2a"),
+    "cube3": (0, "52c38186ccfb364596086e40f8f6093d1b370ad057d754c88ac76622b2faf040"),
+    "cube4": (0, "85eafb0842501c88c295e9f45a0b2757dccaa3c9c28b9e81beb6823a4acd5d88"),
+    "cube5": (0, "2a4e9c66295bd554d1bec84330eab9be57a8ada3302a55ffc01c07fa2209c23e"),
+    "cube6": (0, "d54fc0827aefa1ee011130bb044134350aaa5dff52b4f5d11245be206cc26062"),
+    "signs0": (0, "76b281e21b1c248f8b310abc2305c9acb05027f94bfd5328bb2d6fa07f936b8e"),
+    "signs1": (0, "9112e0436b80fb7a9f0535f35d16066c65297958d41353068df1b1ee30b33039"),
+    "signs2": (0, "3e68a84fa5fb88fba71ac4ad23f39a977bd3c6698c9cf7a997f65ad06f0825a9"),
+    "signs3": (0, "d9fa6ca06734378cc43f37b9f90a340e7f15e98a5f48e4f705c7b0a81c82df5d"),
+    "pair": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+REDUCE_FILE_DIGESTS = {
+    "cube1": (0, "a55aefa9299f21e6d09c3f6235e5c68e431377f6151da7328deeab5061ea3927"),
+    "cube2": (0, "f939cba0487aea5f29d314fe120238b6714923966c2d63b8bf279b1cf545848e"),
+    "cube3": (0, "dec50cc019ebe6da1f92524be7f991052a2f5681d68b1756f4bd44ef1a011257"),
+    "cube4": (0, "6e2e81c5755354ea6eb945688ac5e841d069efd211b6fde0b49ecadbc6090ba8"),
+    "cube5": (0, "3c3e82525bb691a0ea381f597eea861e0ee044ac270050ec37620ec8cfd4d2c8"),
+    "cube6": (0, "5f4f23d1e99e92be3451d37d28400e7a6cfe67486cb70bb6dad11456ce25891c"),
+    "signs0": (1, "960b069f7c6085662fd53c8bfcdcc46bfe15e3f752bd087b759ed57f5f701e7e"),
+    "signs1": (1, "f64d59accfcbba07459aa84f3835db9699a72addf63792cb93a6f2cc5b85242d"),
+    "signs2": (1, "3061a6e082a7c4a0cc1df408496220355438dfa45cbeedcc73525a24dfc1c089"),
+    "signs3": (0, "f939cba0487aea5f29d314fe120238b6714923966c2d63b8bf279b1cf545848e"),
+    "pair": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.mark.parametrize("name", SOLVE_DIGESTS)
+def test_solve_output_is_frozen(name, tmp_path, capsys):
+    path = tmp_path / "doc.txt"
+    path.write_text(PIPELINE_DOCUMENTS[name])
+    rc = main(["solve", str(path)])
+    out = capsys.readouterr().out
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == SOLVE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", REDUCE_FILE_DIGESTS)
+def test_reduce_file_output_is_frozen(name, tmp_path, capsys):
+    path = tmp_path / "doc.txt"
+    path.write_text(PIPELINE_DOCUMENTS[name])
+    rc = main(["reduce", str(path)])
+    out = capsys.readouterr().out
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == REDUCE_FILE_DIGESTS[name]

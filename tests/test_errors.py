@@ -1,0 +1,62 @@
+"""Every error type the package defines is raised somewhere in src/: an
+error class that no code raises documents a check that cannot fail."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).parent.parent / "src" / "semifree"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+
+def error_classes(source: str) -> list[str]:
+    """Classes derived, directly or through each other, from SemifreeError."""
+    found = {"SemifreeError"}
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(b, ast.Name) and b.id in found for b in node.bases
+        ):
+            found.add(node.name)
+            names.append(node.name)
+    return names
+
+
+def raised_names(source: str) -> set[str]:
+    """Names in `raise X` and `raise X(...)` statements."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+RAISED = set().union(*(raised_names(path.read_text()) for path in SOURCES))
+
+
+def test_error_classes_found():
+    assert len(error_classes((PACKAGE / "errors.py").read_text())) >= 15
+
+
+@pytest.mark.parametrize("name", error_classes((PACKAGE / "errors.py").read_text()))
+def test_error_class_is_raised(name):
+    assert name in RAISED
+
+
+def test_detects_an_error_class_nothing_raises():
+    source = (
+        "class SemifreeError(Exception): pass\n"
+        "class Raised(SemifreeError): pass\n"
+        "class Unused(Raised): pass\n"
+        "class Unrelated(Exception): pass\n"
+    )
+    assert error_classes(source) == ["Raised", "Unused"]
+    assert raised_names("raise Raised('x')\nraise errors.Other\nraise\n") == {
+        "Raised",
+        "Other",
+    }

@@ -5,20 +5,12 @@ import pytest
 
 from semifree.algebra import UniPoly, X, vandermonde_complete
 from semifree.cube import hypercube_data
-from semifree.errors import (
-    CountMismatch,
-    NoIntegerSolution,
-    NotInjective,
-    WrongCount,
-)
+from semifree.errors import CountMismatch, NoIntegerSolution
 from semifree.fixed_points import FixedPoint, FixedPointData
 from semifree.pipeline import (
-    RestrictionTable,
-    assemble_bijection,
     beta_comparison_check,
     forced_level_sum,
     model_restriction_table,
-    per_point_count,
     run_pipeline,
     solve_value_multiset,
 )
@@ -77,50 +69,6 @@ class TestSolveValueMultiset:
                 values = solve_value_multiset(total, count)
                 assert sum(values) == total
                 assert sum(v * v for v in values) == total
-
-
-class TestTableChecks:
-    def test_per_point_counts_on_model(self):
-        table = model_restriction_table(3)
-        for pid, level in table.point_levels:
-            assert per_point_count(table, pid) == level
-
-    def test_per_point_count_rejects_bad_entry(self):
-        table = RestrictionTable(
-            1, (("p", 0),), {(1, "p"): UniPoly.monomial(2, 1)}
-        )
-        with pytest.raises(ValueError):
-            per_point_count(table, "p")
-
-    def test_bijection_on_sphere_table(self):
-        table = RestrictionTable(
-            1,
-            (("bot", 0), ("top", 1)),
-            {(1, "bot"): UniPoly(), (1, "top"): X},
-        )
-        b = assemble_bijection(table)
-        assert b.subsets == {"bot": frozenset(), "top": frozenset({1})}
-
-    def test_not_injective(self):
-        table = RestrictionTable(
-            2,
-            (("p", 0), ("a", 1), ("b", 1), ("t", 2)),
-            {
-                (1, "p"): UniPoly(), (2, "p"): UniPoly(),
-                (1, "a"): X, (2, "a"): UniPoly(),
-                (1, "b"): X, (2, "b"): UniPoly(),
-                (1, "t"): X, (2, "t"): X,
-            },
-        )
-        with pytest.raises(NotInjective):
-            assemble_bijection(table)
-
-    def test_wrong_count_caught(self):
-        table = RestrictionTable(
-            1, (("p", 0), ("t", 1)), {(1, "p"): X, (1, "t"): X}
-        )
-        with pytest.raises(WrongCount):
-            assemble_bijection(table)
 
 
 class TestRunPipeline:
