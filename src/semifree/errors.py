@@ -58,7 +58,7 @@ class CountTooLarge(SemifreeError):
 
 
 class IntegralTooLarge(SemifreeError):
-    """An integral has more digits than can be printed."""
+    """An integral has, or may have, more digits than can be printed."""
 
 
 # reduction

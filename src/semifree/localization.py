@@ -26,8 +26,8 @@ from itertools import accumulate, combinations_with_replacement
 from operator import add
 
 from .algebra import RatFunc, UniPoly, vandermonde_kernel
-from .errors import (CountTooLarge, NotSemifree, SearchSpaceTooLarge,
-                     TooManyMonomials, ZeroWeight)
+from .errors import (CountTooLarge, IntegralTooLarge, NotSemifree,
+                     SearchSpaceTooLarge, TooManyMonomials, ZeroWeight)
 from .fixed_points import CountVector, FixedPointData, counts, validate
 
 
@@ -63,9 +63,14 @@ class RestrictionAssignment:
 def euler_class(weights) -> UniPoly:
     """Product of the weights times x^(number of weights)."""
     weights = tuple(weights)
+    return UniPoly.monomial(_weight_product(weights), len(weights))
+
+
+def _weight_product(weights: tuple[int, ...]) -> int:
+    """The coefficient of the Euler class; a zero weight raises ZeroWeight."""
     if any(w == 0 for w in weights):
         raise ZeroWeight(f"zero weight in {weights}")
-    return UniPoly.monomial(math.prod(weights), len(weights))
+    return math.prod(weights)
 
 
 def elementary_symmetric(values, up_to: int) -> list[int]:
@@ -87,11 +92,25 @@ def rep_chern_classes(weights, up_to: int) -> list[UniPoly]:
 
 
 def integrate(data: FixedPointData, alpha: RestrictionAssignment) -> RatFunc:
-    """Sum of restriction over Euler class, over all fixed points."""
-    total = RatFunc(UniPoly())
+    """Sum of restriction over Euler class, over all fixed points.
+
+    At a point with weights w a nonzero restriction c*x^d over the Euler
+    class prod(w)*x^len(w) is the scalar c/prod(w) times x^(d - len(w)), so
+    the scalars are summed per power of x and the Laurent polynomial is
+    built once.  A missing point raises KeyError, a zero weight ZeroWeight.
+    """
+    sums: dict[int, Fraction] = {}
     for p in data.points:
-        total = total + RatFunc(alpha[p.id], euler_class(p.weights))
-    return total
+        value = alpha[p.id]
+        product = _weight_product(p.weights)
+        if value:
+            power = value.degree - len(p.weights)
+            sums[power] = sums.get(power, 0) + value.coeffs[-1] / product
+    low, high = min([0, *sums]), max([0, *sums])
+    coeffs = [0] * (high - low + 1)
+    for power, c in sums.items():
+        coeffs[power - low] = c
+    return RatFunc(UniPoly(coeffs), UniPoly.monomial(1, -low))
 
 
 def gamma_restrictions(data: FixedPointData) -> RestrictionAssignment:
@@ -303,7 +322,10 @@ def consistency_check(data: FixedPointData, max_degree: int) -> ConsistencyRepor
 # configurations and 999 survivors, 1.4 s; (3, 2, 10, 3) has 1 186 570,
 # 0.7 s; (1, 15, 5, 1) sums 19 612 560 points, 1.6 s; (1, 4471, 1, 1) sums
 # 19 994 312, 0.8 s.  A summed point costs 35-100 ns when points are many,
-# and a configuration of two points about 0.3-0.7 us.
+# and a configuration of two points about 0.3-0.7 us.  The digit bound on
+# (n * weight_bound)^max_degree caps the cost of the survivors' full
+# integrals: the slowest search it allows that was found, (1, 2, 999, 1433),
+# takes 5.5 s at 23 MB; (1, 3, 113, 2094) takes 3.4 s at 29 MB.
 MAX_SEARCH_CONFIGS = 2_000_000
 MAX_SEARCH_POINTS_SUMMED = 20_000_000
 
@@ -333,9 +355,11 @@ def search_candidates(
     nonzero weights in [-weight_bound, weight_bound]; the returned list is
     canonical (weights sorted within a point, points sorted) and
     duplicate-free.  The configurations are counted, and refused above cap
-    or when they sum more than MAX_SEARCH_POINTS_SUMMED points, and the
-    Chern monomials are counted (chern_monomials), before any point shape
-    is listed; counting stops once a count passes its cap.
+    or when they sum more than MAX_SEARCH_POINTS_SUMMED points, the Chern
+    monomials are counted (chern_monomials), and the search is refused when
+    (n * weight_bound)^max_degree, a bound on every monomial's value, reaches
+    DIGITS_LIMIT, all before any point shape is listed; counting stops once
+    a count passes its cap.
 
     The numerators of the monomials below the middle degree are computed
     once per point shape, over one common denominator for all shapes
@@ -364,6 +388,15 @@ def search_candidates(
         # one point's degree-0 integral, 1 / prod w, never vanishes
         return []
     monomials = chern_monomials(n, max_degree)
+    # |sigma_i(w)| <= (n * weight_bound)^i, so no monomial's value exceeds
+    # (n * weight_bound)^max_degree; the integrals' digits, and the time to
+    # sum them, are bounded once that is
+    if (n * weight_bound) ** max_degree >= DIGITS_LIMIT:
+        raise IntegralTooLarge(
+            f"integrals of degree <= {max_degree} of weights in [-{weight_bound}, "
+            f"{weight_bound}] in n={n} may reach ({n}*{weight_bound})^{max_degree}, "
+            f"more than {MAX_COUNT_DIGITS} digits"
+        )
     values = [w for w in range(-weight_bound, weight_bound + 1) if w != 0]
     point_shapes = list(combinations_with_replacement(values, n))
     below_middle = chern_monomials(n, min(max_degree, n - 1))

@@ -124,12 +124,13 @@ class TestCommands:
         assert "alpha_12" in out
         assert "c2" in out
 
-    def test_ring_structured_round_trip(self, capsys):
-        assert main(["ring", "--n", "2", "--format", "structured"]) == 0
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ring_structured_round_trip(self, n, capsys):
+        assert main(["ring", "--n", str(n), "--format", "structured"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["n"] == 2
+        assert doc["n"] == n
         # re-restrict every basis class and compare with the emitted table
-        subsets = all_subsets(2)
+        subsets = all_subsets(n)
         for row in doc["basis"]:
             J = frozenset(row["subset"])
             recomputed = [str(restrict_class(alpha_class(J), Jp)) for Jp in subsets]
@@ -303,6 +304,17 @@ class TestOutOfRange:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == (
             f"error: the integral of degree 1435 has more than {MAX_COUNT_DIGITS} digits\n")
+
+    def test_search_refuses_integrals_of_too_many_digits(self):
+        # the 999 configurations (w, -w) pass the degree-0 column, and for odd
+        # d <= 2999 the integral of c1^d is 2 * w^(d - 1), about 9000 digits
+        # at w = 999
+        proc = self.run_cli_subprocess(
+            ["search", "--n", "1", "--points", "2", "--bound", "999", "--degree", "3000"])
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == (
+            "error: integrals of degree <= 3000 of weights in [-999, 999] in n=1 "
+            f"may reach (1*999)^3000, more than {MAX_COUNT_DIGITS} digits\n")
 
     def test_search_of_many_weights_at_degree_one(self):
         # degree 1 needs sigma_1 of each of the 501 point shapes, not
@@ -499,3 +511,32 @@ def test_reduce_file_output_is_frozen(name, tmp_path, capsys):
     rc = main(["reduce", str(path)])
     out = capsys.readouterr().out
     assert (rc, hashlib.sha256(out.encode()).hexdigest()) == REDUCE_FILE_DIGESTS[name]
+
+
+# exit code and sha256 of `ring --n n --format f` stdout, frozen from the
+# tables built by restricting each alpha_class(J) at every point
+RING_DIGESTS = {
+    (1, "text"): (0, "3ca36b4e443ba3cb78e4a7ed7e7e68e01db8d58b658eb955bb60e3386930cc72"),
+    (1, "structured"): (0, "a7138e2552eec522a43543835b31f48952b25b0bd5c80cf6152c0eca814ae6da"),
+    (2, "text"): (0, "26249c8c80093e020fbe49c339d3c2de1787c8f4fc5acf69060f95ed4286b403"),
+    (2, "structured"): (0, "8c2b7716a63f7ce5e8c2d82aa308f67956cfa106c094fe2f2f9410186882a7b2"),
+    (3, "text"): (0, "05103681ccf6a60d23d53cbe12f23a1c1edf10701e3709d54cb3832dd5c48e65"),
+    (3, "structured"): (0, "9b97cd44d15de00e93bd873331a9c8a9ad4ae337a0de8398b6c0e77cec75261a"),
+    (4, "text"): (0, "befd251620dae3d688a9abbe2370c49dd093a05eb135b81271e93d2f52fc3836"),
+    (4, "structured"): (0, "ecf2abd536d1b50bd6fd9e4dea9b8f0e7f9014ab78dd6bebe1f430d070611cd4"),
+    (5, "text"): (0, "cc4703f88e0cc51be42d81ddfc4e2700e4e50f8fbaaf569cadb9cd88dc120222"),
+    (5, "structured"): (0, "c970875bb61bce1302cbd94d663d0f16c82d7d5bd09e1b80cb7e3868cfdf1d0d"),
+    (6, "text"): (0, "90acadf39ab284af40c3d6ce46d9f17a290cf5a8968a2b200e1a291c511b49a3"),
+    (6, "structured"): (0, "559021944986b6f9fd1ecf817a88b88b3e4c714dd5aa801fd5647dd4b0a18968"),
+    (7, "text"): (0, "63eb930ff501a8aba1d77cff7719415b10ddbcfcceedcb6eb8bd76a6d93d91b1"),
+    (7, "structured"): (0, "bd20afd5a93f19171d349e50d51f4778bfdf6da46359ddaa9b88e14139c78dbe"),
+    (8, "text"): (0, "271767ed9bed5c62fcc3df921b80311336254a0dd8558fb22f82920f5e718131"),
+    (8, "structured"): (0, "32fd39aede35720605cf9a277ad32cb42177fc6b29d422d520c4962620f11d94"),
+}
+
+
+@pytest.mark.parametrize("n,fmt", RING_DIGESTS)
+def test_ring_output_is_frozen(n, fmt, capsys):
+    rc = main(["ring", "--n", str(n), "--format", fmt])
+    out = capsys.readouterr().out
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == RING_DIGESTS[(n, fmt)]

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from semifree.algebra import UniPoly, X
+from semifree.algebra import UniPoly, X, echelon_basis
 from semifree.cube import (
     CubeClass,
     ModelData,
+    RankCheckEntry,
+    RankCheckReport,
     all_subsets,
     alpha_class,
     beta_class,
@@ -163,6 +165,17 @@ class TestInjectivity:
     def test_above_the_bound_is_rejected(self):
         with pytest.raises(ValueError):
             injectivity_rank_check(13)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_a_per_degree_rebuild(self, n):
+        # each degree's rows rebuilt from its own basis |J| <= d
+        subsets = all_subsets(n)
+        entries = []
+        for d in range(n + 1):
+            basis = [J for J in subsets if len(J) <= d]
+            rows = ({k: 1 for k, Jp in enumerate(subsets) if J <= Jp} for J in basis)
+            entries.append(RankCheckEntry(d, len(basis), len(echelon_basis(rows))))
+        assert injectivity_rank_check(n) == RankCheckReport(n, tuple(entries))
 
 
 class TestExpressInBasis:

@@ -156,6 +156,89 @@ class TestIntegrateAgainstSympy:
         assert sympy.expand(den / lead) == x**value.shift
 
 
+class TestIntegrateAgainstPointSum:
+    """integrate against the sum over points of RatFunc(restriction, Euler
+    class), one RatFunc per point."""
+
+    @staticmethod
+    def point_sum(data, alpha):
+        total = RatFunc(UniPoly())
+        for p in data.points:
+            total = total + RatFunc(alpha[p.id], euler_class(p.weights))
+        return total
+
+    @staticmethod
+    def outcome(route, data, alpha):
+        try:
+            value = route(data, alpha)
+        except (KeyError, ZeroWeight) as e:
+            return type(e), str(e)
+        return value, repr(value), hash(value)
+
+    @staticmethod
+    def random_document(rng):
+        """n = 1..5 and 1..8 points of weights in [-3, 3], one in ten points
+        with one weight too few or too many, and a rational multiple of x^d,
+        or 0, at each point."""
+        n = rng.randint(1, 5)
+        points = []
+        for i in range(rng.randint(1, 8)):
+            count = n if rng.random() < 0.9 else max(1, n + rng.choice((-1, 1)))
+            weights = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(count))
+            points.append(FixedPoint(f"p{i}", weights))
+        d = rng.randint(0, 2 * n + 1)
+        alpha = {
+            p.id: UniPoly.monomial(
+                0 if rng.random() < 0.25
+                else Fraction(rng.randint(-9, 9), rng.randint(1, 6)), d)
+            for p in points
+        }
+        return FixedPointData(n, tuple(points)), alpha
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_documents(self, seed):
+        rng = random.Random(seed)
+        for _ in range(100):
+            data, alpha = self.random_document(rng)
+            fault = rng.random()
+            if fault < 0.05:  # a zero weight
+                p = rng.choice(data.points)
+                k = rng.randrange(len(p.weights))
+                weights = p.weights[:k] + (0,) + p.weights[k + 1:]
+                data = FixedPointData(data.n, tuple(
+                    FixedPoint(q.id, weights) if q is p else q for q in data.points))
+            elif fault < 0.1:  # a missing point
+                del alpha[rng.choice(data.points).id]
+            alpha = RestrictionAssignment(alpha)
+            assert (self.outcome(integrate, data, alpha)
+                    == self.outcome(self.point_sum, data, alpha))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_zero_assignment(self, seed):
+        data, alpha = self.random_document(random.Random(seed))
+        zero = RestrictionAssignment({pid: UniPoly() for pid in alpha})
+        assert zero.degree is None
+        value = integrate(data, zero)
+        assert (value, repr(value), hash(value)) == self.outcome(self.point_sum, data, zero)
+        assert repr(value) == repr(RatFunc(UniPoly()))
+
+    def test_zero_weight_and_missing_point(self):
+        data = FixedPointData(2, (FixedPoint("a", (1, 0)), FixedPoint("b", (1, 1))))
+        alpha = RestrictionAssignment({"a": UniPoly([1]), "b": UniPoly([1])})
+        with pytest.raises(ZeroWeight, match=r"zero weight in \(1, 0\)"):
+            integrate(data, alpha)
+        with pytest.raises(KeyError, match="'n'"):
+            integrate(SPHERE, RestrictionAssignment({"s": UniPoly([1])}))
+
+    def test_hypercube_gamma_powers(self):
+        data = hypercube_data(8)
+        gamma = gamma_restrictions(data)
+        for k in range(9):
+            alpha = RestrictionAssignment({pid: v**k for pid, v in gamma.values.items()})
+            assert (self.outcome(integrate, data, alpha)
+                    == self.outcome(self.point_sum, data, alpha))
+
+
 class TestGammaRestrictions:
     def test_hypercube_values(self):
         data = hypercube_data(3)
