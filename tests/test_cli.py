@@ -124,8 +124,15 @@ class TestCommands:
         assert "alpha_12" in out
         assert "c2" in out
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_ring_structured_round_trip(self, n, capsys):
+    def test_ring_structured_round_trip(self, capsys):
+        self._check_ring_structured_round_trip(2, capsys)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_ring_structured_round_trip_larger_n(self, n, capsys):
+        self._check_ring_structured_round_trip(n, capsys)
+
+    @staticmethod
+    def _check_ring_structured_round_trip(n, capsys):
         assert main(["ring", "--n", str(n), "--format", "structured"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["n"] == n
