@@ -23,8 +23,8 @@ n = 3
 subsets = all_subsets(n)
 
 # Each fixed point is a subset J; each basis class alpha_J restricts to
-# x^|J| exactly at the supersets of J.  The table is upper triangular in
-# the subset order, which is why the basis expansion is a back-substitution.
+# x^|J| exactly at the supersets of J.  In normal form a_S y^m = x^m alpha_S,
+# so the basis expansion of a class just groups its terms by subset.
 print("restriction table of the alpha basis (rows = classes, cols = points):")
 for J in subsets:
     row = [str(restrict_class(alpha_class(J), Jp)) for Jp in subsets]

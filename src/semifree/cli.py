@@ -37,7 +37,7 @@ from .errors import (
     WrongWeightCount,
     ZeroWeight,
 )
-from .fixed_points import FixedPoint, FixedPointData, counts, validate
+from .fixed_points import FixedPoint, FixedPointData, counts
 from .pipeline import run_pipeline
 
 EXIT_OK = 0
@@ -128,7 +128,6 @@ def load_document(path: str) -> FixedPointData:
 
 def cmd_check(args) -> int:
     data = load_document(args.file)
-    validate(data)
     max_degree = args.max_degree if args.max_degree is not None else data.n
     # first, so that too many Chern monomials or integrals too large to print
     # are refused before any output

@@ -169,19 +169,22 @@ def beta_class(J, n: int) -> CubeClass:
     return CubeClass(out)
 
 
+def chern_coefficient(n: int, k: int, s: int) -> int:
+    """Coefficient of a_S y^(k-s) in c_k, for any S of size s <= k.
+
+    c_k sums, over the k-subsets I, the products of (2a_i - y) for i in I;
+    a_S y^(k-s) comes from each I containing S, choosing 2a_i on S and -y
+    off it, so the coefficient depends on s alone.
+    """
+    return 2**s * (-1) ** (k - s) * math.comb(n - s, k - s)
+
+
 def equivariant_chern_series(n: int, up_to: int) -> list[CubeClass]:
-    """Coefficients of t^1..t^up_to in the product of (1 + t(2a_i - y))."""
-    coeffs = [CubeClass.unit()]
-    for i in range(1, n + 1):
-        factor = 2 * CubeClass.gen_a(i) - CubeClass.gen_y()
-        new = [CubeClass() for _ in range(min(len(coeffs) + 1, up_to + 1))]
-        for k, c in enumerate(coeffs):
-            if k < len(new):
-                new[k] = new[k] + c
-            if k + 1 < len(new):
-                new[k + 1] = new[k + 1] + c * factor
-        coeffs = new
-    return coeffs[1 : up_to + 1]
+    """c_1..c_min(up_to, n), the coefficients of t^k in the product of
+    (1 + t(2a_i - y)), written term by term from chern_coefficient."""
+    return [CubeClass({(S, m): chern_coefficient(n, k, len(S))
+                       for S, m in degree_basis(n, k)})
+            for k in range(1, min(up_to, n) + 1)]
 
 
 def all_subsets(n: int) -> list[frozenset]:
@@ -189,6 +192,15 @@ def all_subsets(n: int) -> list[frozenset]:
     out = []
     for size in range(n + 1):
         out.extend(frozenset(c) for c in combinations(range(1, n + 1), size))
+    return out
+
+
+def degree_basis(n: int, d: int) -> list[Monomial]:
+    """Monomials (subset, y-power) of total degree d, in canonical order."""
+    out = []
+    for k in range(min(d, n) + 1):
+        for S in combinations(range(1, n + 1), k):
+            out.append((S, d - k))
     return out
 
 
@@ -289,33 +301,17 @@ def injectivity_rank_check(n: int) -> RankCheckReport:
 def express_in_basis(cls: CubeClass, n: int) -> dict[frozenset, UniPoly]:
     """Expand a class over the alpha basis with polynomial coefficients.
 
-    Triangular solve in the subset order: after subtracting the
-    contributions of all strictly smaller subsets, restriction at J reads
-    off the coefficient of alpha_J times x^|J|.
+    In normal form a_S y^m = x^m alpha_S, so the coefficient of alpha_S is
+    the sum of c x^m over the class's terms (S, m).  The coefficients come
+    in all_subsets order; a generator a_i with i outside 1..n is not in the
+    module.
     """
-    residual = cls
-    out: dict[frozenset, UniPoly] = {}
-    for J in all_subsets(n):
-        r = restrict_class(residual, J)
-        if not r:
-            continue
-        k = len(J)
-        if any(r.coefficient(i) for i in range(k)):
-            raise NotInModule(
-                f"residual restriction {r} at {sorted(J)} has terms below x^{k}"
-            )
-        coeff_terms = {}
-        poly_coeffs = []
-        for i in range(k, r.degree + 1):
-            c = r.coefficient(i)
-            if c.denominator != 1:
-                raise NotInModule(f"non-integral coefficient {c} at {sorted(J)}")
-            poly_coeffs.append(c)
-            if c:
-                # x acts through y: p(x) * alpha_J has monomials (J, power)
-                coeff_terms[_key(J, i - k)] = int(c)
-        out[J] = UniPoly(poly_coeffs)
-        residual = residual - CubeClass(coeff_terms)
-    if residual:
-        raise NotInModule(f"nonzero residual {residual} after triangular solve")
-    return out
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
+    for (S, m), c in cls.terms.items():
+        if not all(1 <= i <= n for i in S):
+            raise NotInModule(f"{cls} has a generator outside a1..a{n}")
+        groups.setdefault(S, {})[m] = c
+    return {
+        frozenset(S): UniPoly([groups[S].get(m, 0) for m in range(max(groups[S]) + 1)])
+        for S in sorted(groups, key=lambda S: (len(S), S))
+    }

@@ -81,7 +81,8 @@ class RingTooLarge(SemifreeError):
 
 
 class NotInModule(SemifreeError):
-    """A basis expansion produced a non-integral or negative-degree coefficient."""
+    """A class names a generator a_i outside a_1..a_n, so it has no
+    expansion over the alpha basis of the n-cube."""
 
 
 class InputError(SemifreeError):

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
-from operator import add
 
 from .algebra import RatFunc, UniPoly, vandermonde_kernel
 from .errors import (CountTooLarge, IntegralTooLarge, NotSemifree,
@@ -240,6 +239,25 @@ def chern_monomials(n: int, max_degree: int) -> ChernMonomials:
     return ChernMonomials(n, tuple(exponents), degrees, tuple(steps))
 
 
+def _numerator_rows(monomials: ChernMonomials, shapes):
+    """L and an iterator over the shapes' rows of monomial_numerators, each
+    row made when it is reached."""
+    products = [math.prod(w) for w in shapes]
+    denominator = math.lcm(*products)
+    # c_i with i above the largest degree has exponent 0 in every monomial
+    top = min(monomials.n, monomials.degrees[-1])
+
+    def rows():
+        for w, wprod in zip(shapes, products):
+            sigma = elementary_symmetric(w, top)
+            values = [denominator // wprod]
+            for k, i in monomials.steps:
+                values.append(values[k] * sigma[i])
+            yield values
+
+    return denominator, rows()
+
+
 def monomial_numerators(
     monomials: ChernMonomials, shapes
 ) -> tuple[int, list[list[int]]]:
@@ -251,28 +269,20 @@ def monomial_numerators(
     class prod(w) * x^n.  Returns L, the lcm of the shapes' |prod w|, and
     for each shape, in order, the integer row prod sigma_i(w)^e_i * (L / prod w).
     """
-    products = [math.prod(w) for w in shapes]
-    denominator = math.lcm(*products)
-    # c_i with i above the largest degree has exponent 0 in every monomial
-    top = min(monomials.n, monomials.degrees[-1])
-    rows = []
-    for w, wprod in zip(shapes, products):
-        sigma = elementary_symmetric(w, top)
-        values = [denominator // wprod]
-        for k, i in monomials.steps:
-            values.append(values[k] * sigma[i])
-        rows.append(values)
-    return denominator, rows
+    denominator, rows = _numerator_rows(monomials, shapes)
+    return denominator, list(rows)
 
 
 def monomial_integrals(monomials: ChernMonomials, shapes) -> tuple[int, list[int]]:
     """Integrals of every monomial over a multiset of point shapes: L and the
-    column sums of monomial_numerators.  The monomial of degree d integrates
-    to (sum / L) * x^(d - n)."""
-    denominator, rows = monomial_numerators(monomials, shapes)
-    sums = [0] * len(monomials.exponents)
+    column sums of monomial_numerators, each shape's row added as it is made.
+    The monomial of degree d integrates to (sum / L) * x^(d - n)."""
+    denominator, rows = _numerator_rows(monomials, shapes)
+    # the first row becomes the running sum, added to in place
+    sums = next(rows, [0] * len(monomials.exponents))
     for row in rows:
-        sums = list(map(add, sums, row))
+        for j, value in enumerate(row):
+            sums[j] += value
     return denominator, sums
 
 
@@ -347,19 +357,18 @@ def search_candidates(
     num_points: int,
     weight_bound: int,
     max_degree: int,
-    cap: int = MAX_SEARCH_CONFIGS,
 ) -> list[tuple[tuple[int, ...], ...]]:
     """All weight configurations surviving the consistency sieve.
 
     A configuration is a multiset of points, each a sorted tuple of n
     nonzero weights in [-weight_bound, weight_bound]; the returned list is
     canonical (weights sorted within a point, points sorted) and
-    duplicate-free.  The configurations are counted, and refused above cap
-    or when they sum more than MAX_SEARCH_POINTS_SUMMED points, the Chern
-    monomials are counted (chern_monomials), and the search is refused when
-    (n * weight_bound)^max_degree, a bound on every monomial's value, reaches
-    DIGITS_LIMIT, all before any point shape is listed; counting stops once
-    a count passes its cap.
+    duplicate-free.  The configurations are counted, and refused above
+    MAX_SEARCH_CONFIGS or when they sum more than MAX_SEARCH_POINTS_SUMMED
+    points, the Chern monomials are counted (chern_monomials), and the
+    search is refused when (n * weight_bound)^max_degree, a bound on every
+    monomial's value, reaches DIGITS_LIMIT, all before any point shape is
+    listed; counting stops once a count passes its cap.
 
     The numerators of the monomials below the middle degree are computed
     once per point shape, over one common denominator for all shapes
@@ -374,6 +383,7 @@ def search_candidates(
     """
     if min(n, num_points, weight_bound, max_degree) < 1:
         raise ValueError("all search parameters must be at least 1")
+    cap = MAX_SEARCH_CONFIGS
     # both counts stop past cap, and a shape count past cap gives a total past it
     shapes = _binomial_past(2 * weight_bound + n - 1, n, cap)
     total = _binomial_past(shapes + num_points - 1, num_points, cap)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .algebra import echelon_basis, reduce_mod_rows, smith_normal_form
-from .cube import ModelData, all_subsets, equivariant_chern_series
+from .cube import ModelData, all_subsets, chern_coefficient, degree_basis
 from .errors import CountMismatch, NotSemifree, ReductionTooLarge
 from .fixed_points import FixedPointData, counts, split_by_moment_sign, validate
 from .localization import predict_counts
@@ -83,20 +83,10 @@ def presentation_from_data(data: FixedPointData) -> IdealPresentation:
     The deduction pipeline labels points by subsets; the moment sign of a
     point then decides which family its subset lands in.
     """
-    validate(data)
     _, bijection = run_pipeline(data)
     plus, _ = split_by_moment_sign(data)
     up = {bijection.subsets[p.id] for p in plus}
     return _split(data.n, up.__contains__)
-
-
-def degree_basis(n: int, d: int) -> list[tuple[tuple[int, ...], int]]:
-    """Monomials (subset, y-power) of total degree d, in canonical order."""
-    out = []
-    for k in range(min(d, n) + 1):
-        for S in combinations(range(1, n + 1), k):
-            out.append((S, d - k))
-    return out
 
 
 def relation_rows(pres: IdealPresentation, d: int) -> list[dict[int, int]]:
@@ -170,19 +160,18 @@ class ReducedChernEntry:
 
 
 def reduced_chern_series(q: GradedQuotient, up_to: int) -> list[ReducedChernEntry]:
-    """Images of the Chern coefficient classes c_1..c_up_to in the quotient."""
+    """Images of the Chern coefficient classes c_1..c_min(up_to, n) in the
+    quotient: each c_i is written over degree_basis from chern_coefficient
+    and reduced against the degree's echelon basis."""
     if up_to >= len(q.bases):
         raise ValueError(
             f"c_{up_to} needs the relation basis in degree {up_to}; "
             f"the quotient holds bases for {len(q.bases)} degree(s)"
         )
     out = []
-    for i, cls in enumerate(equivariant_chern_series(q.n, up_to), start=1):
+    for i in range(1, min(up_to, q.n) + 1):
         basis = degree_basis(q.n, i)
-        index = {b: k for k, b in enumerate(basis)}
-        vec = [0] * len(basis)
-        for key, c in cls.terms.items():
-            vec[index[key]] = c
+        vec = [chern_coefficient(q.n, i, len(S)) for S, _ in basis]
         reduced = reduce_mod_rows(vec, q.bases[i])
         out.append(ReducedChernEntry(i, tuple(basis), tuple(reduced)))
     return out

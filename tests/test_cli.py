@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from semifree import cli
 from semifree.cli import MAX_RING_N, main, parse_document
-from semifree.cube import all_subsets, alpha_class, restrict_class
-from semifree.errors import InputError
+from semifree.cube import CubeClass, all_subsets, alpha_class, restrict_class
+from semifree.errors import InputError, RingTooLarge
 from semifree.localization import (
     MAX_CHERN_MONOMIALS,
     MAX_COUNT_DIGITS,
@@ -268,6 +269,10 @@ class TestOutOfRange:
         assert proc.returncode == 1
         assert proc.stderr == (
             f"error: n={MAX_RING_N + 1} exceeds the ring table bound {MAX_RING_N}\n")
+
+    def test_ring_tables_above_the_size_bound_raise(self):
+        with pytest.raises(RingTooLarge):
+            cli._ring_tables(MAX_RING_N + 1)
 
     def test_search_count_stops_at_the_cap(self):
         # the configurations number C(2000000 + 10^9 - 1, 10^9), a binomial of
@@ -547,3 +552,25 @@ def test_ring_output_is_frozen(n, fmt, capsys):
     rc = main(["ring", "--n", str(n), "--format", fmt])
     out = capsys.readouterr().out
     assert (rc, hashlib.sha256(out.encode()).hexdigest()) == RING_DIGESTS[(n, fmt)]
+
+
+def test_ring_and_reduce_need_no_class_arithmetic(tmp_path, capsys, monkeypatch):
+    # the Chern classes, ring tables and relation rows are written in closed
+    # form, so no CubeClass product or sum may run on these commands
+    def refuse(*args):
+        raise AssertionError("CubeClass arithmetic on the ring/reduce path")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__"):
+        monkeypatch.setattr(CubeClass, name, refuse)
+    path = tmp_path / "doc.txt"
+    path.write_text(PIPELINE_DOCUMENTS["cube5"])
+    runs = [
+        (["ring", "--n", "5"], RING_DIGESTS[(5, "text")]),
+        (["ring", "--n", "5", "--format", "structured"], RING_DIGESTS[(5, "structured")]),
+        (["reduce", "--n", "5"], (0, REDUCE_DIGESTS[(5, "5/2")])),
+        (["reduce", str(path)], REDUCE_FILE_DIGESTS["cube5"]),
+    ]
+    for argv, expected in runs:
+        rc = main(argv)
+        out = capsys.readouterr().out
+        assert (rc, hashlib.sha256(out.encode()).hexdigest()) == expected

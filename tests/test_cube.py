@@ -19,7 +19,7 @@ from semifree.cube import (
     restrict_class,
     subset_id,
 )
-from semifree.errors import ZeroIsCritical
+from semifree.errors import NotInModule, ZeroIsCritical
 
 
 def random_class(rng, n, max_terms=4, max_y=3):
@@ -111,7 +111,30 @@ class TestBetaClass:
                 assert restrict_class(b, J) == UniPoly()
 
 
+def chern_product(n: int) -> list[CubeClass]:
+    """c_0..c_n of the product of (1 + t(2a_i - y)), multiplied out with
+    CubeClass arithmetic."""
+    coeffs = [CubeClass.unit()]
+    for i in range(1, n + 1):
+        factor = 2 * CubeClass.gen_a(i) - CubeClass.gen_y()
+        coeffs = [
+            (coeffs[k] if k < len(coeffs) else CubeClass())
+            + (coeffs[k - 1] * factor if k else CubeClass())
+            for k in range(len(coeffs) + 1)
+        ]
+    return coeffs
+
+
 class TestChernSeries:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_multiplied_out_product(self, n):
+        product = chern_product(n)
+        for up_to in range(n + 3):
+            series = equivariant_chern_series(n, up_to)
+            expected = product[1 : min(up_to, n) + 1]
+            assert series == expected
+            assert [str(c) for c in series] == [str(c) for c in expected]
+
     def test_n1(self):
         (c1,) = equivariant_chern_series(1, 1)
         assert c1 == 2 * CubeClass.gen_a(1) - CubeClass.gen_y()
@@ -211,6 +234,17 @@ class TestExpressInBasis:
     def test_zero_class_detection(self):
         # a class restricting to zero everywhere expands to nothing
         assert express_in_basis(CubeClass(), 3) == {}
+
+    def test_generator_outside_the_cube_is_not_in_the_module(self):
+        with pytest.raises(NotInModule):
+            express_in_basis(CubeClass.gen_a(3), 2)
+
+    def test_subsets_come_in_basis_order(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            n = rng.randint(1, 5)
+            out = express_in_basis(random_class(rng, n, max_terms=8), n)
+            assert list(out) == [J for J in all_subsets(n) if J in out]
 
 
 class TestRingProperties:

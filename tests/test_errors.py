@@ -1,5 +1,6 @@
 """Every error type the package defines is raised somewhere in src/: an
-error class that no code raises documents a check that cannot fail."""
+error class that no code raises documents a check that cannot fail.  Every
+one is also named in the code of some test, so some test reaches it."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,8 @@ import pytest
 
 PACKAGE = Path(__file__).parent.parent / "src" / "semifree"
 SOURCES = sorted(PACKAGE.glob("*.py"))
+# this file names no error class itself, so it cannot vouch for one
+TESTS = sorted(p for p in Path(__file__).parent.rglob("*.py") if p != Path(__file__))
 
 
 def error_classes(source: str) -> list[str]:
@@ -36,16 +39,35 @@ def raised_names(source: str) -> set[str]:
     return names
 
 
+def code_names(source: str) -> set[str]:
+    """Names and attribute names used in code; text in strings, such as a
+    pinned stderr message, does not count."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+ERRORS = error_classes((PACKAGE / "errors.py").read_text())
 RAISED = set().union(*(raised_names(path.read_text()) for path in SOURCES))
+TESTED = set().union(*(code_names(path.read_text()) for path in TESTS))
 
 
 def test_error_classes_found():
-    assert len(error_classes((PACKAGE / "errors.py").read_text())) >= 15
+    assert len(ERRORS) >= 15
 
 
-@pytest.mark.parametrize("name", error_classes((PACKAGE / "errors.py").read_text()))
+@pytest.mark.parametrize("name", ERRORS)
 def test_error_class_is_raised(name):
     assert name in RAISED
+
+
+@pytest.mark.parametrize("name", ERRORS)
+def test_error_class_is_named_in_a_test(name):
+    assert name in TESTED
 
 
 def test_detects_an_error_class_nothing_raises():
@@ -60,3 +82,9 @@ def test_detects_an_error_class_nothing_raises():
         "Raised",
         "Other",
     }
+
+
+def test_string_mentions_are_not_names():
+    source = 'import errors\nwith raises(errors.Named): f("Quoted")\nUsed(1)\n'
+    assert {"Named", "Used"} <= code_names(source)
+    assert "Quoted" not in code_names(source)

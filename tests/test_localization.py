@@ -9,9 +9,17 @@ import pytest
 from semifree.algebra import RatFunc, UniPoly, X
 from semifree.cube import hypercube_data
 from semifree import localization
-from semifree.errors import NotSemifree, SearchSpaceTooLarge, TooManyMonomials, ZeroWeight
+from semifree.errors import (
+    CountTooLarge,
+    IntegralTooLarge,
+    NotSemifree,
+    SearchSpaceTooLarge,
+    TooManyMonomials,
+    ZeroWeight,
+)
 from semifree.fixed_points import FixedPoint, FixedPointData, counts
 from semifree.localization import (
+    MAX_COUNT_N,
     MAX_SEARCH_POINTS_SUMMED,
     RestrictionAssignment,
     chern_monomials,
@@ -287,6 +295,10 @@ class TestPredictCounts:
     def test_matches_data_counts(self, n):
         assert counts(hypercube_data(n)).N == predict_counts(n, 1).N
 
+    def test_above_the_size_bound_is_refused(self):
+        with pytest.raises(CountTooLarge):
+            predict_counts(MAX_COUNT_N + 1, 1)
+
 
 class TestConsistencyCheck:
     def test_remark_pair_passes(self):
@@ -325,15 +337,23 @@ class TestSearch:
     def test_two_sphere(self):
         assert search_candidates(1, 2, 1, 1) == [((-1,), (1,))]
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(localization, "MAX_SEARCH_CONFIGS", 10)
         with pytest.raises(SearchSpaceTooLarge):
-            search_candidates(4, 6, 5, 4, cap=10)
+            search_candidates(4, 6, 5, 4)
 
-    def test_cap_counts_configurations(self):
+    def test_cap_counts_configurations(self, monkeypatch):
         # 20 point shapes of 3 weights in +-2, so C(21, 2) = 210 pairs
+        monkeypatch.setattr(localization, "MAX_SEARCH_CONFIGS", 209)
         with pytest.raises(SearchSpaceTooLarge, match="210 candidate"):
-            search_candidates(3, 2, 2, 3, cap=209)
-        assert search_candidates(3, 2, 2, 3, cap=210) == [((-2, 1, 1), (-1, -1, 2))]
+            search_candidates(3, 2, 2, 3)
+        monkeypatch.setattr(localization, "MAX_SEARCH_CONFIGS", 210)
+        assert search_candidates(3, 2, 2, 3) == [((-2, 1, 1), (-1, -1, 2))]
+
+    def test_integrals_of_too_many_digits_are_refused(self):
+        # 999^1434 has 4302 digits; 1 997 001 configurations pass the cap
+        with pytest.raises(IntegralTooLarge):
+            search_candidates(1, 2, 999, 1434)
 
     def test_cap_counts_points_summed(self):
         # two point shapes: p + 1 configurations of p points each
@@ -436,6 +456,18 @@ class TestMonomialNumerators:
     def test_no_shapes(self):
         monomials = chern_monomials(2, 2)
         assert monomial_integrals(monomials, []) == (1, [0] * len(monomials.exponents))
+
+    def test_integrals_are_the_column_sums_of_the_numerators(self):
+        rng = random.Random(11)
+        values = [w for w in range(-6, 7) if w]
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            monomials = chern_monomials(n, rng.randint(0, n + 3))
+            shapes = [tuple(rng.choice(values) for _ in range(n))
+                      for _ in range(rng.randint(1, 6))]
+            denominator, rows = monomial_numerators(monomials, shapes)
+            sums = [sum(column) for column in zip(*rows)]
+            assert monomial_integrals(monomials, shapes) == (denominator, sums)
 
 
 @lru_cache(maxsize=None)
