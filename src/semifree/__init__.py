@@ -5,7 +5,6 @@ identifying points with subsets, and the cohomology of reductions.
 """
 
 from .algebra import (
-    RatFunc,
     UniPoly,
     smith_normal_form,
     vandermonde_complete,

@@ -1,10 +1,12 @@
-"""Exact scalar, polynomial, Laurent-polynomial and integer-matrix arithmetic.
+"""Exact scalar, polynomial and integer-matrix arithmetic.
 
 Scalars are ``fractions.Fraction`` throughout; nothing in this package ever
 touches floating point.  Polynomials are univariate in a single generator
 ``x`` of degree two (cohomologically), stored dense with trailing zeros
-stripped.  An integer matrix is an iterable of sparse rows, maps
-{column: entry} with non-negative integer columns.
+stripped.  No rational functions are needed: every class is homogeneous, so
+a localization integral is one Fraction (localization.integrate).  An
+integer matrix is an iterable of sparse rows, maps {column: entry} with
+non-negative integer columns.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import Inconsistent, NotPolynomial, Underdetermined
+from .errors import Inconsistent, Underdetermined
 
 
 def _as_fraction(c) -> Fraction:
@@ -61,7 +63,8 @@ class UniPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals its scalar, so it hashes as that scalar
+        return hash(self.coefficient(0) if len(self.coeffs) <= 1 else self.coeffs)
 
     def coefficient(self, i: int) -> Fraction:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
@@ -136,101 +139,6 @@ class UniPoly:
 
 
 X = UniPoly.monomial(1, 1)
-ONE = UniPoly([1])
-ZERO = UniPoly()
-
-
-class RatFunc:
-    """Laurent polynomial num / x^shift in the generator x.
-
-    Localization divides restrictions only by Euler classes c*x^n, so a
-    denominator is always a monomial.  The constructor accepts exactly
-    those and cancels common powers of x: either shift is 0 or num has a
-    nonzero constant term.  `den` is the view x^shift.
-    """
-
-    __slots__ = ("num", "shift")
-
-    def __init__(self, num: UniPoly, den: UniPoly = ONE):
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not den.is_monomial():
-            raise NotPolynomial(f"denominator {den} is not a monomial c*x^k")
-        self._set(num * (1 / den.coeffs[-1]), den.degree)
-
-    def _set(self, num: UniPoly, shift: int) -> None:
-        k = 0
-        while k < shift and not num.coefficient(k):
-            k += 1
-        object.__setattr__(self, "num", UniPoly(num.coeffs[k:]) if k else num)
-        object.__setattr__(self, "shift", shift - k)
-
-    @staticmethod
-    def _laurent(num: UniPoly, shift: int) -> "RatFunc":
-        f = object.__new__(RatFunc)
-        f._set(num, shift)
-        return f
-
-    def __setattr__(self, *args):
-        raise AttributeError("RatFunc is immutable")
-
-    @property
-    def den(self) -> UniPoly:
-        return UniPoly.monomial(1, self.shift)
-
-    @staticmethod
-    def _coerce(v) -> "RatFunc":
-        if isinstance(v, RatFunc):
-            return v
-        if isinstance(v, UniPoly):
-            return RatFunc._laurent(v, 0)
-        if isinstance(v, (int, Fraction)):
-            return RatFunc._laurent(UniPoly([v]), 0)
-        raise TypeError(f"cannot coerce {type(v).__name__} to RatFunc")
-
-    def __eq__(self, other) -> bool:
-        try:
-            other = RatFunc._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.num == other.num and self.shift == other.shift
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __add__(self, other) -> "RatFunc":
-        other = RatFunc._coerce(other)
-        lo, hi = (self, other) if self.shift <= other.shift else (other, self)
-        padded = UniPoly((0,) * (hi.shift - lo.shift) + lo.num.coeffs)
-        return RatFunc._laurent(hi.num + padded, hi.shift)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc._laurent(-self.num, self.shift)
-
-    def __sub__(self, other) -> "RatFunc":
-        return self + (-RatFunc._coerce(other))
-
-    def __rsub__(self, other) -> "RatFunc":
-        return -(self - other)
-
-    def __mul__(self, other) -> "RatFunc":
-        other = RatFunc._coerce(other)
-        return RatFunc._laurent(self.num * other.num, self.shift + other.shift)
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        if not self.shift:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    def __repr__(self) -> str:
-        return f"RatFunc({self.num!r}, {self.den!r})"
 
 
 def vandermonde_kernel(n: int) -> tuple[Fraction, ...]:

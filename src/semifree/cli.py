@@ -256,7 +256,8 @@ def cmd_reduce(args) -> int:
     failed |= not duality.passed
     for entry in reduction.reduced_chern_series(q, min(n, max_degree // 2)):
         print(f"c{entry.degree} image: {list(entry.coefficients)}")
-    print("euler characteristic:", q.euler_characteristic)
+    if len(q.ranks) == n:  # the sum needs every degree 0..n-1
+        print("euler characteristic:", q.euler_characteristic)
     return EXIT_CONSTRAINT if failed else EXIT_OK
 
 

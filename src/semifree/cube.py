@@ -19,7 +19,6 @@ from .algebra import UniPoly, echelon_basis
 from .errors import NotInModule, ZeroIsCritical
 from .fixed_points import FixedPoint, FixedPointData
 
-Subset = frozenset  # of generator indices in 1..n
 Monomial = tuple[tuple[int, ...], int]  # (sorted subset, power of y)
 
 
@@ -66,6 +65,9 @@ class CubeClass:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its integer, so it hashes as that integer
+        if set(self.terms) <= {((), 0)}:
+            return hash(self.terms.get(((), 0), 0))
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other) -> "CubeClass":

@@ -6,11 +6,6 @@ class SemifreeError(Exception):
 
 
 # exact_algebra
-class NotPolynomial(SemifreeError):
-    """A value needed to be a polynomial in x, or a denominator a monomial
-    c*x^k, and was not."""
-
-
 class Inconsistent(SemifreeError):
     """Prescribed entries are incompatible with the kernel constraints."""
 

@@ -2,9 +2,9 @@
 moment-constraint machinery for fixed-point data.
 
 The central operation sums restriction / Euler class over the fixed points,
-exactly.  Every restriction is c*x^d and every Euler class w*x^n, so the sum
-is a Laurent polynomial in the degree-two generator x.  Count prediction
-is built on top of that sum.
+exactly.  Every restriction is c*x^d and every Euler class w*x^n, so on
+valid data the sum is one rational multiple of x^(d-n), and integrate
+returns that coefficient.  Count prediction is built on top of that sum.
 
 The consistency sieve integrates Chern monomials, and for those the sum has
 a closed form: at a point with weights w the monomial c_1^e1 ... c_n^en
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
 
-from .algebra import RatFunc, UniPoly, vandermonde_kernel
+from .algebra import UniPoly, vandermonde_kernel
 from .errors import (CountTooLarge, IntegralTooLarge, NotSemifree,
                      SearchSpaceTooLarge, TooManyMonomials, ZeroWeight)
 from .fixed_points import CountVector, FixedPointData, counts, validate
@@ -60,16 +60,12 @@ class RestrictionAssignment:
 
 
 def euler_class(weights) -> UniPoly:
-    """Product of the weights times x^(number of weights)."""
+    """Product of the weights times x^(number of weights); a zero weight
+    raises ZeroWeight."""
     weights = tuple(weights)
-    return UniPoly.monomial(_weight_product(weights), len(weights))
-
-
-def _weight_product(weights: tuple[int, ...]) -> int:
-    """The coefficient of the Euler class; a zero weight raises ZeroWeight."""
     if any(w == 0 for w in weights):
         raise ZeroWeight(f"zero weight in {weights}")
-    return math.prod(weights)
+    return UniPoly.monomial(math.prod(weights), len(weights))
 
 
 def elementary_symmetric(values, up_to: int) -> list[int]:
@@ -90,26 +86,22 @@ def rep_chern_classes(weights, up_to: int) -> list[UniPoly]:
     ]
 
 
-def integrate(data: FixedPointData, alpha: RestrictionAssignment) -> RatFunc:
-    """Sum of restriction over Euler class, over all fixed points.
+def integrate(data: FixedPointData, alpha: RestrictionAssignment) -> Fraction:
+    """Sum of restriction over Euler class, over all fixed points: the
+    coefficient of x^(alpha.degree - n), or 0 for the zero assignment.
 
-    At a point with weights w a nonzero restriction c*x^d over the Euler
-    class prod(w)*x^len(w) is the scalar c/prod(w) times x^(d - len(w)), so
-    the scalars are summed per power of x and the Laurent polynomial is
-    built once.  A missing point raises KeyError, a zero weight ZeroWeight.
+    The data is validated first, so every point has n nonzero weights and a
+    nonzero restriction c*x^d over the Euler class prod(w)*x^n is the scalar
+    c/prod(w) times the one power x^(d - n).  A missing point raises
+    KeyError.
     """
-    sums: dict[int, Fraction] = {}
+    validate(data)
+    total = Fraction(0)
     for p in data.points:
         value = alpha[p.id]
-        product = _weight_product(p.weights)
         if value:
-            power = value.degree - len(p.weights)
-            sums[power] = sums.get(power, 0) + value.coeffs[-1] / product
-    low, high = min([0, *sums]), max([0, *sums])
-    coeffs = [0] * (high - low + 1)
-    for power, c in sums.items():
-        coeffs[power - low] = c
-    return RatFunc(UniPoly(coeffs), UniPoly.monomial(1, -low))
+            total += value.coeffs[-1] / math.prod(p.weights)
+    return total
 
 
 def gamma_restrictions(data: FixedPointData) -> RestrictionAssignment:

@@ -189,9 +189,14 @@ class DualityReport:
 
 
 def poincare_check(q: GradedQuotient, n: int) -> DualityReport:
-    """Rank symmetry rank_{2i} = rank_{2(n-1-i)} and absence of torsion."""
+    """Rank symmetry rank_{2i} = rank_{2(n-1-i)} and absence of torsion.
+
+    Only pairs whose two ranks were both computed are compared, so a
+    quotient computed below the top degree is checked as far as it goes.
+    """
     top = n - 1
-    ranks = tuple(q.ranks[i] if i < len(q.ranks) else 0 for i in range(top + 1))
-    symmetric = all(ranks[i] == ranks[top - i] for i in range(top + 1))
+    ranks = q.ranks[:top + 1]
+    symmetric = all(ranks[i] == ranks[top - i]
+                    for i in range(len(ranks)) if top - i < len(ranks))
     torsion_free = all(not t for t in q.torsion)
     return DualityReport(ranks, torsion_free, symmetric)

@@ -161,6 +161,17 @@ class TestCommands:
         assert "betti: 1 4 1" in out
         assert "euler characteristic: 6" in out
 
+    def test_reduce_below_the_top_degree(self, capsys):
+        # degrees 0..2 of 0..3: duality compares only the computed pairs, and
+        # the Euler characteristic, a sum over every degree, is not printed
+        assert main(["reduce", "--n", "4", "--max-degree", "4"]) == 0
+        assert capsys.readouterr().out == (
+            "betti: 1 5 5\n"
+            "poincare duality: ok\n"
+            "c1 image: [-4, 2, 2, 2, 2]\n"
+            "c2 image: [0, 0, 0, 0, -12, 0, 0, 6, 0, 6, 6]\n"
+        )
+
     def test_reduce_from_file(self, cube_file, capsys):
         assert main(["reduce", cube_file]) == 0
         assert "betti: 1 4 1" in capsys.readouterr().out

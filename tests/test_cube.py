@@ -248,6 +248,14 @@ class TestExpressInBasis:
 
 
 class TestRingProperties:
+    def test_equal_constants_hash_equal(self):
+        # a constant equals its integer, so a set or dict finds it by that integer
+        assert 3 in {CubeClass({((), 0): 3})}
+        assert 0 in {CubeClass()}
+        assert CubeClass.unit() in {1}
+        assert {CubeClass({((), 0): -4}): "c"}[-4] == "c"
+        assert CubeClass.gen_y() not in {1}
+
     def test_restriction_is_multiplicative(self):
         rng = random.Random(17)
         for _ in range(200):

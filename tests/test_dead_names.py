@@ -1,0 +1,85 @@
+"""Every module-level function, class and constant in src/semifree is named
+somewhere other than its own definition, in the code of src/, tests/,
+demos/ or perfbench/: a name nothing reads is dead code."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "semifree"
+FILES = sorted(
+    path for folder in ("src", "tests", "demos", "perfbench")
+    for path in (ROOT / folder).rglob("*.py")
+)
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, index of its top-level statement) of each function, class and
+    assigned name at module level; dunder names such as __version__ are
+    read by tools, not code, and are left out."""
+    out = []
+    for i, node in enumerate(tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, i))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(t.id, i) for t in targets if isinstance(t, ast.Name)]
+    return [(name, i) for name, i in out if not name.startswith("__")]
+
+
+def references(statement: ast.stmt) -> set[str]:
+    """Names read, attribute names and imported names in one statement;
+    text in strings does not count, nor does assigning to a name."""
+    names = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def dead_names(trees: dict[str, ast.Module], modules: list[str]) -> list[str]:
+    """module.name for each definition in `modules` that no top-level
+    statement of any tree names, its own definition excepted."""
+    named: dict[str, set[tuple[str, int]]] = {}
+    for key, tree in trees.items():
+        for i, statement in enumerate(tree.body):
+            for name in references(statement):
+                named.setdefault(name, set()).add((key, i))
+    return [
+        f"{Path(key).stem}.{name}"
+        for key in modules
+        for name, i in definitions(trees[key])
+        if not named.get(name, set()) - {(key, i)}
+    ]
+
+
+TREES = {str(path): ast.parse(path.read_text()) for path in FILES}
+MODULES = [str(path) for path in sorted(PACKAGE.glob("*.py"))]
+
+
+def test_sources_found():
+    assert len(MODULES) >= 9 and len(FILES) > len(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda key: Path(key).name)
+def test_every_module_level_name_is_used(module):
+    assert dead_names(TREES, [module]) == []
+
+
+def test_detects_a_dead_name():
+    trees = {
+        "lib.py": ast.parse(
+            "X = 1\nY = X\n"
+            "def used(): return 0\n"
+            "def recursive(): return recursive()\n"
+            "class Unused: pass\n"
+        ),
+        "user.py": ast.parse("from lib import used\nused()\nprint('Unused')\n"),
+    }
+    assert dead_names(trees, ["lib.py"]) == ["lib.Y", "lib.recursive", "lib.Unused"]

@@ -6,15 +6,17 @@ from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
-from semifree.algebra import RatFunc, UniPoly, X
+from semifree.algebra import UniPoly, X
 from semifree.cube import hypercube_data
 from semifree import localization
 from semifree.errors import (
     CountTooLarge,
+    DuplicateId,
     IntegralTooLarge,
     NotSemifree,
     SearchSpaceTooLarge,
     TooManyMonomials,
+    WrongWeightCount,
     ZeroWeight,
 )
 from semifree.fixed_points import FixedPoint, FixedPointData, counts
@@ -92,7 +94,8 @@ class TestRepChernClasses:
 class TestIntegrate:
     def test_constant_on_sphere_vanishes(self):
         one = RestrictionAssignment({"s": UniPoly([1]), "n": UniPoly([1])})
-        assert integrate(SPHERE, one) == RatFunc(UniPoly())
+        value = integrate(SPHERE, one)
+        assert value == 0 and isinstance(value, Fraction)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_euler_class_integrates_to_point_count(self, n):
@@ -100,11 +103,11 @@ class TestIntegrate:
         alpha = RestrictionAssignment(
             {p.id: euler_class(p.weights) for p in data.points}
         )
-        assert integrate(data, alpha) == RatFunc(UniPoly([2**n]))
+        assert integrate(data, alpha) == 2**n
 
     def test_hypercube_gamma_vanishes(self):
         data = hypercube_data(2)
-        assert integrate(data, gamma_restrictions(data)) == RatFunc(UniPoly())
+        assert integrate(data, gamma_restrictions(data)) == 0
 
     def test_linear_in_alpha(self):
         rng = random.Random(11)
@@ -122,15 +125,28 @@ class TestIntegrate:
                 data, RestrictionAssignment(b)
             )
             assert lhs == rhs
-            # multiplication by x commutes with the sum
+            # multiplication by x raises the power, not the coefficient
             shifted = RestrictionAssignment({pid: a[pid] * X for pid in a})
-            assert integrate(data, shifted) == integrate(
-                data, RestrictionAssignment(a)
-            ) * RatFunc(X)
+            assert integrate(data, shifted) == integrate(data, RestrictionAssignment(a))
+
+    def test_duplicate_id_raises(self):
+        # counted twice, the sphere would integrate 1 to 1 / x
+        doubled = FixedPointData(1, SPHERE.points + (FixedPoint("s", (1,)),))
+        one = RestrictionAssignment({"s": UniPoly([1]), "n": UniPoly([1])})
+        with pytest.raises(DuplicateId):
+            integrate(doubled, one)
+
+    def test_mixed_weight_counts_raise(self):
+        # summed per power, these would give 1/x^2 - 1/x
+        data = FixedPointData(2, (FixedPoint("a", (1, 1)), FixedPoint("b", (-1,))))
+        one = RestrictionAssignment({"a": UniPoly([1]), "b": UniPoly([1])})
+        with pytest.raises(WrongWeightCount):
+            integrate(data, one)
 
 
 class TestIntegrateAgainstSympy:
-    """integrate against sympy.cancel of the sum of c_p x^d / (w_p x^n)."""
+    """integrate, times x^(d - n), against sympy.cancel of the sum of
+    c_p x^d / (w_p x^n)."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_homogeneous_data(self, seed):
@@ -154,40 +170,46 @@ class TestIntegrateAgainstSympy:
             sympy.Integer(coeffs[p.id]) * x**d / (math.prod(p.weights) * x**n)
             for p in points
         ))
-        num, den = sympy.fraction(expected)
-        lead = sympy.Poly(den, x).LC()  # RatFunc keeps a monic denominator
-        ours = sum(
-            sympy.Rational(c.numerator, c.denominator) * x**i
-            for i, c in enumerate(value.num.coeffs)
-        )
-        assert sympy.expand(num / lead) == ours
-        assert sympy.expand(den / lead) == x**value.shift
+        ours = sympy.Rational(value.numerator, value.denominator) * x**(d - n)
+        assert sympy.cancel(expected - ours) == 0
 
 
 class TestIntegrateAgainstPointSum:
-    """integrate against the sum over points of RatFunc(restriction, Euler
-    class), one RatFunc per point."""
+    """integrate against the definitional sum of Fraction(c, prod w) over the
+    points, or against the error a faulty document must raise."""
 
     @staticmethod
-    def point_sum(data, alpha):
-        total = RatFunc(UniPoly())
+    def expected(data, coeffs):
+        """validate's first fault in point order, then a missing point's
+        KeyError, else the sum of c / prod(w)."""
+        seen = set()
         for p in data.points:
-            total = total + RatFunc(alpha[p.id], euler_class(p.weights))
-        return total
+            if p.id in seen:
+                return DuplicateId
+            seen.add(p.id)
+            if len(p.weights) != data.n:
+                return WrongWeightCount
+            if 0 in p.weights:
+                return ZeroWeight
+        if any(p.id not in coeffs for p in data.points):
+            return KeyError
+        return sum((Fraction(coeffs[p.id], math.prod(p.weights)) for p in data.points),
+                   Fraction(0))
 
     @staticmethod
-    def outcome(route, data, alpha):
+    def outcome(data, alpha):
         try:
-            value = route(data, alpha)
-        except (KeyError, ZeroWeight) as e:
-            return type(e), str(e)
-        return value, repr(value), hash(value)
+            value = integrate(data, alpha)
+        except (KeyError, DuplicateId, WrongWeightCount, ZeroWeight) as e:
+            return type(e)
+        assert isinstance(value, Fraction)
+        return value
 
     @staticmethod
     def random_document(rng):
         """n = 1..5 and 1..8 points of weights in [-3, 3], one in ten points
-        with one weight too few or too many, and a rational multiple of x^d,
-        or 0, at each point."""
+        with one weight too few or too many, and a rational multiple c of x^d,
+        or 0, at each point; returns the data, the c and d."""
         n = rng.randint(1, 5)
         points = []
         for i in range(rng.randint(1, 8)):
@@ -195,19 +217,20 @@ class TestIntegrateAgainstPointSum:
             weights = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(count))
             points.append(FixedPoint(f"p{i}", weights))
         d = rng.randint(0, 2 * n + 1)
-        alpha = {
-            p.id: UniPoly.monomial(
-                0 if rng.random() < 0.25
-                else Fraction(rng.randint(-9, 9), rng.randint(1, 6)), d)
+        coeffs = {
+            p.id: 0 if rng.random() < 0.25
+            else Fraction(rng.randint(-9, 9), rng.randint(1, 6))
             for p in points
         }
-        return FixedPointData(n, tuple(points)), alpha
+        return FixedPointData(n, tuple(points)), coeffs, d
 
-    @pytest.mark.parametrize("seed", range(30))
-    def test_random_documents(self, seed):
+    @classmethod
+    def documents(cls, seed):
+        """100 documents, one in twenty with a zero weight, a missing point
+        or a point listed twice."""
         rng = random.Random(seed)
         for _ in range(100):
-            data, alpha = self.random_document(rng)
+            data, coeffs, d = cls.random_document(rng)
             fault = rng.random()
             if fault < 0.05:  # a zero weight
                 p = rng.choice(data.points)
@@ -216,24 +239,38 @@ class TestIntegrateAgainstPointSum:
                 data = FixedPointData(data.n, tuple(
                     FixedPoint(q.id, weights) if q is p else q for q in data.points))
             elif fault < 0.1:  # a missing point
-                del alpha[rng.choice(data.points).id]
-            alpha = RestrictionAssignment(alpha)
-            assert (self.outcome(integrate, data, alpha)
-                    == self.outcome(self.point_sum, data, alpha))
+                del coeffs[rng.choice(data.points).id]
+            elif fault < 0.15:  # a point listed twice
+                data = FixedPointData(data.n, data.points + (rng.choice(data.points),))
+            yield data, coeffs, d
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_documents(self, seed):
+        for data, coeffs, d in self.documents(seed):
+            alpha = RestrictionAssignment(
+                {pid: UniPoly.monomial(c, d) for pid, c in coeffs.items()})
+            assert self.outcome(data, alpha) == self.expected(data, coeffs)
+
+    def test_documents_cover_every_outcome(self):
+        kinds = {
+            e if isinstance(e, type) else type(e)
+            for seed in range(30)
+            for e in (self.expected(data, coeffs) for data, coeffs, _ in self.documents(seed))
+        }
+        assert kinds == {Fraction, DuplicateId, WrongWeightCount, ZeroWeight, KeyError}
 
     @pytest.mark.parametrize("seed", range(5))
     def test_zero_assignment(self, seed):
-        data, alpha = self.random_document(random.Random(seed))
-        zero = RestrictionAssignment({pid: UniPoly() for pid in alpha})
+        data, coeffs, _ = self.random_document(random.Random(seed))
+        zero = RestrictionAssignment({pid: UniPoly() for pid in coeffs})
         assert zero.degree is None
-        value = integrate(data, zero)
-        assert (value, repr(value), hash(value)) == self.outcome(self.point_sum, data, zero)
-        assert repr(value) == repr(RatFunc(UniPoly()))
+        expected = self.expected(data, dict.fromkeys(coeffs, 0))
+        assert self.outcome(data, zero) == expected
 
     def test_zero_weight_and_missing_point(self):
         data = FixedPointData(2, (FixedPoint("a", (1, 0)), FixedPoint("b", (1, 1))))
         alpha = RestrictionAssignment({"a": UniPoly([1]), "b": UniPoly([1])})
-        with pytest.raises(ZeroWeight, match=r"zero weight in \(1, 0\)"):
+        with pytest.raises(ZeroWeight, match="point 'a' has a zero weight"):
             integrate(data, alpha)
         with pytest.raises(KeyError, match="'n'"):
             integrate(SPHERE, RestrictionAssignment({"s": UniPoly([1])}))
@@ -242,9 +279,9 @@ class TestIntegrateAgainstPointSum:
         data = hypercube_data(8)
         gamma = gamma_restrictions(data)
         for k in range(9):
+            coeffs = {p.id: p.negative_count**k for p in data.points}
             alpha = RestrictionAssignment({pid: v**k for pid, v in gamma.values.items()})
-            assert (self.outcome(integrate, data, alpha)
-                    == self.outcome(self.point_sum, data, alpha))
+            assert self.outcome(data, alpha) == self.expected(data, coeffs)
 
 
 class TestGammaRestrictions:
@@ -423,6 +460,24 @@ class TestConsistencyCheckIsExact:
             for e in consistency_check(data, max_degree).entries:
                 outcomes.add((e.degree < data.n, e.ok))
         assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+class TestTwoIntegrationRoutes:
+    """consistency_check's value of each Chern monomial is integrate's
+    coefficient of the restrictions prod sigma_i(w)^e_i * x^d."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_entries_are_integrals_of_the_restrictions(self, seed):
+        rng = random.Random(seed)
+        data = random_document(rng)
+        max_degree = rng.choice([0, data.n - 1, data.n, data.n + 2])
+        chern = {p.id: rep_chern_classes(p.weights, data.n) for p in data.points}
+        for entry in consistency_check(data, max_degree).entries:
+            alpha = RestrictionAssignment({
+                pid: math.prod((c**e for c, e in zip(cs, entry.exponents)), start=UniPoly([1]))
+                for pid, cs in chern.items()
+            })
+            assert integrate(data, alpha) == entry.value, entry.exponents
 
 
 class TestChernMonomials:

@@ -211,6 +211,12 @@ class TestPoincare:
         fake = GradedQuotient(2, (1, 2), ((), ()))
         assert not poincare_check(fake, 2).passed
 
+    def test_degrees_not_computed_are_not_compared(self):
+        # n = 4 has degrees 0..3; ranks up to 2 pair only 1 with 2
+        assert poincare_check(GradedQuotient(4, (1, 5, 5), ((), (), ())), 4).passed
+        assert poincare_check(GradedQuotient(4, (1,), ((),)), 4).passed
+        assert not poincare_check(GradedQuotient(4, (1, 5, 4), ((), (), ())), 4).passed
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_all_regular_levels(self, n):
         for c in half_integers(n):
