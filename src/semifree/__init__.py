@@ -27,7 +27,6 @@ from .fixed_points import (
     FixedPointData,
     counts,
     split_by_moment_sign,
-    validate,
 )
 from .localization import (
     RestrictionAssignment,

@@ -28,15 +28,7 @@ from .cube import (
     hypercube_data,
     subset_id,
 )
-from .errors import (
-    DuplicateId,
-    InputError,
-    IntegralTooLarge,
-    RingTooLarge,
-    SemifreeError,
-    WrongWeightCount,
-    ZeroWeight,
-)
+from .errors import InputError, IntegralTooLarge, RingTooLarge, SemifreeError
 from .fixed_points import FixedPoint, FixedPointData, counts
 from .pipeline import run_pipeline
 
@@ -320,7 +312,7 @@ def main(argv=None) -> int:
     try:
         check_ranges(args)
         return args.func(args)
-    except (InputError, DuplicateId, WrongWeightCount, ZeroWeight) as e:
+    except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except SemifreeError as e:

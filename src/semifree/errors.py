@@ -15,15 +15,20 @@ class Underdetermined(SemifreeError):
 
 
 # fixed point data
-class ZeroWeight(SemifreeError):
+class InputError(SemifreeError):
+    """Malformed input: a document or option that does not parse, or
+    fixed-point data that breaks the invariants below."""
+
+
+class ZeroWeight(InputError):
     """A fixed point carries a zero weight (fixed points must be isolated)."""
 
 
-class WrongWeightCount(SemifreeError):
+class WrongWeightCount(InputError):
     """A fixed point does not carry exactly n weights."""
 
 
-class DuplicateId(SemifreeError):
+class DuplicateId(InputError):
     """Two fixed points share an id."""
 
 
@@ -78,7 +83,3 @@ class RingTooLarge(SemifreeError):
 class NotInModule(SemifreeError):
     """A class names a generator a_i outside a_1..a_n, so it has no
     expansion over the alpha basis of the n-cube."""
-
-
-class InputError(SemifreeError):
-    """Malformed input document."""

@@ -2,7 +2,8 @@
 
 A fixed point carries the integer weights of the circle action on its
 tangent space; its index is twice the number of negative weights.  All
-values are immutable once validated.
+values are immutable, and FixedPointData checks its points when built, so
+every instance holds distinct ids and n nonzero weights per point.
 """
 
 from __future__ import annotations
@@ -48,9 +49,21 @@ class FixedPointData:
     points: tuple[FixedPoint, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        # deterministic ordering: by (index, id)
+        """Order the points by (index, id), then raise naming the first
+        point, in that order, with a repeated id or a wrong or zero weight."""
         ordered = tuple(sorted(self.points, key=lambda p: (p.index, p.id)))
         object.__setattr__(self, "points", ordered)
+        seen = set()
+        for p in ordered:
+            if p.id in seen:
+                raise DuplicateId(f"duplicate point id {p.id!r}")
+            seen.add(p.id)
+            if len(p.weights) != self.n:
+                raise WrongWeightCount(
+                    f"point {p.id!r} has {len(p.weights)} weights, expected {self.n}"
+                )
+            if any(w == 0 for w in p.weights):
+                raise ZeroWeight(f"point {p.id!r} has a zero weight")
 
     @property
     def semifree(self) -> bool:
@@ -73,21 +86,6 @@ class CountVector:
         object.__setattr__(self, "N", tuple(int(c) for c in self.N))
         if any(c < 0 for c in self.N):
             raise ValueError("counts must be nonnegative")
-
-
-def validate(data: FixedPointData) -> None:
-    """Check all invariants; raises naming the offending point."""
-    seen = set()
-    for p in data.points:
-        if p.id in seen:
-            raise DuplicateId(f"duplicate point id {p.id!r}")
-        seen.add(p.id)
-        if len(p.weights) != data.n:
-            raise WrongWeightCount(
-                f"point {p.id!r} has {len(p.weights)} weights, expected {data.n}"
-            )
-        if any(w == 0 for w in p.weights):
-            raise ZeroWeight(f"point {p.id!r} has a zero weight")
 
 
 def counts(data: FixedPointData) -> CountVector:

@@ -2,9 +2,9 @@
 moment-constraint machinery for fixed-point data.
 
 The central operation sums restriction / Euler class over the fixed points,
-exactly.  Every restriction is c*x^d and every Euler class w*x^n, so on
-valid data the sum is one rational multiple of x^(d-n), and integrate
-returns that coefficient.  Count prediction is built on top of that sum.
+exactly.  Every restriction is c*x^d and every Euler class w*x^n, so the
+sum is one rational multiple of x^(d-n), and integrate returns that
+coefficient.  Count prediction is built on top of that sum.
 
 The consistency sieve integrates Chern monomials, and for those the sum has
 a closed form: at a point with weights w the monomial c_1^e1 ... c_n^en
@@ -27,7 +27,7 @@ from itertools import accumulate, combinations_with_replacement
 from .algebra import UniPoly, vandermonde_kernel
 from .errors import (CountTooLarge, IntegralTooLarge, NotSemifree,
                      SearchSpaceTooLarge, TooManyMonomials, ZeroWeight)
-from .fixed_points import CountVector, FixedPointData, counts, validate
+from .fixed_points import CountVector, FixedPointData, counts
 
 
 class RestrictionAssignment:
@@ -90,12 +90,11 @@ def integrate(data: FixedPointData, alpha: RestrictionAssignment) -> Fraction:
     """Sum of restriction over Euler class, over all fixed points: the
     coefficient of x^(alpha.degree - n), or 0 for the zero assignment.
 
-    The data is validated first, so every point has n nonzero weights and a
-    nonzero restriction c*x^d over the Euler class prod(w)*x^n is the scalar
+    Every point of FixedPointData has n nonzero weights, so a nonzero
+    restriction c*x^d over the Euler class prod(w)*x^n is the scalar
     c/prod(w) times the one power x^(d - n).  A missing point raises
     KeyError.
     """
-    validate(data)
     total = Fraction(0)
     for p in data.points:
         value = alpha[p.id]
@@ -153,7 +152,6 @@ class MomentEquationReport:
 
 def verify_moment_equations(data: FixedPointData) -> MomentEquationReport:
     """Check the alternating moment sums sum_k N_k k^l (-1)^k = 0, l < n."""
-    validate(data)
     if not data.semifree:
         raise NotSemifree("moment equations hold in this form only for semifree data")
     N = counts(data).N
@@ -305,7 +303,6 @@ def consistency_check(data: FixedPointData, max_degree: int) -> ConsistencyRepor
     (monomial_integrals).  Below the middle degree this must vanish; at or
     above it the value must be an integer.
     """
-    validate(data)
     n = data.n
     monomials = chern_monomials(n, max_degree)
     denominator, sums = monomial_integrals(monomials, [p.weights for p in data.points])

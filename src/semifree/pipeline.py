@@ -6,7 +6,8 @@ binomial multiples of x, every individual restriction is 0 or x, and each
 point of index 2k sees exactly k unit restrictions.  The pipeline checks the
 counts and builds the canonical table, matching the C(n, k) points of index
 2k with the C(n, k) subsets of size k; the same loop records the point ->
-subset map, a bijection respecting the index, in the certificate.
+subset map, a bijection respecting the index, returned beside the
+certificate.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import combinations
 from .algebra import UniPoly, X
 from .cube import alpha_class, all_subsets, beta_class, restrict_class, subset_id
 from .errors import CountMismatch, NoIntegerSolution, NotSemifree
-from .fixed_points import FixedPointData, counts, validate
+from .fixed_points import FixedPointData, counts
 from .localization import predict_counts
 
 
@@ -67,7 +68,6 @@ class Certificate:
     level_sums: tuple[UniPoly, ...]  # index k = 0..n
     level_value_multisets: tuple[tuple[int, ...], ...]
     table: RestrictionTable
-    bijection: Bijection
 
 
 def model_restriction_table(n: int) -> RestrictionTable:
@@ -84,7 +84,6 @@ def model_restriction_table(n: int) -> RestrictionTable:
 
 def run_pipeline(data: FixedPointData) -> tuple[Certificate, Bijection]:
     """Full deduction: counts -> forced sums -> 0/1 values -> bijection."""
-    validate(data)
     if not data.semifree:
         raise NotSemifree("the deduction applies to semifree data only")
     n = data.n
@@ -118,9 +117,7 @@ def run_pipeline(data: FixedPointData) -> tuple[Certificate, Bijection]:
             for j in range(1, n + 1):
                 entries[(j, pid)] = X if j in J else UniPoly()
     table = RestrictionTable(n, tuple(point_levels), entries)
-    bijection = Bijection(n, subsets)
-    cert = Certificate(n, level_sums, multisets, table, bijection)
-    return cert, bijection
+    return Certificate(n, level_sums, multisets, table), Bijection(n, subsets)
 
 
 def beta_comparison_check(n: int) -> bool:

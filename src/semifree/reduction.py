@@ -18,13 +18,14 @@ from itertools import combinations
 from .algebra import echelon_basis, reduce_mod_rows, smith_normal_form
 from .cube import ModelData, all_subsets, chern_coefficient, degree_basis
 from .errors import CountMismatch, NotSemifree, ReductionTooLarge
-from .fixed_points import FixedPointData, counts, split_by_moment_sign, validate
+from .fixed_points import FixedPointData, counts, split_by_moment_sign
 from .localization import predict_counts
 from .pipeline import run_pipeline
 
-# Largest n that graded_quotient accepts: on a 2-core Xeon `reduce --n 9`
-# takes 2.6 s at 25 MB peak; the n = 10 quotient takes about 20 s at 51 MB,
-# 17.6 s of it in echelon_basis (rows 0.9 s, Smith normal form 0.9 s).
+# Largest n that kernel_generators and graded_quotient accept: on a 2-core
+# Xeon `reduce --n 9` takes 1.2 s at 19 MB peak; the n = 10 quotient takes
+# about 8.5 s at 30 MB, 6.8 s of it in echelon_basis (rows 1.3 s, Smith
+# normal form 0.4 s).
 MAX_REDUCE_N = 9
 
 
@@ -71,9 +72,16 @@ def _split(n: int, above) -> IdealPresentation:
                              tuple(J for J in subsets if not above(J)))
 
 
+def _require_reducible(n: int) -> None:
+    if n > MAX_REDUCE_N:
+        raise ReductionTooLarge(f"n={n} exceeds the reduction bound {MAX_REDUCE_N}")
+
+
 def kernel_generators(model: ModelData) -> IdealPresentation:
-    """Split the subsets by moment sign into the two generator families."""
+    """Split the subsets by moment sign into the two generator families,
+    refusing an n above MAX_REDUCE_N before the 2^n subsets are listed."""
     model.require_regular()
+    _require_reducible(model.n)
     return _split(model.n, lambda J: model.mu(J) > 0)
 
 
@@ -98,28 +106,30 @@ def relation_rows(pres: IdealPresentation, d: int) -> list[dict[int, int]]:
     alpha_J a_S y^m is the unit row at J | S; beta_J is a multiple of beta_K
     for J < K, so only maximal negative J count, and a_j (y - a_j) = 0 makes
     beta_J a_S y^m zero unless S lies in J, when it is the sum over T in J^c
-    of (-1)^|T| a_(S|T) y^(...).  The supports [S, S | J^c] differ, so rows
-    are nonzero and distinct unless a negative full set (beta = 1) meets alpha.
+    of (-1)^|T| a_(S|T) y^(...).  The unit rows make every alpha column zero
+    in the quotient, so beta rows are written modulo them, without those
+    columns.  A beta row keeps its column S unless S contains a positive J:
+    on a model level every positive J is larger than every negative one, so
+    no row is empty, and elsewhere echelon_basis drops an empty row.
     """
     col = {S: i for i, (S, _) in enumerate(degree_basis(pres.n, d))}
-    rows = [{i: 1} for S, i in col.items() if any(J.issubset(S) for J in pres.positive)]
+    alpha = {S for S in col if any(J.issubset(S) for J in pres.positive)}
+    rows = [{i: 1} for S, i in col.items() if S in alpha]
     for J in pres.negative:
         if any(J < K for K in pres.negative):
             continue
         comp = tuple(sorted(set(range(1, pres.n + 1)) - J))
         for k in range(d - len(comp) + 1):
             for S in combinations(sorted(J), k):
-                rows.append({col[tuple(sorted(S + T))]: (-1) ** t
-                             for t in range(len(comp) + 1) for T in combinations(comp, t)})
+                rows.append({col[U]: (-1) ** t
+                             for t in range(len(comp) + 1) for T in combinations(comp, t)
+                             if (U := tuple(sorted(S + T))) not in alpha})
     return rows
 
 
 def graded_quotient(pres: IdealPresentation, max_degree: int) -> GradedQuotient:
     """Quotient ring data in cohomological degrees 0, 2, ..., max_degree."""
-    if pres.n > MAX_REDUCE_N:
-        raise ReductionTooLarge(
-            f"n={pres.n} exceeds the reduction bound {MAX_REDUCE_N}"
-        )
+    _require_reducible(pres.n)
     ranks, torsion, bases = [], [], []
     for d in range(max_degree // 2 + 1):
         basis = echelon_basis(relation_rows(pres, d))
@@ -134,11 +144,10 @@ def betti_by_counting(data: FixedPointData) -> tuple[int, ...]:
     """Ranks of degrees 0, 2, .., 2(n-1) of the reduced space, from fixed
     points alone.
 
-    The data is checked once.  Rank 2i counts the downward-class basis
-    elements that survive in degree 2i: points below the level whose index
-    allows an upward contribution minus those whose co-index already does.
+    Rank 2i counts the downward-class basis elements that survive in degree
+    2i: points below the level whose index allows an upward contribution
+    minus those whose co-index already does.
     """
-    validate(data)
     if not data.semifree:
         raise NotSemifree("counting formula requires semifree data")
     n = data.n
@@ -155,7 +164,6 @@ def betti_by_counting(data: FixedPointData) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class ReducedChernEntry:
     degree: int  # cohomological degree 2*degree_index
-    basis: tuple[tuple[tuple[int, ...], int], ...]
     coefficients: tuple[int, ...]
 
 
@@ -170,10 +178,8 @@ def reduced_chern_series(q: GradedQuotient, up_to: int) -> list[ReducedChernEntr
         )
     out = []
     for i in range(1, min(up_to, q.n) + 1):
-        basis = degree_basis(q.n, i)
-        vec = [chern_coefficient(q.n, i, len(S)) for S, _ in basis]
-        reduced = reduce_mod_rows(vec, q.bases[i])
-        out.append(ReducedChernEntry(i, tuple(basis), tuple(reduced)))
+        vec = [chern_coefficient(q.n, i, len(S)) for S, _ in degree_basis(q.n, i)]
+        out.append(ReducedChernEntry(i, tuple(reduce_mod_rows(vec, q.bases[i]))))
     return out
 
 

@@ -239,6 +239,12 @@ class TestOutOfRange:
         assert proc.returncode == 1
         assert "exceeds the reduction bound" in proc.stderr
 
+    def test_reduce_far_above_the_size_bound_refuses_before_listing_subsets(self):
+        # 2^40 subsets: listing them would run for hours or exhaust memory
+        proc = self.run_cli_subprocess(["reduce", "--n", "40"])
+        assert proc.returncode == 1
+        assert "exceeds the reduction bound" in proc.stderr
+
     def test_search_refuses_before_listing_point_shapes(self):
         # 20 million point shapes of 22 weights: listing them needs gigabytes,
         # so under a 1 GB address space only counting them can refuse cleanly

@@ -1,6 +1,7 @@
 """Every module-level function, class and constant in src/semifree is named
-somewhere other than its own definition, in the code of src/, tests/,
-demos/ or perfbench/: a name nothing reads is dead code."""
+somewhere other than its own definition, and every dataclass field there is
+read as an attribute, in the code of src/, tests/, demos/ or perfbench/: a
+name nothing reads is dead code, and a field nothing reads is dead state."""
 
 import ast
 from pathlib import Path
@@ -83,3 +84,44 @@ def test_detects_a_dead_name():
         "user.py": ast.parse("from lib import used\nused()\nprint('Unused')\n"),
     }
     assert dead_names(trees, ["lib.py"]) == ["lib.Y", "lib.recursive", "lib.Unused"]
+
+
+def dataclass_fields(tree: ast.Module) -> list[str]:
+    """Class.field for each annotated field of a @dataclass class."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+            (d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+            for d in node.decorator_list
+        ):
+            out += [f"{node.name}.{s.target.id}" for s in node.body
+                    if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    return out
+
+
+def attributes_read(trees: dict[str, ast.Module]) -> set[str]:
+    """Attribute names loaded anywhere, as in `obj.name`."""
+    return {
+        node.attr for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_dataclass_field_is_read():
+    read = attributes_read(TREES)
+    fields = [f for key in MODULES for f in dataclass_fields(TREES[key])]
+    assert len(fields) > 20
+    assert [f for f in fields if f.split(".")[1] not in read] == []
+
+
+def test_detects_an_unread_field():
+    trees = {
+        "lib.py": ast.parse(
+            "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
+            "@dataclass\nclass B:\n    z: int\n"
+            "class Plain:\n    w: int\n"
+        ),
+        "user.py": ast.parse("a.x\nb.y = 1\nprint('z')\n"),
+    }
+    assert dataclass_fields(trees["lib.py"]) == ["A.x", "A.y", "B.z"]
+    assert attributes_read(trees) == {"x"}

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from semifree.errors import (
     DuplicateId,
+    InputError,
     MissingMomentValue,
     WrongWeightCount,
     ZeroIsCritical,
@@ -17,32 +18,43 @@ from semifree.fixed_points import (
     FixedPointData,
     counts,
     split_by_moment_sign,
-    validate,
 )
 
 SPHERE = FixedPointData(1, (FixedPoint("s", (1,)), FixedPoint("n", (-1,))))
 
 
 class TestValidate:
+    """FixedPointData checks its points when built."""
+
     def test_two_sphere_ok(self):
-        validate(SPHERE)
+        assert [p.id for p in SPHERE.points] == ["s", "n"]
 
     def test_zero_weight(self):
-        data = FixedPointData(2, (FixedPoint("a", (1, 0)),))
         with pytest.raises(ZeroWeight, match="'a'"):
-            validate(data)
+            FixedPointData(2, (FixedPoint("a", (1, 0)),))
 
     def test_wrong_weight_count(self):
-        data = FixedPointData(3, (FixedPoint("a", (1, -1)),))
         with pytest.raises(WrongWeightCount, match="'a'"):
-            validate(data)
+            FixedPointData(3, (FixedPoint("a", (1, -1)),))
 
     def test_duplicate_id(self):
-        data = FixedPointData(
-            1, (FixedPoint("a", (1,)), FixedPoint("a", (-1,)))
-        )
         with pytest.raises(DuplicateId):
-            validate(data)
+            FixedPointData(1, (FixedPoint("a", (1,)), FixedPoint("a", (-1,))))
+
+    @pytest.mark.parametrize("points,error,message", [
+        # index 0 before index 2, whatever the input order
+        ((FixedPoint("a", (-1, 0)), FixedPoint("z", (1, 0))),
+         ZeroWeight, "point 'z' has a zero weight"),
+        ((FixedPoint("a", (-1, -1)), FixedPoint("z", (1,))),
+         WrongWeightCount, "point 'z' has 1 weights, expected 2"),
+        ((FixedPoint("b", (-1, 0)), FixedPoint("a", (1, 1)), FixedPoint("a", (1, -1))),
+         DuplicateId, "duplicate point id 'a'"),
+    ])
+    def test_first_fault_in_index_order(self, points, error, message):
+        with pytest.raises(error) as caught:
+            FixedPointData(2, points)
+        assert str(caught.value) == message
+        assert isinstance(caught.value, InputError)
 
 
 class TestCounts:

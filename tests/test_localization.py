@@ -131,17 +131,13 @@ class TestIntegrate:
 
     def test_duplicate_id_raises(self):
         # counted twice, the sphere would integrate 1 to 1 / x
-        doubled = FixedPointData(1, SPHERE.points + (FixedPoint("s", (1,)),))
-        one = RestrictionAssignment({"s": UniPoly([1]), "n": UniPoly([1])})
         with pytest.raises(DuplicateId):
-            integrate(doubled, one)
+            FixedPointData(1, SPHERE.points + (FixedPoint("s", (1,)),))
 
     def test_mixed_weight_counts_raise(self):
         # summed per power, these would give 1/x^2 - 1/x
-        data = FixedPointData(2, (FixedPoint("a", (1, 1)), FixedPoint("b", (-1,))))
-        one = RestrictionAssignment({"a": UniPoly([1]), "b": UniPoly([1])})
         with pytest.raises(WrongWeightCount):
-            integrate(data, one)
+            FixedPointData(2, (FixedPoint("a", (1, 1)), FixedPoint("b", (-1,))))
 
 
 class TestIntegrateAgainstSympy:
@@ -179,27 +175,27 @@ class TestIntegrateAgainstPointSum:
     points, or against the error a faulty document must raise."""
 
     @staticmethod
-    def expected(data, coeffs):
-        """validate's first fault in point order, then a missing point's
-        KeyError, else the sum of c / prod(w)."""
+    def expected(n, points, coeffs):
+        """The first fault of FixedPointData in (index, id) order, then a
+        missing point's KeyError, else the sum of c / prod(w)."""
         seen = set()
-        for p in data.points:
+        for p in sorted(points, key=lambda p: (p.index, p.id)):
             if p.id in seen:
                 return DuplicateId
             seen.add(p.id)
-            if len(p.weights) != data.n:
+            if len(p.weights) != n:
                 return WrongWeightCount
             if 0 in p.weights:
                 return ZeroWeight
-        if any(p.id not in coeffs for p in data.points):
+        if any(p.id not in coeffs for p in points):
             return KeyError
-        return sum((Fraction(coeffs[p.id], math.prod(p.weights)) for p in data.points),
+        return sum((Fraction(coeffs[p.id], math.prod(p.weights)) for p in points),
                    Fraction(0))
 
     @staticmethod
-    def outcome(data, alpha):
+    def outcome(n, points, alpha):
         try:
-            value = integrate(data, alpha)
+            value = integrate(FixedPointData(n, points), alpha)
         except (KeyError, DuplicateId, WrongWeightCount, ZeroWeight) as e:
             return type(e)
         assert isinstance(value, Fraction)
@@ -209,7 +205,8 @@ class TestIntegrateAgainstPointSum:
     def random_document(rng):
         """n = 1..5 and 1..8 points of weights in [-3, 3], one in ten points
         with one weight too few or too many, and a rational multiple c of x^d,
-        or 0, at each point; returns the data, the c and d."""
+        or 0, at each point; returns n, the points in (index, id) order, the
+        c and d."""
         n = rng.randint(1, 5)
         points = []
         for i in range(rng.randint(1, 8)):
@@ -222,7 +219,7 @@ class TestIntegrateAgainstPointSum:
             else Fraction(rng.randint(-9, 9), rng.randint(1, 6))
             for p in points
         }
-        return FixedPointData(n, tuple(points)), coeffs, d
+        return n, tuple(sorted(points, key=lambda p: (p.index, p.id))), coeffs, d
 
     @classmethod
     def documents(cls, seed):
@@ -230,48 +227,46 @@ class TestIntegrateAgainstPointSum:
         or a point listed twice."""
         rng = random.Random(seed)
         for _ in range(100):
-            data, coeffs, d = cls.random_document(rng)
+            n, points, coeffs, d = cls.random_document(rng)
             fault = rng.random()
             if fault < 0.05:  # a zero weight
-                p = rng.choice(data.points)
+                p = rng.choice(points)
                 k = rng.randrange(len(p.weights))
                 weights = p.weights[:k] + (0,) + p.weights[k + 1:]
-                data = FixedPointData(data.n, tuple(
-                    FixedPoint(q.id, weights) if q is p else q for q in data.points))
+                points = tuple(FixedPoint(q.id, weights) if q is p else q for q in points)
             elif fault < 0.1:  # a missing point
-                del coeffs[rng.choice(data.points).id]
+                del coeffs[rng.choice(points).id]
             elif fault < 0.15:  # a point listed twice
-                data = FixedPointData(data.n, data.points + (rng.choice(data.points),))
-            yield data, coeffs, d
+                points += (rng.choice(points),)
+            yield n, points, coeffs, d
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_documents(self, seed):
-        for data, coeffs, d in self.documents(seed):
+        for n, points, coeffs, d in self.documents(seed):
             alpha = RestrictionAssignment(
                 {pid: UniPoly.monomial(c, d) for pid, c in coeffs.items()})
-            assert self.outcome(data, alpha) == self.expected(data, coeffs)
+            assert self.outcome(n, points, alpha) == self.expected(n, points, coeffs)
 
     def test_documents_cover_every_outcome(self):
         kinds = {
             e if isinstance(e, type) else type(e)
             for seed in range(30)
-            for e in (self.expected(data, coeffs) for data, coeffs, _ in self.documents(seed))
+            for e in (self.expected(n, points, coeffs)
+                      for n, points, coeffs, _ in self.documents(seed))
         }
         assert kinds == {Fraction, DuplicateId, WrongWeightCount, ZeroWeight, KeyError}
 
     @pytest.mark.parametrize("seed", range(5))
     def test_zero_assignment(self, seed):
-        data, coeffs, _ = self.random_document(random.Random(seed))
+        n, points, coeffs, _ = self.random_document(random.Random(seed))
         zero = RestrictionAssignment({pid: UniPoly() for pid in coeffs})
         assert zero.degree is None
-        expected = self.expected(data, dict.fromkeys(coeffs, 0))
-        assert self.outcome(data, zero) == expected
+        expected = self.expected(n, points, dict.fromkeys(coeffs, 0))
+        assert self.outcome(n, points, zero) == expected
 
     def test_zero_weight_and_missing_point(self):
-        data = FixedPointData(2, (FixedPoint("a", (1, 0)), FixedPoint("b", (1, 1))))
-        alpha = RestrictionAssignment({"a": UniPoly([1]), "b": UniPoly([1])})
         with pytest.raises(ZeroWeight, match="point 'a' has a zero weight"):
-            integrate(data, alpha)
+            FixedPointData(2, (FixedPoint("a", (1, 0)), FixedPoint("b", (1, 1))))
         with pytest.raises(KeyError, match="'n'"):
             integrate(SPHERE, RestrictionAssignment({"s": UniPoly([1])}))
 
@@ -281,7 +276,8 @@ class TestIntegrateAgainstPointSum:
         for k in range(9):
             coeffs = {p.id: p.negative_count**k for p in data.points}
             alpha = RestrictionAssignment({pid: v**k for pid, v in gamma.values.items()})
-            assert self.outcome(data, alpha) == self.expected(data, coeffs)
+            assert (self.outcome(data.n, data.points, alpha)
+                    == self.expected(data.n, data.points, coeffs))
 
 
 class TestGammaRestrictions:

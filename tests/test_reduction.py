@@ -9,6 +9,7 @@ from semifree.errors import MissingMomentValue, ReductionTooLarge, ZeroIsCritica
 from semifree.fixed_points import FixedPoint, FixedPointData
 from semifree.reduction import (
     GradedQuotient,
+    IdealPresentation,
     betti_by_counting,
     degree_basis,
     MAX_REDUCE_N,
@@ -53,6 +54,16 @@ def assert_same_lattice(pres, d):
         for row in rows:
             vec = [row.get(j, 0) for j in range(ncols)]
             assert not any(reduce_mod_rows(vec, basis)), (pres.n, d, row)
+
+
+def assert_only_unit_rows_meet_alpha_columns(pres, d):
+    """The rows with an entry at a column a_S y^m, S containing a positive
+    J, are the unit rows at those columns, one each: beta rows are written
+    modulo the alpha rows."""
+    alpha = [i for i, (S, _) in enumerate(degree_basis(pres.n, d))
+             if any(J <= set(S) for J in pres.positive)]
+    meeting = [row for row in relation_rows(pres, d) if row.keys() & set(alpha)]
+    assert sorted(tuple(row.items()) for row in meeting) == [((i, 1),) for i in alpha]
 
 
 def random_sign_document(n, seed):
@@ -115,9 +126,23 @@ class TestGradedQuotient:
         assert q == GradedQuotient(3, (1, 4, 1), ((), (), ()))
 
     def test_size_guard(self):
-        pres = kernel_generators(ModelData(MAX_REDUCE_N + 1, None))
+        pres = IdealPresentation(MAX_REDUCE_N + 1, (), ())
         with pytest.raises(ReductionTooLarge):
             graded_quotient(pres, 0)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_beta_rows_avoid_the_alpha_columns_on_model_levels(self, n):
+        for c in half_integers(n):
+            pres = kernel_generators(ModelData(n, c))
+            for d in range(n + 1):
+                assert_only_unit_rows_meet_alpha_columns(pres, d)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_beta_rows_avoid_the_alpha_columns_for_random_signs(self, seed):
+        n = 2 + seed % 4
+        pres = presentation_from_data(random_sign_document(n, seed))
+        for d in range(n + 1):
+            assert_only_unit_rows_meet_alpha_columns(pres, d)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_relation_rows_are_nonzero_and_distinct(self, n):
