@@ -57,7 +57,7 @@ base = hypercube_data(n)
 scrambled = FixedPointData(
     n, tuple(FixedPoint(f"pt{i}", p.weights) for i, p in enumerate(base.points))
 )
-cert, bijection = run_pipeline(scrambled)
+cert, subset_of = run_pipeline(scrambled)
 print("\nrecovered identification of points with subsets:")
 for pid, level in cert.table.point_levels:
-    print(f"  {pid} (index {2 * level}) -> {sorted(bijection.subsets[pid])}")
+    print(f"  {pid} (index {2 * level}) -> {sorted(subset_of[pid])}")

@@ -40,7 +40,6 @@ from .localization import (
     verify_moment_equations,
 )
 from .pipeline import (
-    Bijection,
     RestrictionTable,
     forced_level_sum,
     model_restriction_table,

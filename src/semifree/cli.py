@@ -197,15 +197,14 @@ def cmd_ring(args) -> int:
 
 def cmd_solve(args) -> int:
     data = load_document(args.file)
-    cert, bijection = run_pipeline(data)
+    cert, subsets = run_pipeline(data)
     n = data.n
     print(f"counts: {' '.join(str(c) for c in counts(data).N)}")
     for k in range(n + 1):
         print(f"level {k}: generator sum = {cert.level_sums[k]}, "
               f"values = {list(cert.level_value_multisets[k])}")
     print("bijection certificate:")
-    for pid, _ in cert.table.point_levels:
-        J = bijection.subsets[pid]
+    for pid, J in subsets.items():
         print(f"  {pid} -> {{{', '.join(str(i) for i in sorted(J))}}}")
     print("restriction data is isomorphic to the model's")
     return EXIT_OK

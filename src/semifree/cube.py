@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .algebra import UniPoly, echelon_basis
-from .errors import NotInModule, ZeroIsCritical
+from .errors import NotInModule, RingTooLarge, ZeroIsCritical
 from .fixed_points import FixedPoint, FixedPointData
 
 Monomial = tuple[tuple[int, ...], int]  # (sorted subset, power of y)
@@ -282,10 +282,13 @@ def injectivity_rank_check(n: int) -> RankCheckReport:
 
     For each degree 2d <= 2n, the restrictions of the module basis elements
     alpha_J * x^(d-|J|), |J| <= d, to all 2^n fixed points must be linearly
-    independent over the rationals.
+    independent over the rationals.  Raises ValueError for n < 1 and
+    RingTooLarge above MAX_INJECTIVITY_N.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if n > MAX_INJECTIVITY_N:
-        raise ValueError(f"n={n} exceeds the bound {MAX_INJECTIVITY_N}")
+        raise RingTooLarge(f"n={n} exceeds the bound {MAX_INJECTIVITY_N}")
     subsets = all_subsets(n)
     # alpha_J * x^(d-|J|) restricts to x^d at supersets of J, else 0: the
     # row of coefficients is the same for every d

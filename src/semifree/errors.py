@@ -77,7 +77,8 @@ class CountMismatch(SemifreeError):
 
 # hypercube model
 class RingTooLarge(SemifreeError):
-    """The model ring tables are asked for at an n above the supported bound."""
+    """The model ring's restriction tables, printed by `ring` or ranked by
+    injectivity_rank_check, are asked for at an n above their bound."""
 
 
 class NotInModule(SemifreeError):

@@ -8,10 +8,12 @@ every instance holds distinct ids and n nonzero weights per point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
+    CountMismatch,
     DuplicateId,
     MissingMomentValue,
     WrongWeightCount,
@@ -94,6 +96,18 @@ def counts(data: FixedPointData) -> CountVector:
     for p in data.points:
         N[p.negative_count] += 1
     return CountVector(tuple(N))
+
+
+def require_binomial_counts(data: FixedPointData) -> CountVector:
+    """The counts of data, raising CountMismatch at the first level k with
+    N_k != C(n, k).  Every lower level matched, so C(n, k) is at most n
+    times the number of points and the message stays short."""
+    cv = counts(data)
+    for k, N_k in enumerate(cv.N):
+        if N_k != (c := math.comb(data.n, k)):
+            raise CountMismatch(f"level {k} has {N_k} point(s), the binomial "
+                                f"row needs C({data.n}, {k}) = {c}")
+    return cv
 
 
 def split_by_moment_sign(

@@ -229,9 +229,16 @@ def chern_monomials(n: int, max_degree: int) -> ChernMonomials:
     return ChernMonomials(n, tuple(exponents), degrees, tuple(steps))
 
 
-def _numerator_rows(monomials: ChernMonomials, shapes):
-    """L and an iterator over the shapes' rows of monomial_numerators, each
-    row made when it is reached."""
+def monomial_numerators(monomials: ChernMonomials, shapes):
+    """Each point shape's integral of every monomial, over one common
+    denominator.
+
+    A shape is a tuple of n nonzero weights w; at it the monomial
+    c_1^e1 ... c_n^en restricts to prod sigma_i(w)^e_i * x^d over the Euler
+    class prod(w) * x^n.  Returns L, the lcm of the shapes' |prod w|, and an
+    iterator, read once, that makes each shape's integer row
+    prod sigma_i(w)^e_i * (L / prod w), in order, when it is reached.
+    """
     products = [math.prod(w) for w in shapes]
     denominator = math.lcm(*products)
     # c_i with i above the largest degree has exponent 0 in every monomial
@@ -248,26 +255,11 @@ def _numerator_rows(monomials: ChernMonomials, shapes):
     return denominator, rows()
 
 
-def monomial_numerators(
-    monomials: ChernMonomials, shapes
-) -> tuple[int, list[list[int]]]:
-    """Each point shape's integral of every monomial, over one common
-    denominator.
-
-    A shape is a tuple of n nonzero weights w; at it the monomial
-    c_1^e1 ... c_n^en restricts to prod sigma_i(w)^e_i * x^d over the Euler
-    class prod(w) * x^n.  Returns L, the lcm of the shapes' |prod w|, and
-    for each shape, in order, the integer row prod sigma_i(w)^e_i * (L / prod w).
-    """
-    denominator, rows = _numerator_rows(monomials, shapes)
-    return denominator, list(rows)
-
-
 def monomial_integrals(monomials: ChernMonomials, shapes) -> tuple[int, list[int]]:
     """Integrals of every monomial over a multiset of point shapes: L and the
     column sums of monomial_numerators, each shape's row added as it is made.
     The monomial of degree d integrates to (sum / L) * x^(d - n)."""
-    denominator, rows = _numerator_rows(monomials, shapes)
+    denominator, rows = monomial_numerators(monomials, shapes)
     # the first row becomes the running sum, added to in place
     sums = next(rows, [0] * len(monomials.exponents))
     for row in rows:

@@ -4,9 +4,10 @@ Given semifree data with binomial counts, the restrictions of the degree-two
 generator classes are forced: their level sums and squared level sums are
 binomial multiples of x, every individual restriction is 0 or x, and each
 point of index 2k sees exactly k unit restrictions.  The pipeline checks the
-counts and builds the canonical table, matching the C(n, k) points of index
-2k with the C(n, k) subsets of size k; the same loop records the point ->
-subset map, a bijection respecting the index, returned beside the
+counts and builds the canonical table, pairing the points in (index, id)
+order with the subsets in (size, lexicographic) order, so the C(n, k) points
+of index 2k meet the C(n, k) subsets of size k; the same loop records this
+point -> subset dict, a bijection respecting the index, returned beside the
 certificate.
 """
 
@@ -14,13 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .algebra import UniPoly, X
 from .cube import alpha_class, all_subsets, beta_class, restrict_class, subset_id
-from .errors import CountMismatch, NoIntegerSolution, NotSemifree
-from .fixed_points import FixedPointData, counts
-from .localization import predict_counts
+from .errors import NoIntegerSolution, NotSemifree
+from .fixed_points import FixedPointData, require_binomial_counts
 
 
 @dataclass(frozen=True)
@@ -30,14 +29,6 @@ class RestrictionTable:
     n: int
     point_levels: tuple[tuple[str, int], ...]  # (point id, negative-weight count)
     entries: dict[tuple[int, str], UniPoly]  # (generator j, point id) -> poly
-
-
-@dataclass(frozen=True)
-class Bijection:
-    """Point id -> subset of {1..n}, respecting the index."""
-
-    n: int
-    subsets: dict[str, frozenset]
 
 
 def forced_level_sum(n: int, k: int) -> UniPoly:
@@ -82,42 +73,29 @@ def model_restriction_table(n: int) -> RestrictionTable:
     return RestrictionTable(n, tuple(point_levels), entries)
 
 
-def run_pipeline(data: FixedPointData) -> tuple[Certificate, Bijection]:
-    """Full deduction: counts -> forced sums -> 0/1 values -> bijection."""
+def run_pipeline(data: FixedPointData) -> tuple[Certificate, dict[str, frozenset]]:
+    """Full deduction: counts -> forced sums -> 0/1 values -> the point ->
+    subset map, in level order."""
     if not data.semifree:
         raise NotSemifree("the deduction applies to semifree data only")
     n = data.n
-    if counts(data).N != predict_counts(n, 1).N:
-        raise CountMismatch(
-            f"counts {counts(data).N} differ from the binomial row {predict_counts(n, 1).N}"
-        )
+    N = require_binomial_counts(data).N
     level_sums = tuple(forced_level_sum(n, k) for k in range(n + 1))
-    multisets = tuple(
-        solve_value_multiset(
-            math.comb(n - 1, k - 1) if k >= 1 else 0, math.comb(n, k)
-        )
-        for k in range(n + 1)
-    )
+    multisets = tuple(solve_value_multiset(int(s.coefficient(1)), N_k)
+                      for s, N_k in zip(level_sums, N))
 
-    # canonical realization: within each level, points ordered by id are
-    # matched with subsets in lexicographic order.  With distinct ids and
-    # N_k = C(n, k) this pairs every point with its own subset of size k
-    # and uses every subset, so the map is a bijection respecting the index.
-    by_level: dict[int, list[str]] = {}
-    for p in data.points:
-        by_level.setdefault(p.negative_count, []).append(p.id)
+    # canonical realization: points in (index, id) order meet subsets in
+    # (size, lex) order; with N_k = C(n, k) each point of index 2k gets its
+    # own k-subset and every subset is used, a bijection respecting the index
     entries: dict[tuple[int, str], UniPoly] = {}
-    point_levels = []
     subsets: dict[str, frozenset] = {}
-    for k in range(n + 1):
-        pids = sorted(by_level.get(k, []))
-        for pid, J in zip(pids, combinations(range(1, n + 1), k), strict=True):
-            point_levels.append((pid, k))
-            subsets[pid] = frozenset(J)
-            for j in range(1, n + 1):
-                entries[(j, pid)] = X if j in J else UniPoly()
-    table = RestrictionTable(n, tuple(point_levels), entries)
-    return Certificate(n, level_sums, multisets, table), Bijection(n, subsets)
+    for p, J in zip(data.points, all_subsets(n), strict=True):
+        subsets[p.id] = J
+        for j in range(1, n + 1):
+            entries[(j, p.id)] = X if j in J else UniPoly()
+    point_levels = tuple((pid, len(J)) for pid, J in subsets.items())
+    table = RestrictionTable(n, point_levels, entries)
+    return Certificate(n, level_sums, multisets, table), subsets
 
 
 def beta_comparison_check(n: int) -> bool:

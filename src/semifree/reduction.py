@@ -17,9 +17,8 @@ from itertools import combinations
 
 from .algebra import echelon_basis, reduce_mod_rows, smith_normal_form
 from .cube import ModelData, all_subsets, chern_coefficient, degree_basis
-from .errors import CountMismatch, NotSemifree, ReductionTooLarge
-from .fixed_points import FixedPointData, counts, split_by_moment_sign
-from .localization import predict_counts
+from .errors import NotSemifree, ReductionTooLarge
+from .fixed_points import FixedPointData, require_binomial_counts, split_by_moment_sign
 from .pipeline import run_pipeline
 
 # Largest n that kernel_generators and graded_quotient accept: on a 2-core
@@ -91,9 +90,9 @@ def presentation_from_data(data: FixedPointData) -> IdealPresentation:
     The deduction pipeline labels points by subsets; the moment sign of a
     point then decides which family its subset lands in.
     """
-    _, bijection = run_pipeline(data)
+    _, subsets = run_pipeline(data)
     plus, _ = split_by_moment_sign(data)
-    up = {bijection.subsets[p.id] for p in plus}
+    up = {subsets[p.id] for p in plus}
     return _split(data.n, up.__contains__)
 
 
@@ -151,8 +150,7 @@ def betti_by_counting(data: FixedPointData) -> tuple[int, ...]:
     if not data.semifree:
         raise NotSemifree("counting formula requires semifree data")
     n = data.n
-    if counts(data).N != predict_counts(n, 1).N:
-        raise CountMismatch("counts are not the binomial row")
+    require_binomial_counts(data)
     _, minus = split_by_moment_sign(data)
     return tuple(
         sum(1 for p in minus if p.negative_count <= i)

@@ -105,7 +105,7 @@ def test_criterion_4_remark_search():
 def test_criterion_5_deduction_pipeline_matches_model():
     ok = True
     for n in range(1, 7):
-        cert, bijection = run_pipeline(hypercube_data(n))
+        cert, subset_of = run_pipeline(hypercube_data(n))
         model = model_restriction_table(n)
         ok &= cert.table.point_levels == model.point_levels
         ok &= cert.table.entries == model.entries
@@ -120,10 +120,10 @@ def test_criterion_5_deduction_pipeline_matches_model():
                 cert.table.entries[(j, pid)] == UniPoly.monomial(1, 1)
                 for j in range(1, n + 1)
             ) == level
-        subsets = set(bijection.subsets.values())
+        subsets = set(subset_of.values())
         ok &= len(subsets) == 2**n
         ok &= all(
-            len(bijection.subsets[pid]) == lvl for pid, lvl in cert.table.point_levels
+            len(subset_of[pid]) == lvl for pid, lvl in cert.table.point_levels
         )
     report("5 pipeline table equals the model table, n <= 6", ok)
 

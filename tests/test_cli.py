@@ -245,6 +245,20 @@ class TestOutOfRange:
         assert proc.returncode == 1
         assert "exceeds the reduction bound" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["solve", "reduce"])
+    def test_count_mismatch_far_from_the_binomial_row_is_one_short_line(
+            self, command, tmp_path):
+        # the binomial row of n = 3000 has about a million digits; the error
+        # names only the first level that differs
+        path = tmp_path / "pair.txt"
+        path.write_text("n = 3000\npoint A weights" + " 1" * 3000 + " moment -1/2"
+                        + "\npoint B weights" + " -1" * 3000 + " moment 1/2\n")
+        proc = self.run_cli_subprocess([command, str(path)])
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and len(proc.stderr.encode()) < 200
+        assert proc.stderr == (
+            "error: level 1 has 0 point(s), the binomial row needs C(3000, 1) = 3000\n")
+
     def test_search_refuses_before_listing_point_shapes(self):
         # 20 million point shapes of 22 weights: listing them needs gigabytes,
         # so under a 1 GB address space only counting them can refuse cleanly

@@ -19,7 +19,7 @@ from semifree.cube import (
     restrict_class,
     subset_id,
 )
-from semifree.errors import NotInModule, ZeroIsCritical
+from semifree.errors import NotInModule, RingTooLarge, ZeroIsCritical
 
 
 def random_class(rng, n, max_terms=4, max_y=3):
@@ -186,8 +186,13 @@ class TestInjectivity:
         assert injectivity_rank_check(n).passed
 
     def test_above_the_bound_is_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(RingTooLarge, match="n=13 exceeds the bound 12"):
             injectivity_rank_check(13)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_below_one_is_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            injectivity_rank_check(n)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_a_per_degree_rebuild(self, n):

@@ -14,6 +14,7 @@ from semifree.pipeline import (
     run_pipeline,
     solve_value_multiset,
 )
+from semifree.reduction import betti_by_counting
 
 
 class TestForcedLevelSums:
@@ -74,12 +75,12 @@ class TestSolveValueMultiset:
 class TestRunPipeline:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_model_table(self, n):
-        cert, bijection = run_pipeline(hypercube_data(n))
+        cert, subsets = run_pipeline(hypercube_data(n))
         model = model_restriction_table(n)
         assert cert.table.point_levels == model.point_levels
         assert cert.table.entries == model.entries
         # bijection identifies each model point with its own subset
-        for pid, J in bijection.subsets.items():
+        for pid, J in subsets.items():
             assert pid == "p" + "".join(str(i) for i in sorted(J))
 
     def test_level_sums_in_certificate(self):
@@ -103,10 +104,20 @@ class TestRunPipeline:
         with pytest.raises(CountMismatch):
             run_pipeline(data)
 
+    def test_missing_middle_point_gives_one_message(self):
+        # the counting formula and the deduction share one binomial-row check
+        base = hypercube_data(4, with_moment=True)
+        data = FixedPointData(4, tuple(p for p in base.points if p.id != "p23"))
+        message = "level 2 has 5 point(s), the binomial row needs C(4, 2) = 6"
+        for run in (run_pipeline, betti_by_counting):
+            with pytest.raises(CountMismatch) as excinfo:
+                run(data)
+            assert str(excinfo.value) == message
+
     def test_sphere_trivial_certificate(self):
         data = FixedPointData(1, (FixedPoint("s", (1,)), FixedPoint("n", (-1,))))
-        cert, bijection = run_pipeline(data)
-        assert bijection.subsets == {"s": frozenset(), "n": frozenset({1})}
+        cert, subsets = run_pipeline(data)
+        assert subsets == {"s": frozenset(), "n": frozenset({1})}
 
     def test_relabeled_data_still_identified(self):
         # ids unrelated to subsets: the certificate must still be a bijection
@@ -118,9 +129,9 @@ class TestRunPipeline:
                 for i, p in enumerate(base.points)
             ),
         )
-        _, bijection = run_pipeline(renamed)
-        assert sorted(map(len, bijection.subsets.values())) == [0, 1, 1, 1, 2, 2, 2, 3]
-        assert len(set(bijection.subsets.values())) == 8
+        _, subsets = run_pipeline(renamed)
+        assert sorted(map(len, subsets.values())) == [0, 1, 1, 1, 2, 2, 2, 3]
+        assert len(set(subsets.values())) == 8
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
