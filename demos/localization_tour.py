@@ -35,8 +35,8 @@ print("Euler characteristic of the sphere:", integrate(sphere, top))
 # one per subset of sphere indices.
 n = 3
 cube = hypercube_data(n)
-print(f"\nfixed-point counts of the n={n} model:", counts(cube).N)
-print("counts forced for ANY semifree datum:", predict_counts(n, 1).N)
+print(f"\nfixed-point counts of the n={n} model:", counts(cube))
+print("counts forced for ANY semifree datum:", predict_counts(n, 1))
 
 # Below the middle degree, every power of the canonical degree-two class
 # integrates to zero; these are the moment equations.

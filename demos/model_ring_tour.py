@@ -57,7 +57,7 @@ base = hypercube_data(n)
 scrambled = FixedPointData(
     n, tuple(FixedPoint(f"pt{i}", p.weights) for i, p in enumerate(base.points))
 )
-cert, subset_of = run_pipeline(scrambled)
+subset_of = run_pipeline(scrambled)
 print("\nrecovered identification of points with subsets:")
-for pid, level in cert.table.point_levels:
-    print(f"  {pid} (index {2 * level}) -> {sorted(subset_of[pid])}")
+for pid, J in subset_of.items():
+    print(f"  {pid} (index {2 * len(J)}) -> {sorted(J)}")

@@ -22,7 +22,6 @@ from .cube import (
     restrict_class,
 )
 from .fixed_points import (
-    CountVector,
     FixedPoint,
     FixedPointData,
     counts,
@@ -40,9 +39,7 @@ from .localization import (
     verify_moment_equations,
 )
 from .pipeline import (
-    RestrictionTable,
     forced_level_sum,
-    model_restriction_table,
     run_pipeline,
     solve_value_multiset,
 )

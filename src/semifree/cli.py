@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -29,8 +30,8 @@ from .cube import (
     subset_id,
 )
 from .errors import InputError, IntegralTooLarge, RingTooLarge, SemifreeError
-from .fixed_points import FixedPoint, FixedPointData, counts
-from .pipeline import run_pipeline
+from .fixed_points import FixedPoint, FixedPointData
+from .pipeline import forced_level_sum, run_pipeline, solve_value_multiset
 
 EXIT_OK = 0
 EXIT_CONSTRAINT = 1
@@ -68,6 +69,7 @@ def parse_document(text: str) -> FixedPointData:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        tokens = line.split()
         if line.startswith("n"):
             parts = line.replace("=", " ").split()
             if len(parts) != 2 or parts[0] != "n":
@@ -76,10 +78,9 @@ def parse_document(text: str) -> FixedPointData:
                 n = int(parts[1])
             except ValueError:
                 raise InputError(f"line {lineno}: bad n {parts[1]!r}")
-        elif line.startswith("point"):
+        elif tokens[0] == "point":
             if n is None:
                 raise InputError(f"line {lineno}: 'n = ...' must come first")
-            tokens = line.split()
             if len(tokens) < 3 or tokens[2] != "weights":
                 raise InputError(
                     f"line {lineno}: expected 'point <id> weights w1 ... [moment p/q]'"
@@ -155,8 +156,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_count(args) -> int:
-    cv = localization.predict_counts(args.n, args.N0)
-    print(" ".join(str(c) for c in cv.N))
+    print(" ".join(str(c) for c in localization.predict_counts(args.n, args.N0)))
     return EXIT_OK
 
 
@@ -197,12 +197,14 @@ def cmd_ring(args) -> int:
 
 def cmd_solve(args) -> int:
     data = load_document(args.file)
-    cert, subsets = run_pipeline(data)
+    subsets = run_pipeline(data)
     n = data.n
-    print(f"counts: {' '.join(str(c) for c in counts(data).N)}")
-    for k in range(n + 1):
-        print(f"level {k}: generator sum = {cert.level_sums[k]}, "
-              f"values = {list(cert.level_value_multisets[k])}")
+    row = [math.comb(n, k) for k in range(n + 1)]  # the counts just checked
+    print(f"counts: {' '.join(map(str, row))}")
+    for k, N_k in enumerate(row):
+        level_sum = forced_level_sum(n, k)
+        values = solve_value_multiset(int(level_sum.coefficient(1)), N_k)
+        print(f"level {k}: generator sum = {level_sum}, values = {list(values)}")
     print("bijection certificate:")
     for pid, J in subsets.items():
         print(f"  {pid} -> {{{', '.join(str(i) for i in sorted(J))}}}")

@@ -78,36 +78,24 @@ class FixedPointData:
         raise KeyError(pid)
 
 
-@dataclass(frozen=True)
-class CountVector:
-    """N[k] = number of fixed points with k negative weights, k = 0..n."""
-
-    N: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "N", tuple(int(c) for c in self.N))
-        if any(c < 0 for c in self.N):
-            raise ValueError("counts must be nonnegative")
-
-
-def counts(data: FixedPointData) -> CountVector:
-    """Tally points by their number of negative weights."""
+def counts(data: FixedPointData) -> tuple[int, ...]:
+    """N[k] = number of points with k negative weights, k = 0..n."""
     N = [0] * (data.n + 1)
     for p in data.points:
         N[p.negative_count] += 1
-    return CountVector(tuple(N))
+    return tuple(N)
 
 
-def require_binomial_counts(data: FixedPointData) -> CountVector:
+def require_binomial_counts(data: FixedPointData) -> tuple[int, ...]:
     """The counts of data, raising CountMismatch at the first level k with
     N_k != C(n, k).  Every lower level matched, so C(n, k) is at most n
     times the number of points and the message stays short."""
-    cv = counts(data)
-    for k, N_k in enumerate(cv.N):
+    N = counts(data)
+    for k, N_k in enumerate(N):
         if N_k != (c := math.comb(data.n, k)):
             raise CountMismatch(f"level {k} has {N_k} point(s), the binomial "
                                 f"row needs C({data.n}, {k}) = {c}")
-    return cv
+    return N
 
 
 def split_by_moment_sign(

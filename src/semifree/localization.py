@@ -27,7 +27,7 @@ from itertools import accumulate, combinations_with_replacement
 from .algebra import UniPoly, vandermonde_kernel
 from .errors import (CountTooLarge, IntegralTooLarge, NotSemifree,
                      SearchSpaceTooLarge, TooManyMonomials, ZeroWeight)
-from .fixed_points import CountVector, FixedPointData, counts
+from .fixed_points import FixedPointData, counts
 
 
 class RestrictionAssignment:
@@ -127,7 +127,7 @@ MAX_COUNT_DIGITS = 4300
 DIGITS_LIMIT = 10**MAX_COUNT_DIGITS
 
 
-def predict_counts(n: int, N0: int) -> CountVector:
+def predict_counts(n: int, N0: int) -> tuple[int, ...]:
     """Counts forced by the moment equations: N_k = N0 * C(n, k)."""
     if n < 1 or N0 < 1:
         raise ValueError("n and N0 must be at least 1")
@@ -138,7 +138,7 @@ def predict_counts(n: int, N0: int) -> CountVector:
             f"N0 * C({n}, {n // 2}) has more than {MAX_COUNT_DIGITS} digits"
         )
     kernel = vandermonde_kernel(n)
-    return CountVector(tuple(int(N0 * abs(a)) for a in kernel))
+    return tuple(int(N0 * abs(a)) for a in kernel)
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def verify_moment_equations(data: FixedPointData) -> MomentEquationReport:
     """Check the alternating moment sums sum_k N_k k^l (-1)^k = 0, l < n."""
     if not data.semifree:
         raise NotSemifree("moment equations hold in this form only for semifree data")
-    N = counts(data).N
+    N = counts(data)
     sums = []
     for l in range(data.n):
         s = sum(Fraction(N[k] * k**l * (-1) ** k) for k in range(data.n + 1))

@@ -2,33 +2,22 @@
 
 Given semifree data with binomial counts, the restrictions of the degree-two
 generator classes are forced: their level sums and squared level sums are
-binomial multiples of x, every individual restriction is 0 or x, and each
-point of index 2k sees exactly k unit restrictions.  The pipeline checks the
-counts and builds the canonical table, pairing the points in (index, id)
-order with the subsets in (size, lexicographic) order, so the C(n, k) points
-of index 2k meet the C(n, k) subsets of size k; the same loop records this
-point -> subset dict, a bijection respecting the index, returned beside the
-certificate.
+binomial multiples of x (forced_level_sum), every individual restriction is
+0 or x (solve_value_multiset), and each point of index 2k sees exactly k
+unit restrictions.  The pipeline checks the counts and pairs the points in
+(index, id) order with the subsets in (size, lexicographic) order, so the
+C(n, k) points of index 2k meet the C(n, k) subsets of size k; the point ->
+subset dict it returns is a bijection respecting the index.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .algebra import UniPoly, X
-from .cube import alpha_class, all_subsets, beta_class, restrict_class, subset_id
+from .algebra import UniPoly
+from .cube import all_subsets
 from .errors import NoIntegerSolution, NotSemifree
 from .fixed_points import FixedPointData, require_binomial_counts
-
-
-@dataclass(frozen=True)
-class RestrictionTable:
-    """Restrictions of the n degree-two generators to every fixed point."""
-
-    n: int
-    point_levels: tuple[tuple[str, int], ...]  # (point id, negative-weight count)
-    entries: dict[tuple[int, str], UniPoly]  # (generator j, point id) -> poly
 
 
 def forced_level_sum(n: int, k: int) -> UniPoly:
@@ -53,60 +42,12 @@ def solve_value_multiset(total: int, count: int) -> tuple[int, ...]:
     return (1,) * total + (0,) * (count - total)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    n: int
-    level_sums: tuple[UniPoly, ...]  # index k = 0..n
-    level_value_multisets: tuple[tuple[int, ...], ...]
-    table: RestrictionTable
-
-
-def model_restriction_table(n: int) -> RestrictionTable:
-    """The table of the model space, computed from the ring side."""
-    point_levels = []
-    entries = {}
-    for J in all_subsets(n):
-        pid = subset_id(J)
-        point_levels.append((pid, len(J)))
-        for j in range(1, n + 1):
-            entries[(j, pid)] = restrict_class(alpha_class({j}), J)
-    return RestrictionTable(n, tuple(point_levels), entries)
-
-
-def run_pipeline(data: FixedPointData) -> tuple[Certificate, dict[str, frozenset]]:
-    """Full deduction: counts -> forced sums -> 0/1 values -> the point ->
-    subset map, in level order."""
+def run_pipeline(data: FixedPointData) -> dict[str, frozenset]:
+    """The point -> subset map, in level order, once the data is checked
+    to be semifree with binomial counts, which force it."""
     if not data.semifree:
         raise NotSemifree("the deduction applies to semifree data only")
-    n = data.n
-    N = require_binomial_counts(data).N
-    level_sums = tuple(forced_level_sum(n, k) for k in range(n + 1))
-    multisets = tuple(solve_value_multiset(int(s.coefficient(1)), N_k)
-                      for s, N_k in zip(level_sums, N))
-
-    # canonical realization: points in (index, id) order meet subsets in
-    # (size, lex) order; with N_k = C(n, k) each point of index 2k gets its
-    # own k-subset and every subset is used, a bijection respecting the index
-    entries: dict[tuple[int, str], UniPoly] = {}
-    subsets: dict[str, frozenset] = {}
-    for p, J in zip(data.points, all_subsets(n), strict=True):
-        subsets[p.id] = J
-        for j in range(1, n + 1):
-            entries[(j, p.id)] = X if j in J else UniPoly()
-    point_levels = tuple((pid, len(J)) for pid, J in subsets.items())
-    table = RestrictionTable(n, point_levels, entries)
-    return Certificate(n, level_sums, multisets, table), subsets
-
-
-def beta_comparison_check(n: int) -> bool:
-    """Model identity behind the downward classes: for every subset J and
-    generator j, a_j|_J * x^(n-|J|) equals beta_J|_{j} * x."""
-    for J in all_subsets(n):
-        k = len(J)
-        beta = beta_class(J, n)
-        for j in range(1, n + 1):
-            lhs = restrict_class(alpha_class({j}), J) * UniPoly.monomial(1, n - k)
-            rhs = restrict_class(beta, {j}) * X
-            if lhs != rhs:
-                return False
-    return True
+    require_binomial_counts(data)
+    # with N_k = C(n, k) each point of index 2k gets its own k-subset and
+    # every subset is used: generator j restricts to x there iff j is in it
+    return {p.id: J for p, J in zip(data.points, all_subsets(data.n), strict=True)}

@@ -90,7 +90,7 @@ def presentation_from_data(data: FixedPointData) -> IdealPresentation:
     The deduction pipeline labels points by subsets; the moment sign of a
     point then decides which family its subset lands in.
     """
-    _, subsets = run_pipeline(data)
+    subsets = run_pipeline(data)
     plus, _ = split_by_moment_sign(data)
     up = {subsets[p.id] for p in plus}
     return _split(data.n, up.__contains__)
@@ -145,7 +145,11 @@ def betti_by_counting(data: FixedPointData) -> tuple[int, ...]:
 
     Rank 2i counts the downward-class basis elements that survive in degree
     2i: points below the level whose index allows an upward contribution
-    minus those whose co-index already does.
+    minus those whose co-index already does.  The binomial-row check and
+    the moment split are repeated here on purpose, even where the
+    presentation of the same data has just run them: this route reads the
+    document alone, not the pipeline's point -> subset map, so it
+    cross-checks the quotient ranks independently.
     """
     if not data.semifree:
         raise NotSemifree("counting formula requires semifree data")

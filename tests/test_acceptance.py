@@ -26,11 +26,7 @@ from semifree.localization import (
     integrate,
     search_candidates,
 )
-from semifree.pipeline import (
-    forced_level_sum,
-    model_restriction_table,
-    run_pipeline,
-)
+from semifree.pipeline import forced_level_sum, run_pipeline
 from semifree.reduction import (
     betti_by_counting,
     graded_quotient,
@@ -104,28 +100,29 @@ def test_criterion_4_remark_search():
 
 def test_criterion_5_deduction_pipeline_matches_model():
     ok = True
+    x = UniPoly.monomial(1, 1)
     for n in range(1, 7):
-        cert, subset_of = run_pipeline(hypercube_data(n))
-        model = model_restriction_table(n)
-        ok &= cert.table.point_levels == model.point_levels
-        ok &= cert.table.entries == model.entries
-        for k in range(n + 1):
-            coeff = math.comb(n - 1, k - 1) if k else 0
-            ok &= cert.level_sums[k] == (
-                UniPoly.monomial(coeff, 1) if coeff else UniPoly()
-            )
-            ok &= cert.level_sums[k] == forced_level_sum(n, k)
-        for pid, level in cert.table.point_levels:
-            ok &= sum(
-                cert.table.entries[(j, pid)] == UniPoly.monomial(1, 1)
-                for j in range(1, n + 1)
-            ) == level
-        subsets = set(subset_of.values())
-        ok &= len(subsets) == 2**n
+        data = hypercube_data(n)
+        subset_of = run_pipeline(data)
+        # a level-preserving bijection onto the subsets of {1..n}
+        ok &= len(subset_of) == len(data.points) == 2**n
+        ok &= set(subset_of.values()) == set(all_subsets(n))
         ok &= all(
-            len(subset_of[pid]) == lvl for pid, lvl in cert.table.point_levels
+            len(J) == data.point(pid).negative_count for pid, J in subset_of.items()
         )
-    report("5 pipeline table equals the model table, n <= 6", ok)
+        for j in range(1, n + 1):
+            a_j = alpha_class({j})
+            level_sums = [UniPoly()] * (n + 1)
+            for J in subset_of.values():
+                value = restrict_class(a_j, J)
+                ok &= value == (x if j in J else UniPoly())
+                level_sums[len(J)] += value
+            for k in range(n + 1):
+                coeff = math.comb(n - 1, k - 1) if k else 0
+                ok &= level_sums[k] == forced_level_sum(n, k) == (
+                    UniPoly.monomial(coeff, 1) if coeff else UniPoly()
+                )
+    report("5 pipeline map matches the model's restrictions, n <= 6", ok)
 
 
 def test_criterion_6_injectivity_ranks():

@@ -104,6 +104,15 @@ class TestExitCodes:
     def test_missing_file(self):
         assert main(["check", "/nonexistent/path.txt"]) == 2
 
+    @pytest.mark.parametrize("line", ["points A weights 1", "pointless A weights 1"])
+    def test_misspelled_point_directive(self, tmp_path, capsys, line):
+        # only the word `point` opens a point line, as only `n` opens the n line
+        f = tmp_path / "misspelled.txt"
+        f.write_text(f"n = 1\n{line}\npoint B weights -1\n")
+        assert main(["solve", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: line 2: unrecognized directive {line!r}\n"
+
     def test_validation_error_is_input_error(self, tmp_path):
         f = tmp_path / "zero.txt"
         f.write_text("n = 2\npoint A weights 1 0\n")

@@ -71,7 +71,7 @@ class TestAlphaClass:
         cls = alpha_class({1, 2})
         assert restrict_class(cls, {1, 2}) == UniPoly.monomial(1, 2)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_support_rule(self, n):
         for J in all_subsets(n):
             cls = alpha_class(J)
@@ -93,7 +93,7 @@ class TestBetaClass:
         assert restrict_class(b, {2}) == UniPoly()
         assert restrict_class(b, {1, 2}) == UniPoly()
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_support_rule(self, n):
         for J in all_subsets(n):
             b = beta_class(J, n)

@@ -59,23 +59,23 @@ class TestValidate:
 
 class TestCounts:
     def test_two_sphere(self):
-        assert counts(SPHERE).N == (1, 1)
+        assert counts(SPHERE) == (1, 1)
 
     def test_hypercube(self):
-        assert counts(hypercube_data(3)).N == (1, 3, 3, 1)
+        assert counts(hypercube_data(3)) == (1, 3, 3, 1)
 
     def test_non_semifree_pair(self):
         data = FixedPointData(
             3, (FixedPoint("a", (1, 1, -2)), FixedPoint("b", (-1, -1, 2)))
         )
-        assert counts(data).N == (0, 1, 1, 0)
+        assert counts(data) == (0, 1, 1, 0)
 
     @given(st.permutations(list(range(8))))
     @settings(deadline=None)
     def test_invariant_under_point_order(self, perm):
         base = hypercube_data(3).points
         shuffled = FixedPointData(3, tuple(base[i] for i in perm))
-        assert counts(shuffled).N == (1, 3, 3, 1)
+        assert counts(shuffled) == (1, 3, 3, 1)
 
     def test_semifree_flag_and_index(self):
         data = hypercube_data(4)

@@ -4,16 +4,10 @@ from fractions import Fraction
 import pytest
 
 from semifree.algebra import UniPoly, X, vandermonde_complete
-from semifree.cube import hypercube_data
+from semifree.cube import all_subsets, alpha_class, hypercube_data, restrict_class
 from semifree.errors import CountMismatch, NoIntegerSolution
 from semifree.fixed_points import FixedPoint, FixedPointData
-from semifree.pipeline import (
-    beta_comparison_check,
-    forced_level_sum,
-    model_restriction_table,
-    run_pipeline,
-    solve_value_multiset,
-)
+from semifree.pipeline import forced_level_sum, run_pipeline, solve_value_multiset
 from semifree.reduction import betti_by_counting
 
 
@@ -75,21 +69,31 @@ class TestSolveValueMultiset:
 class TestRunPipeline:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_model_table(self, n):
-        cert, subsets = run_pipeline(hypercube_data(n))
-        model = model_restriction_table(n)
-        assert cert.table.point_levels == model.point_levels
-        assert cert.table.entries == model.entries
-        # bijection identifies each model point with its own subset
+        data = hypercube_data(n)
+        subsets = run_pipeline(data)
+        # a bijection onto the subsets that keeps the level, in level order
+        assert list(subsets.values()) == all_subsets(n)
         for pid, J in subsets.items():
+            assert len(J) == data.point(pid).negative_count
+            # each model point is identified with its own subset
             assert pid == "p" + "".join(str(i) for i in sorted(J))
+            # where the model's a_j restricts to x exactly for j in J
+            for j in range(1, n + 1):
+                assert restrict_class(alpha_class({j}), J) == (
+                    X if j in J else UniPoly()
+                )
 
     def test_level_sums_in_certificate(self):
-        cert, _ = run_pipeline(hypercube_data(4))
-        for k in range(5):
-            assert cert.level_sums[k] == forced_level_sum(4, k)
-            assert cert.level_value_multisets[k] == solve_value_multiset(
-                math.comb(3, k - 1) if k else 0, math.comb(4, k)
-            )
+        subsets = run_pipeline(hypercube_data(4))
+        for j in range(1, 5):
+            for k in range(5):
+                level = [restrict_class(alpha_class({j}), J)
+                         for J in subsets.values() if len(J) == k]
+                assert sum(level, UniPoly()) == forced_level_sum(4, k)
+                values = sorted((v.coefficient(1) for v in level), reverse=True)
+                assert tuple(values) == solve_value_multiset(
+                    math.comb(3, k - 1) if k else 0, math.comb(4, k)
+                )
 
     def test_count_mismatch(self):
         data = FixedPointData(
@@ -116,11 +120,10 @@ class TestRunPipeline:
 
     def test_sphere_trivial_certificate(self):
         data = FixedPointData(1, (FixedPoint("s", (1,)), FixedPoint("n", (-1,))))
-        cert, subsets = run_pipeline(data)
-        assert subsets == {"s": frozenset(), "n": frozenset({1})}
+        assert run_pipeline(data) == {"s": frozenset(), "n": frozenset({1})}
 
     def test_relabeled_data_still_identified(self):
-        # ids unrelated to subsets: the certificate must still be a bijection
+        # ids unrelated to subsets: the map must still be a bijection
         base = hypercube_data(3)
         renamed = FixedPointData(
             3,
@@ -129,11 +132,7 @@ class TestRunPipeline:
                 for i, p in enumerate(base.points)
             ),
         )
-        _, subsets = run_pipeline(renamed)
+        subsets = run_pipeline(renamed)
         assert sorted(map(len, subsets.values())) == [0, 1, 1, 1, 2, 2, 2, 3]
         assert len(set(subsets.values())) == 8
 
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_beta_comparison_identity(n):
-    assert beta_comparison_check(n)
