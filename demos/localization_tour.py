@@ -4,11 +4,11 @@ the forced fixed-point counts, and the consistency sieve for weight data.
 Run with:  python3 demos/localization_tour.py
 """
 
-from semifree.algebra import UniPoly
 from semifree import (
     FixedPoint,
     FixedPointData,
     RestrictionAssignment,
+    Term,
     consistency_check,
     counts,
     euler_class,
@@ -23,7 +23,7 @@ from semifree import (
 # The simplest datum: a single two-sphere rotating about its axis.  Two
 # fixed points, weights +1 at the bottom and -1 at the top.
 sphere = FixedPointData(1, (FixedPoint("south", (1,)), FixedPoint("north", (-1,))))
-one = RestrictionAssignment({p.id: UniPoly([1]) for p in sphere.points})
+one = RestrictionAssignment({p.id: Term(1) for p in sphere.points})
 print("integral of 1 over the sphere:", integrate(sphere, one))
 
 # Restricting the top Chern class to each point gives its Euler class, and

@@ -5,7 +5,7 @@ identifying points with subsets, and the cohomology of reductions.
 """
 
 from .algebra import (
-    UniPoly,
+    Term,
     smith_normal_form,
     vandermonde_complete,
     vandermonde_kernel,

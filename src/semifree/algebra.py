@@ -1,10 +1,10 @@
-"""Exact scalar, polynomial and integer-matrix arithmetic.
+"""Exact scalar, homogeneous-term and integer-matrix arithmetic.
 
 Scalars are ``fractions.Fraction`` throughout; nothing in this package ever
-touches floating point.  Polynomials are univariate in a single generator
-``x`` of degree two (cohomologically), stored dense with trailing zeros
-stripped.  No rational functions are needed: every class is homogeneous, so
-a localization integral is one Fraction (localization.integrate).  An
+touches floating point.  Every class restricted to a fixed point is
+homogeneous: one term c * x^d in a single generator ``x`` of degree two
+(cohomologically), kept as a Term.  No polynomials or rational functions are
+needed, so a localization integral is one Fraction (localization.integrate).  An
 integer matrix is an iterable of sparse rows, maps {column: entry} with
 non-negative integer columns.
 """
@@ -26,119 +26,74 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"expected an integer or Fraction, got {type(c).__name__}")
 
 
-class UniPoly:
-    """Polynomial in the generator x with exact rational coefficients.
+class Term:
+    """The homogeneous class coeff * x^degree, with an exact rational coeff.
 
-    Immutable; coefficient i is the coefficient of x^i.
+    Immutable.  Zero has degree -1, and a constant (degree 0) equals, and
+    hashes as, its scalar.  Terms multiply and take powers; two terms add
+    only when they have the same degree or one of them is zero.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeff", "degree")
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __init__(self, coeff=0, degree: int = 0):
+        c = _as_fraction(coeff)
+        if c and degree < 0:
+            raise ValueError(f"negative degree {degree}")
+        object.__setattr__(self, "coeff", c)
+        object.__setattr__(self, "degree", degree if c else -1)
 
     def __setattr__(self, *args):
-        raise AttributeError("UniPoly is immutable")
-
-    @staticmethod
-    def monomial(coeff, power: int = 0) -> "UniPoly":
-        return UniPoly([0] * power + [coeff])
-
-    @property
-    def degree(self) -> int:
-        """Degree in x; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        raise AttributeError("Term is immutable")
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.coeff)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = UniPoly([other])
-        if not isinstance(other, UniPoly):
+            other = Term(other)
+        if not isinstance(other, Term):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.coeff == other.coeff and self.degree == other.degree
 
     def __hash__(self):
         # a constant equals its scalar, so it hashes as that scalar
-        return hash(self.coefficient(0) if len(self.coeffs) <= 1 else self.coeffs)
+        return hash(self.coeff if self.degree <= 0 else (self.coeff, self.degree))
 
-    def coefficient(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
-
-    def __add__(self, other) -> "UniPoly":
+    def __add__(self, other) -> "Term":
         if isinstance(other, (int, Fraction)):
-            other = UniPoly([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
-        )
+            other = Term(other)
+        if not other:
+            return self
+        if self and self.degree != other.degree:
+            raise ValueError(f"cannot add {self} and {other}: degrees differ")
+        return Term(self.coeff + other.coeff, other.degree)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other) -> "UniPoly":
+    def __mul__(self, other) -> "Term":
         if isinstance(other, (int, Fraction)):
-            other = UniPoly([other])
-        return self + (-other)
-
-    def __rsub__(self, other) -> "UniPoly":
-        return -(self - other)
-
-    def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            return UniPoly([c * other for c in self.coeffs])
-        if not self.coeffs or not other.coeffs:
-            return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UniPoly(out)
+            return Term(self.coeff * other, self.degree)
+        return Term(self.coeff * other.coeff, self.degree + other.degree)
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "UniPoly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UniPoly([1])
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def is_monomial(self) -> bool:
-        """True if at most one coefficient is nonzero."""
-        return sum(1 for c in self.coeffs if c) <= 1
+    def __pow__(self, k: int) -> "Term":
+        # a negative power of a nonconstant term has a negative degree: refused
+        return Term(self.coeff**k, self.degree * k)
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-                terms.append(f"{head}x^{i}" if i > 1 else f"{head}x")
-        return " + ".join(terms).replace("+ -", "- ")
+        c, d = self.coeff, self.degree
+        if d <= 0:
+            return str(c)
+        head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
+        return f"{head}x^{d}" if d > 1 else f"{head}x"
 
     def __repr__(self) -> str:
-        return f"UniPoly({list(self.coeffs)!r})"
+        return f"Term({self.coeff!r}, {self.degree})"
 
 
-X = UniPoly.monomial(1, 1)
+X = Term(1, 1)
 
 
 def vandermonde_kernel(n: int) -> tuple[Fraction, ...]:

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import localization, reduction
-from .algebra import UniPoly
+from .algebra import Term
 from .cube import (
     ModelData,
     all_subsets,
@@ -70,15 +70,7 @@ def parse_document(text: str) -> FixedPointData:
         if not line:
             continue
         tokens = line.split()
-        if line.startswith("n"):
-            parts = line.replace("=", " ").split()
-            if len(parts) != 2 or parts[0] != "n":
-                raise InputError(f"line {lineno}: expected 'n = <int>'")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise InputError(f"line {lineno}: bad n {parts[1]!r}")
-        elif tokens[0] == "point":
+        if tokens[0] == "point":
             if n is None:
                 raise InputError(f"line {lineno}: 'n = ...' must come first")
             if len(tokens) < 3 or tokens[2] != "weights":
@@ -101,6 +93,17 @@ def parse_document(text: str) -> FixedPointData:
             if not weights:
                 raise InputError(f"line {lineno}: no weights given")
             points.append(FixedPoint(pid, weights, moment))
+        elif (parts := line.replace("=", " ").split())[:1] == ["n"]:
+            if n is not None:
+                raise InputError(f"line {lineno}: a second 'n = <int>' line")
+            if len(parts) != 2:
+                raise InputError(f"line {lineno}: expected 'n = <int>'")
+            try:
+                n = int(parts[1])
+            except ValueError:
+                raise InputError(f"line {lineno}: bad n {parts[1]!r}")
+            if n < 1:
+                raise InputError(f"line {lineno}: n must be at least 1, got {n}")
         else:
             raise InputError(f"line {lineno}: unrecognized directive {line!r}")
     if n is None:
@@ -165,7 +168,7 @@ def _ring_tables(n: int):
         raise RingTooLarge(f"n={n} exceeds the ring table bound {MAX_RING_N}")
     subsets = all_subsets(n)
     # alpha_J restricts to x^|J| at the supersets J' of J and to 0 elsewhere
-    powers = [str(UniPoly.monomial(1, k)) for k in range(n + 1)]
+    powers = [str(Term(1, k)) for k in range(n + 1)]
     basis = []
     for J in subsets:
         power = powers[len(J)]
@@ -203,7 +206,7 @@ def cmd_solve(args) -> int:
     print(f"counts: {' '.join(map(str, row))}")
     for k, N_k in enumerate(row):
         level_sum = forced_level_sum(n, k)
-        values = solve_value_multiset(int(level_sum.coefficient(1)), N_k)
+        values = solve_value_multiset(int(level_sum.coeff), N_k)
         print(f"level {k}: generator sum = {level_sum}, values = {list(values)}")
     print("bijection certificate:")
     for pid, J in subsets.items():
@@ -287,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "structured"), default="text")
     p.set_defaults(func=cmd_ring)
 
-    p = sub.add_parser("solve", help="run the deduction pipeline on a data file")
+    p = sub.add_parser("solve", help="check the binomial counts and label each point "
+                       "by a subset; the level lines depend on n alone")
     p.add_argument("file")
     p.set_defaults(func=cmd_solve)
 

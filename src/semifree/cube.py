@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import UniPoly, echelon_basis
+from .algebra import Term, echelon_basis
 from .errors import NotInModule, RingTooLarge, ZeroIsCritical
 from .fixed_points import FixedPoint, FixedPointData
 
@@ -111,6 +111,15 @@ class CubeClass:
             result = result * self
         return result
 
+    @property
+    def degree(self) -> int:
+        """The one degree len(S) + m of every term (S, m); -1 for zero.
+        A class with terms of more than one degree raises ValueError."""
+        degrees = {len(S) + m for S, m in self.terms}
+        if len(degrees) > 1:
+            raise ValueError(f"{self} is not homogeneous: degrees {sorted(degrees)}")
+        return degrees.pop() if degrees else -1
+
     def monomials(self) -> list[tuple[Monomial, int]]:
         """Terms in normal-form order: by (degree, subset, y power)."""
         return sorted(
@@ -140,20 +149,11 @@ class CubeClass:
         return f"CubeClass({self.terms!r})"
 
 
-def restrict_class(cls: CubeClass, J) -> UniPoly:
-    """Restrict to the fixed point J: a_i -> x for i in J else 0, y -> x."""
+def restrict_class(cls: CubeClass, J) -> Term:
+    """Restrict a homogeneous class to the fixed point J: a_i -> x for i in J
+    else 0, y -> x; a class of several degrees raises ValueError."""
     J = frozenset(J)
-    coeffs: dict[int, int] = {}
-    for (S, m), c in cls.terms.items():
-        if frozenset(S) <= J:
-            d = len(S) + m
-            coeffs[d] = coeffs.get(d, 0) + c
-    if not coeffs:
-        return UniPoly()
-    out = [0] * (max(coeffs) + 1)
-    for d, c in coeffs.items():
-        out[d] = c
-    return UniPoly(out)
+    return Term(sum(c for (S, m), c in cls.terms.items() if J.issuperset(S)), cls.degree)
 
 
 def alpha_class(J) -> CubeClass:
@@ -303,20 +303,17 @@ def injectivity_rank_check(n: int) -> RankCheckReport:
     return RankCheckReport(n, tuple(entries))
 
 
-def express_in_basis(cls: CubeClass, n: int) -> dict[frozenset, UniPoly]:
-    """Expand a class over the alpha basis with polynomial coefficients.
+def express_in_basis(cls: CubeClass, n: int) -> dict[frozenset, Term]:
+    """Expand a homogeneous class over the alpha basis with Term coefficients.
 
-    In normal form a_S y^m = x^m alpha_S, so the coefficient of alpha_S is
-    the sum of c x^m over the class's terms (S, m).  The coefficients come
-    in all_subsets order; a generator a_i with i outside 1..n is not in the
-    module.
+    In normal form a_S y^m = x^m alpha_S, and a class of degree d has at
+    most the one term (S, d - |S|) at each subset S, so the coefficient of
+    alpha_S is the Term c x^(d - |S|).  The coefficients come in all_subsets
+    order; a generator a_i with i outside 1..n is not in the module, and a
+    class of several degrees raises ValueError.
     """
-    groups: dict[tuple[int, ...], dict[int, int]] = {}
-    for (S, m), c in cls.terms.items():
-        if not all(1 <= i <= n for i in S):
-            raise NotInModule(f"{cls} has a generator outside a1..a{n}")
-        groups.setdefault(S, {})[m] = c
-    return {
-        frozenset(S): UniPoly([groups[S].get(m, 0) for m in range(max(groups[S]) + 1)])
-        for S in sorted(groups, key=lambda S: (len(S), S))
-    }
+    if any(not 1 <= i <= n for S, _ in cls.terms for i in S):
+        raise NotInModule(f"{cls} has a generator outside a1..a{n}")
+    d = cls.degree
+    terms = sorted(cls.terms.items(), key=lambda t: (len(t[0][0]), t[0]))
+    return {frozenset(S): Term(c, d - len(S)) for (S, _), c in terms}

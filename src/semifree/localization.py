@@ -2,9 +2,9 @@
 moment-constraint machinery for fixed-point data.
 
 The central operation sums restriction / Euler class over the fixed points,
-exactly.  Every restriction is c*x^d and every Euler class w*x^n, so the
-sum is one rational multiple of x^(d-n), and integrate returns that
-coefficient.  Count prediction is built on top of that sum.
+exactly.  Every restriction is one Term c*x^d and every Euler class the
+Term prod(w)*x^n, so the sum is one rational multiple of x^(d-n), and
+integrate returns that coefficient.  Count prediction is built on that sum.
 
 The consistency sieve integrates Chern monomials, and for those the sum has
 a closed form: at a point with weights w the monomial c_1^e1 ... c_n^en
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
 
-from .algebra import UniPoly, vandermonde_kernel
+from .algebra import Term, vandermonde_kernel
 from .errors import (CountTooLarge, IntegralTooLarge, NotSemifree,
                      SearchSpaceTooLarge, TooManyMonomials, ZeroWeight)
 from .fixed_points import FixedPointData, counts
@@ -33,39 +33,33 @@ from .fixed_points import FixedPointData, counts
 class RestrictionAssignment:
     """Restrictions of one equivariant class to every fixed point.
 
-    Each entry is homogeneous of one common degree: a rational multiple of
-    x^d, or zero.
+    Each entry is a Term of one common degree: a rational multiple of x^d,
+    or zero.
     """
 
     __slots__ = ("values", "degree")
 
-    def __init__(self, values: dict[str, UniPoly]):
-        degree = None
-        for pid, poly in values.items():
-            if not poly:
-                continue
-            if not poly.is_monomial():
-                raise ValueError(f"entry at {pid!r} is not homogeneous: {poly}")
-            if degree is None:
-                degree = poly.degree
-            elif poly.degree != degree:
-                raise ValueError(
-                    f"entry at {pid!r} has degree {poly.degree}, expected {degree}"
-                )
+    def __init__(self, values: dict[str, Term]):
         self.values = dict(values)
-        self.degree = degree  # None for the zero assignment
+        self.degree = None  # None for the zero assignment
+        for pid, term in self.values.items():
+            if term and self.degree is None:
+                self.degree = term.degree
+            elif term and term.degree != self.degree:
+                raise ValueError(
+                    f"entry at {pid!r} has degree {term.degree}, expected {self.degree}")
 
-    def __getitem__(self, pid: str) -> UniPoly:
+    def __getitem__(self, pid: str) -> Term:
         return self.values[pid]
 
 
-def euler_class(weights) -> UniPoly:
+def euler_class(weights) -> Term:
     """Product of the weights times x^(number of weights); a zero weight
     raises ZeroWeight."""
     weights = tuple(weights)
     if any(w == 0 for w in weights):
         raise ZeroWeight(f"zero weight in {weights}")
-    return UniPoly.monomial(math.prod(weights), len(weights))
+    return Term(math.prod(weights), len(weights))
 
 
 def elementary_symmetric(values, up_to: int) -> list[int]:
@@ -77,13 +71,9 @@ def elementary_symmetric(values, up_to: int) -> list[int]:
     return sigma[1:]
 
 
-def rep_chern_classes(weights, up_to: int) -> list[UniPoly]:
+def rep_chern_classes(weights, up_to: int) -> list[Term]:
     """Chern classes of a weight representation: sigma_i(weights) * x^i."""
-    weights = tuple(weights)
-    return [
-        UniPoly.monomial(s, i + 1)
-        for i, s in enumerate(elementary_symmetric(weights, up_to))
-    ]
+    return [Term(s, i + 1) for i, s in enumerate(elementary_symmetric(weights, up_to))]
 
 
 def integrate(data: FixedPointData, alpha: RestrictionAssignment) -> Fraction:
@@ -95,12 +85,8 @@ def integrate(data: FixedPointData, alpha: RestrictionAssignment) -> Fraction:
     c/prod(w) times the one power x^(d - n).  A missing point raises
     KeyError.
     """
-    total = Fraction(0)
-    for p in data.points:
-        value = alpha[p.id]
-        if value:
-            total += value.coeffs[-1] / math.prod(p.weights)
-    return total
+    return sum((alpha[p.id].coeff / math.prod(p.weights) for p in data.points),
+               Fraction(0))
 
 
 def gamma_restrictions(data: FixedPointData) -> RestrictionAssignment:
@@ -111,7 +97,7 @@ def gamma_restrictions(data: FixedPointData) -> RestrictionAssignment:
     if not data.semifree:
         raise NotSemifree("gamma restrictions need all weights +-1")
     return RestrictionAssignment(
-        {p.id: UniPoly.monomial(p.negative_count, 1) for p in data.points}
+        {p.id: Term(p.negative_count, 1) for p in data.points}
     )
 
 
@@ -143,7 +129,7 @@ def predict_counts(n: int, N0: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class MomentEquationReport:
-    sums: tuple[tuple[int, Fraction], ...]  # (exponent l, alternating sum)
+    sums: tuple[tuple[int, int], ...]  # (exponent l, alternating sum)
 
     @property
     def passed(self) -> bool:
@@ -155,11 +141,9 @@ def verify_moment_equations(data: FixedPointData) -> MomentEquationReport:
     if not data.semifree:
         raise NotSemifree("moment equations hold in this form only for semifree data")
     N = counts(data)
-    sums = []
-    for l in range(data.n):
-        s = sum(Fraction(N[k] * k**l * (-1) ** k) for k in range(data.n + 1))
-        sums.append((l, s))
-    return MomentEquationReport(tuple(sums))
+    levels = range(data.n + 1)
+    return MomentEquationReport(tuple(
+        (l, sum(N[k] * k**l * (-1) ** k for k in levels)) for l in range(data.n)))
 
 
 # Most Chern monomials that chern_monomials lists, and most exponents they

@@ -14,19 +14,17 @@ from __future__ import annotations
 
 import math
 
-from .algebra import UniPoly
+from .algebra import Term
 from .cube import all_subsets
 from .errors import NoIntegerSolution, NotSemifree
 from .fixed_points import FixedPointData, require_binomial_counts
 
 
-def forced_level_sum(n: int, k: int) -> UniPoly:
+def forced_level_sum(n: int, k: int) -> Term:
     """Sum of one generator's restrictions over the index-2k points: C(n-1,k-1) x."""
     if not 0 <= k <= n:
         raise ValueError(f"level {k} out of range for n={n}")
-    if k == 0:
-        return UniPoly()
-    return UniPoly.monomial(math.comb(n - 1, k - 1), 1)
+    return Term(math.comb(n - 1, k - 1), 1) if k else Term()
 
 
 def solve_value_multiset(total: int, count: int) -> tuple[int, ...]:

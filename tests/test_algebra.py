@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semifree.algebra import (
-    UniPoly,
+    Term,
     echelon_basis,
     reduce_mod_rows,
     smith_normal_form,
@@ -68,33 +68,86 @@ def det_oracle(rows):
     return det
 
 
-# --- polynomials -----------------------------------------------------------
+# --- homogeneous terms -----------------------------------------------------
 
-class TestUniPoly:
-    def test_trailing_zeros_stripped(self):
-        assert UniPoly([1, 2, 0, 0]) == UniPoly([1, 2])
-        assert not UniPoly([0, 0])
+class TestTerm:
+    def test_zero_has_degree_minus_one(self):
+        assert Term().degree == -1 and not Term()
+        assert Term(0, 4) == Term() and Term(0, 4).degree == -1
+        assert Term(3, 2).degree == 2 and Term(3, 2).coeff == 3
+
+    def test_coefficients_are_fractions(self):
+        assert isinstance(Term(3, 1).coeff, Fraction)
+        with pytest.raises(TypeError):
+            Term(0.5, 1)
+
+    def test_negative_degree_is_rejected(self):
+        with pytest.raises(ValueError):
+            Term(1, -1)
 
     def test_arithmetic(self):
-        p = UniPoly([1, 2])  # 1 + 2x
-        q = UniPoly([0, 1])  # x
-        assert p + q == UniPoly([1, 3])
-        assert p * q == UniPoly([0, 1, 2])
-        assert p - p == UniPoly()
-        assert p**2 == UniPoly([1, 4, 4])
+        x = Term(1, 1)
+        assert Term(2, 1) + x == Term(3, 1)
+        assert Term(2, 1) + Term(-2, 1) == Term()
+        assert Term(2, 1) * x == Term(2, 2)
+        assert 3 * Term(2, 1) == Term(2, 1) * 3 == Term(6, 1)
+        assert Term(2, 1) * 0 == Term()
+        assert Term(-2, 1) ** 3 == Term(-8, 3)
+        assert Term(5, 2) ** 0 == Term() ** 0 == 1
+        assert Term() ** 2 == Term()
+        with pytest.raises(ValueError):
+            x ** -1
 
-    def test_str_ascending(self):
-        assert str(UniPoly([1, 0, -2])) == "1 - 2*x^2"
-        assert str(UniPoly()) == "0"
+    def test_zero_and_scalars_add_as_constants(self):
+        x = Term(1, 1)
+        assert x + Term() == Term() + x == x
+        assert x + 0 == 0 + x == x
+        assert sum([x, Term(2, 1), x], Term()) == Term(4, 1)
+        assert Term(2) + 3 == 3 + Term(2) == 5
+
+    @pytest.mark.parametrize("a, b", [
+        (Term(1, 1), Term(1, 2)),
+        (Term(1), Term(1, 1)),
+        (Term(1, 1), 1),
+        (1, Term(-3, 4)),
+    ])
+    def test_sum_of_two_degrees_is_refused(self, a, b):
+        with pytest.raises(ValueError, match="degrees differ"):
+            a + b
+
+    # the text of each term as the dense polynomial class printed it
+    @pytest.mark.parametrize("term, text", [
+        (Term(), "0"),
+        (Term(5), "5"),
+        (Term(-2), "-2"),
+        (Term(Fraction(1, 3)), "1/3"),
+        (Term(1, 1), "x"),
+        (Term(-1, 1), "-x"),
+        (Term(2, 1), "2*x"),
+        (Term(-3, 1), "-3*x"),
+        (Term(1, 2), "x^2"),
+        (Term(-1, 3), "-x^3"),
+        (Term(Fraction(1, 2), 2), "1/2*x^2"),
+        (Term(Fraction(-5, 4), 10), "-5/4*x^10"),
+    ])
+    def test_str(self, term, text):
+        assert str(term) == text
 
     def test_equal_constants_hash_equal(self):
         # a constant equals its scalar, so a set or dict finds it by that scalar
-        assert 0 in {UniPoly()}
-        assert 3 in {UniPoly([3])}
-        assert Fraction(1, 2) in {UniPoly([Fraction(1, 2)])}
-        assert UniPoly([3]) in {3}
-        assert {UniPoly([-2]): "c"}[-2] == "c"
-        assert UniPoly([0, 3]) not in {3}
+        assert 0 in {Term()}
+        assert 3 in {Term(3)}
+        assert Fraction(1, 2) in {Term(Fraction(1, 2))}
+        assert Term(3) in {3}
+        assert {Term(-2): "c"}[-2] == "c"
+        assert Term(0, 5) in {0}
+        assert Term(3, 1) not in {3}
+        assert Term(3, 1) != 3 and Term(3, 1) != Term(3, 2)
+        assert hash(Term(3, 1)) == hash(Term(Fraction(3), 1))
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            Term(1, 1).coeff = 2
 
 
 # --- Vandermonde kernels ----------------------------------------------------

@@ -113,6 +113,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"input error: line 2: unrecognized directive {line!r}\n"
 
+    @pytest.mark.parametrize("text, message", [
+        # a later n line must not silently replace the n the points were read under
+        ("n = 2\npoint A weights 1\npoint B weights -1\nn = 1\n",
+         "line 4: a second 'n = <int>' line"),
+        ("nonsense\n", "line 1: unrecognized directive 'nonsense'"),
+        ("n = 1\n= 1\n", "line 2: unrecognized directive '= 1'"),
+        ("n = 0\npoint A weights 1\n", "line 1: n must be at least 1, got 0"),
+        ("n = -1\npoint A weights 1\n", "line 1: n must be at least 1, got -1"),
+    ], ids=["second_n", "nonsense", "bare_equals", "n_zero", "n_negative"])
+    def test_malformed_n_line(self, tmp_path, capsys, text, message):
+        f = tmp_path / "doc.txt"
+        f.write_text(text)
+        assert main(["solve", str(f)]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
     def test_validation_error_is_input_error(self, tmp_path):
         f = tmp_path / "zero.txt"
         f.write_text("n = 2\npoint A weights 1 0\n")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from semifree.algebra import UniPoly, X, echelon_basis
+from semifree.algebra import Term, X, echelon_basis
 from semifree.cube import (
     CubeClass,
     ModelData,
@@ -23,6 +23,7 @@ from semifree.errors import NotInModule, RingTooLarge, ZeroIsCritical
 
 
 def random_class(rng, n, max_terms=4, max_y=3):
+    """A class of up to max_terms terms, in general of several degrees."""
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         size = rng.randint(0, n)
@@ -31,11 +32,20 @@ def random_class(rng, n, max_terms=4, max_y=3):
     return CubeClass(terms)
 
 
+def components(cls):
+    """The homogeneous components of a class, by degree: each term (S, m)
+    goes to degree |S| + m, so the components sum back to the class."""
+    out = {}
+    for (S, m), c in cls.terms.items():
+        out.setdefault(len(S) + m, {})[S, m] = c
+    return {d: CubeClass(terms) for d, terms in sorted(out.items())}
+
+
 class TestRestrict:
     def test_generator_restrictions(self):
         a1 = CubeClass.gen_a(1)
         assert restrict_class(a1, {1}) == X
-        assert restrict_class(a1, {2}) == UniPoly()
+        assert restrict_class(a1, {2}) == Term()
 
     def test_defining_relation_dies(self):
         for J in all_subsets(3):
@@ -49,7 +59,7 @@ class TestRestrict:
 
     def test_pair_product_restriction(self):
         cls = alpha_class({1, 2})
-        assert restrict_class(cls, {1, 2, 3}) == UniPoly.monomial(1, 2)
+        assert restrict_class(cls, {1, 2, 3}) == Term(1, 2)
 
     def test_y_restricts_to_x_everywhere(self):
         for J in all_subsets(2):
@@ -60,16 +70,16 @@ class TestAlphaClass:
     def test_unit(self):
         unit = alpha_class(frozenset())
         for J in all_subsets(3):
-            assert restrict_class(unit, J) == UniPoly([1])
+            assert restrict_class(unit, J) == Term(1)
 
     def test_singleton(self):
         a1 = alpha_class({1})
         assert restrict_class(a1, {1, 2}) == X
-        assert restrict_class(a1, {2}) == UniPoly()
+        assert restrict_class(a1, {2}) == Term()
 
     def test_pair(self):
         cls = alpha_class({1, 2})
-        assert restrict_class(cls, {1, 2}) == UniPoly.monomial(1, 2)
+        assert restrict_class(cls, {1, 2}) == Term(1, 2)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_support_rule(self, n):
@@ -77,7 +87,7 @@ class TestAlphaClass:
             cls = alpha_class(J)
             for Jp in all_subsets(n):
                 expected = (
-                    UniPoly.monomial(1, len(J)) if J <= Jp else UniPoly()
+                    Term(1, len(J)) if J <= Jp else Term()
                 )
                 assert restrict_class(cls, Jp) == expected
 
@@ -90,8 +100,8 @@ class TestBetaClass:
         b = beta_class({1}, 2)  # y - a2
         assert restrict_class(b, frozenset()) == X
         assert restrict_class(b, {1}) == X
-        assert restrict_class(b, {2}) == UniPoly()
-        assert restrict_class(b, {1, 2}) == UniPoly()
+        assert restrict_class(b, {2}) == Term()
+        assert restrict_class(b, {1, 2}) == Term()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_support_rule(self, n):
@@ -99,16 +109,16 @@ class TestBetaClass:
             b = beta_class(J, n)
             for Jp in all_subsets(n):
                 expected = (
-                    UniPoly.monomial(1, n - len(J)) if Jp <= J else UniPoly()
+                    Term(1, n - len(J)) if Jp <= J else Term()
                 )
                 assert restrict_class(b, Jp) == expected
 
     def test_bottom_class(self):
         b = beta_class(frozenset(), 3)
-        assert restrict_class(b, frozenset()) == UniPoly.monomial(1, 3)
+        assert restrict_class(b, frozenset()) == Term(1, 3)
         for J in all_subsets(3):
             if J:
-                assert restrict_class(b, J) == UniPoly()
+                assert restrict_class(b, J) == Term()
 
 
 def chern_product(n: int) -> list[CubeClass]:
@@ -151,7 +161,7 @@ class TestChernSeries:
         top = frozenset(range(1, n + 1))
         r = restrict_class(cn, top)
         assert r.degree == n
-        assert abs(r.coefficient(n)) == 1
+        assert abs(r.coeff) == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_restriction_gives_weight_chern_classes_up_to_sign(self, n):
@@ -160,12 +170,12 @@ class TestChernSeries:
         classes = equivariant_chern_series(n, n)
         for J in all_subsets(n):
             signs = [1 if i in J else -1 for i in range(1, n + 1)]
-            series = [UniPoly([1])]
+            series = [Term(1)]
             for s in signs:
-                new = [UniPoly() for _ in range(len(series) + 1)]
+                new = [Term() for _ in range(len(series) + 1)]
                 for k, c in enumerate(series):
                     new[k] = new[k] + c
-                    new[k + 1] = new[k + 1] + c * UniPoly.monomial(s, 1)
+                    new[k + 1] = new[k + 1] + c * Term(s, 1)
                 series = new
             for i, cls in enumerate(classes, start=1):
                 assert restrict_class(cls, J) == series[i]
@@ -218,23 +228,31 @@ class TestExpressInBasis:
 
     def test_basis_element_is_itself(self):
         out = express_in_basis(alpha_class({1, 3}), 3)
-        assert out == {frozenset({1, 3}): UniPoly([1])}
+        assert out == {frozenset({1, 3}): Term(1)}
 
     def test_round_trip_random(self):
+        # each homogeneous component expands and is rebuilt from its terms,
+        # and the rebuilt components sum back to the whole class
         rng = random.Random(3)
         for _ in range(60):
             n = rng.randint(1, 4)
             cls = random_class(rng, n)
-            out = express_in_basis(cls, n)
-            rebuilt = CubeClass()
-            for J, poly in out.items():
-                for i in range(poly.degree + 1):
-                    c = poly.coefficient(i)
-                    assert c.denominator == 1
-                    rebuilt = rebuilt + int(c) * (
-                        alpha_class(J) * CubeClass.gen_y() ** i
+            whole = CubeClass()
+            for d, part in components(cls).items():
+                rebuilt = CubeClass()
+                for J, term in express_in_basis(part, n).items():
+                    assert term.degree == d - len(J)
+                    assert term.coeff.denominator == 1
+                    rebuilt = rebuilt + int(term.coeff) * (
+                        alpha_class(J) * CubeClass.gen_y() ** term.degree
                     )
-            assert rebuilt == cls
+                assert rebuilt == part
+                whole = whole + rebuilt
+            assert whole == cls
+
+    def test_class_of_several_degrees_is_refused(self):
+        with pytest.raises(ValueError, match="not homogeneous"):
+            express_in_basis(CubeClass.gen_y() + CubeClass.unit(), 1)
 
     def test_zero_class_detection(self):
         # a class restricting to zero everywhere expands to nothing
@@ -248,8 +266,47 @@ class TestExpressInBasis:
         rng = random.Random(5)
         for _ in range(100):
             n = rng.randint(1, 5)
-            out = express_in_basis(random_class(rng, n, max_terms=8), n)
-            assert list(out) == [J for J in all_subsets(n) if J in out]
+            for part in components(random_class(rng, n, max_terms=8)).values():
+                out = express_in_basis(part, n)
+                assert list(out) == [J for J in all_subsets(n) if J in out]
+
+
+class TestRestrictAgainstSympy:
+    """restrict_class against a route through sympy: write the class as a
+    polynomial in a_1..a_n and y, substitute a_i -> x for i in J, else 0,
+    and y -> x, and read off the coefficient of each power of x."""
+
+    @staticmethod
+    def as_sympy(sympy, cls, n):
+        a, y = sympy.symbols(f"a1:{n + 1}"), sympy.Symbol("y")
+        return sum((c * sympy.Mul(*(a[i - 1] for i in S)) * y**m
+                    for (S, m), c in cls.terms.items()), sympy.Integer(0))
+
+    @staticmethod
+    def restricted(sympy, expr, n, J):
+        """{degree: Term} of the nonzero coefficients of expr at J."""
+        a, y, x = sympy.symbols(f"a1:{n + 1}"), sympy.Symbol("y"), sympy.Symbol("x")
+        subs = {y: x, **{a[i - 1]: (x if i in J else 0) for i in range(1, n + 1)}}
+        poly = sympy.Poly(sympy.expand(expr.subs(subs)), x)
+        return {d: Term(int(c), d) for (d,), c in poly.as_dict().items() if c}
+
+    @staticmethod
+    def ours(cls, J):
+        """{degree: Term} of the nonzero restrictions of cls's components."""
+        terms = {d: restrict_class(part, J) for d, part in components(cls).items()}
+        return {d: t for d, t in terms.items() if t}
+
+    def test_each_component_of_random_classes_and_products(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(41)
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            f, g = random_class(rng, n), random_class(rng, n)
+            J = frozenset(rng.sample(range(1, n + 1), rng.randint(0, n)))
+            f_expr, g_expr = self.as_sympy(sympy, f, n), self.as_sympy(sympy, g, n)
+            assert self.ours(f, J) == self.restricted(sympy, f_expr, n, J)
+            # sympy multiplies outside the normal form a_i^2 = a_i y
+            assert self.ours(f * g, J) == self.restricted(sympy, f_expr * g_expr, n, J)
 
 
 class TestRingProperties:
@@ -262,12 +319,30 @@ class TestRingProperties:
         assert CubeClass.gen_y() not in {1}
 
     def test_restriction_is_multiplicative(self):
+        # for every pair of homogeneous components f_d, g_e
         rng = random.Random(17)
         for _ in range(200):
             n = rng.randint(1, 4)
             f, g = random_class(rng, n), random_class(rng, n)
             J = frozenset(rng.sample(range(1, n + 1), rng.randint(0, n)))
-            assert restrict_class(f * g, J) == restrict_class(f, J) * restrict_class(g, J)
+            for fd in components(f).values():
+                for ge in components(g).values():
+                    assert restrict_class(fd * ge, J) == (
+                        restrict_class(fd, J) * restrict_class(ge, J))
+
+    def test_restriction_of_several_degrees_is_refused(self):
+        with pytest.raises(ValueError, match="not homogeneous"):
+            restrict_class(CubeClass.gen_a(1) + CubeClass.unit(), {1})
+
+    def test_components_sum_to_the_class(self):
+        rng = random.Random(29)
+        for _ in range(50):
+            n = rng.randint(1, 4)
+            cls = random_class(rng, n)
+            parts = components(cls)
+            assert sum(parts.values(), CubeClass()) == cls
+            for d, part in parts.items():
+                assert part.degree == d
 
     def test_alpha_products_expand_over_unions(self):
         rng = random.Random(23)
@@ -287,9 +362,9 @@ class TestRingProperties:
             for Jp in all_subsets(n):
                 r = restrict_class(product, Jp)
                 if Jp or J:
-                    assert r == UniPoly()
+                    assert r == Term()
                 else:
-                    assert r == UniPoly.monomial(1, n)
+                    assert r == Term(1, n)
 
 
 class TestModelData:

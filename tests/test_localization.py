@@ -6,7 +6,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
-from semifree.algebra import UniPoly, X
+from semifree.algebra import Term, X
 from semifree.cube import hypercube_data
 from semifree import localization
 from semifree.errors import (
@@ -46,15 +46,15 @@ REMARK_PAIR = FixedPointData(
 
 class TestEulerClass:
     def test_unit_weights(self):
-        assert euler_class((1, 1)) == UniPoly([0, 0, 1])
+        assert euler_class((1, 1)) == Term(1, 2)
 
     @pytest.mark.parametrize("n,k", [(2, 0), (3, 1), (4, 3)])
     def test_semifree_sign(self, n, k):
         weights = (-1,) * k + (1,) * (n - k)
-        assert euler_class(weights) == UniPoly.monomial((-1) ** k, n)
+        assert euler_class(weights) == Term((-1) ** k, n)
 
     def test_direct_product(self):
-        assert euler_class((1, 1, -2)) == UniPoly.monomial(-2, 3)
+        assert euler_class((1, 1, -2)) == Term(-2, 3)
 
     def test_rejects_zero_weight(self):
         with pytest.raises(ZeroWeight):
@@ -63,37 +63,37 @@ class TestEulerClass:
 
 class TestRepChernClasses:
     def test_single_weight(self):
-        assert rep_chern_classes((5,), 1) == [UniPoly.monomial(5, 1)]
+        assert rep_chern_classes((5,), 1) == [Term(5, 1)]
 
     def test_two_unit_weights(self):
         assert rep_chern_classes((1, 1), 2) == [
-            UniPoly.monomial(2, 1),
-            UniPoly.monomial(1, 2),
+            Term(2, 1),
+            Term(1, 2),
         ]
 
     def test_remark_weights(self):
         assert rep_chern_classes((1, 1, -2), 3) == [
-            UniPoly(),
-            UniPoly.monomial(-3, 2),
-            UniPoly.monomial(-2, 3),
+            Term(),
+            Term(-3, 2),
+            Term(-2, 3),
         ]
 
     def test_oracle_product_expansion(self):
         # expand prod (1 + t w x) coefficient-by-coefficient, independently
         weights = (2, -1, 3, -4)
-        series = [UniPoly([1])]  # coefficients of t^k, k = 0..
+        series = [Term(1)]  # coefficients of t^k, k = 0..
         for w in weights:
-            new = [UniPoly() for _ in range(len(series) + 1)]
+            new = [Term() for _ in range(len(series) + 1)]
             for k, c in enumerate(series):
                 new[k] = new[k] + c
-                new[k + 1] = new[k + 1] + c * UniPoly.monomial(w, 1)
+                new[k + 1] = new[k + 1] + c * Term(w, 1)
             series = new
         assert rep_chern_classes(weights, 4) == series[1:]
 
 
 class TestIntegrate:
     def test_constant_on_sphere_vanishes(self):
-        one = RestrictionAssignment({"s": UniPoly([1]), "n": UniPoly([1])})
+        one = RestrictionAssignment({"s": Term(1), "n": Term(1)})
         value = integrate(SPHERE, one)
         assert value == 0 and isinstance(value, Fraction)
 
@@ -114,8 +114,8 @@ class TestIntegrate:
         data = hypercube_data(3)
         for _ in range(25):
             d = rng.randint(0, 4)
-            a = {p.id: UniPoly.monomial(rng.randint(-5, 5), d) for p in data.points}
-            b = {p.id: UniPoly.monomial(rng.randint(-5, 5), d) for p in data.points}
+            a = {p.id: Term(rng.randint(-5, 5), d) for p in data.points}
+            b = {p.id: Term(rng.randint(-5, 5), d) for p in data.points}
             c = rng.randint(-3, 3)
             combo = RestrictionAssignment(
                 {pid: a[pid] * c + b[pid] for pid in a}
@@ -128,6 +128,13 @@ class TestIntegrate:
             # multiplication by x raises the power, not the coefficient
             shifted = RestrictionAssignment({pid: a[pid] * X for pid in a})
             assert integrate(data, shifted) == integrate(data, RestrictionAssignment(a))
+
+    def test_entries_of_two_degrees_are_refused(self):
+        # zero entries carry no degree; the first nonzero one sets it
+        alpha = RestrictionAssignment({"s": Term(), "n": X})
+        assert alpha.degree == 1
+        with pytest.raises(ValueError, match="entry at 'n' has degree 2, expected 1"):
+            RestrictionAssignment({"z": Term(), "s": X, "n": Term(1, 2)})
 
     def test_duplicate_id_raises(self):
         # counted twice, the sphere would integrate 1 to 1 / x
@@ -158,7 +165,7 @@ class TestIntegrateAgainstSympy:
         d = rng.randint(0, 2 * n)
         coeffs = {p.id: rng.randint(-4, 4) for p in points}
         alpha = RestrictionAssignment(
-            {pid: UniPoly.monomial(c, d) for pid, c in coeffs.items()}
+            {pid: Term(c, d) for pid, c in coeffs.items()}
         )
         value = integrate(FixedPointData(n, points), alpha)
 
@@ -244,7 +251,7 @@ class TestIntegrateAgainstPointSum:
     def test_random_documents(self, seed):
         for n, points, coeffs, d in self.documents(seed):
             alpha = RestrictionAssignment(
-                {pid: UniPoly.monomial(c, d) for pid, c in coeffs.items()})
+                {pid: Term(c, d) for pid, c in coeffs.items()})
             assert self.outcome(n, points, alpha) == self.expected(n, points, coeffs)
 
     def test_documents_cover_every_outcome(self):
@@ -259,7 +266,7 @@ class TestIntegrateAgainstPointSum:
     @pytest.mark.parametrize("seed", range(5))
     def test_zero_assignment(self, seed):
         n, points, coeffs, _ = self.random_document(random.Random(seed))
-        zero = RestrictionAssignment({pid: UniPoly() for pid in coeffs})
+        zero = RestrictionAssignment({pid: Term() for pid in coeffs})
         assert zero.degree is None
         expected = self.expected(n, points, dict.fromkeys(coeffs, 0))
         assert self.outcome(n, points, zero) == expected
@@ -268,7 +275,7 @@ class TestIntegrateAgainstPointSum:
         with pytest.raises(ZeroWeight, match="point 'a' has a zero weight"):
             FixedPointData(2, (FixedPoint("a", (1, 0)), FixedPoint("b", (1, 1))))
         with pytest.raises(KeyError, match="'n'"):
-            integrate(SPHERE, RestrictionAssignment({"s": UniPoly([1])}))
+            integrate(SPHERE, RestrictionAssignment({"s": Term(1)}))
 
     def test_hypercube_gamma_powers(self):
         data = hypercube_data(8)
@@ -285,9 +292,9 @@ class TestGammaRestrictions:
         data = hypercube_data(3)
         g = gamma_restrictions(data)
         values = sorted(str(g[p.id]) for p in data.points)
-        assert sorted([str(UniPoly.monomial(k, 1)) for k in (0, 1, 1, 1, 2, 2, 2, 3)]) == values
+        assert sorted([str(Term(k, 1)) for k in (0, 1, 1, 1, 2, 2, 2, 3)]) == values
         for p in data.points:
-            assert g[p.id] == UniPoly.monomial(p.index // 2, 1)
+            assert g[p.id] == Term(p.index // 2, 1)
 
     def test_rejects_non_semifree(self):
         with pytest.raises(NotSemifree):
@@ -470,7 +477,7 @@ class TestTwoIntegrationRoutes:
         chern = {p.id: rep_chern_classes(p.weights, data.n) for p in data.points}
         for entry in consistency_check(data, max_degree).entries:
             alpha = RestrictionAssignment({
-                pid: math.prod((c**e for c, e in zip(cs, entry.exponents)), start=UniPoly([1]))
+                pid: math.prod((c**e for c, e in zip(cs, entry.exponents)), start=Term(1))
                 for pid, cs in chern.items()
             })
             assert integrate(data, alpha) == entry.value, entry.exponents

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from semifree.algebra import UniPoly, X, vandermonde_complete
+from semifree.algebra import Term, X, vandermonde_complete
 from semifree.cube import all_subsets, alpha_class, hypercube_data, restrict_class
 from semifree.errors import CountMismatch, NoIntegerSolution
 from semifree.fixed_points import FixedPoint, FixedPointData
@@ -15,16 +15,15 @@ class TestForcedLevelSums:
     def test_examples(self):
         assert forced_level_sum(3, 1) == X
         assert forced_level_sum(3, 3) == X
-        assert forced_level_sum(3, 2) == UniPoly.monomial(2, 1)
-        assert forced_level_sum(5, 0) == UniPoly()
+        assert forced_level_sum(3, 2) == Term(2, 1)
+        assert forced_level_sum(5, 0) == Term()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_total_over_levels(self, n):
-        # each generator restricts to x at exactly half the points
-        total = sum(
-            forced_level_sum(n, k).coefficient(1) for k in range(n + 1)
-        )
-        assert total == 2 ** (n - 1)
+        # each generator restricts to x at exactly half the points; Term's +
+        # refuses two degrees, so every level sum is a multiple of x or 0
+        total = sum((forced_level_sum(n, k) for k in range(n + 1)), Term())
+        assert total == Term(2 ** (n - 1), 1)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_derivable_from_kernel_completion(self, n):
@@ -32,7 +31,7 @@ class TestForcedLevelSums:
         # of the (n-1)-row moment matrix with D_0 = 0, D_1 = -1
         d = vandermonde_complete(n, 1, {0: 0, 1: -1})
         for k in range(n + 1):
-            expected = Fraction((-1) ** k) * forced_level_sum(n, k).coefficient(1)
+            expected = Fraction((-1) ** k) * forced_level_sum(n, k).coeff
             assert d[k] == expected
 
 
@@ -80,7 +79,7 @@ class TestRunPipeline:
             # where the model's a_j restricts to x exactly for j in J
             for j in range(1, n + 1):
                 assert restrict_class(alpha_class({j}), J) == (
-                    X if j in J else UniPoly()
+                    X if j in J else Term()
                 )
 
     def test_level_sums_in_certificate(self):
@@ -89,8 +88,8 @@ class TestRunPipeline:
             for k in range(5):
                 level = [restrict_class(alpha_class({j}), J)
                          for J in subsets.values() if len(J) == k]
-                assert sum(level, UniPoly()) == forced_level_sum(4, k)
-                values = sorted((v.coefficient(1) for v in level), reverse=True)
+                assert sum(level, Term()) == forced_level_sum(4, k)
+                values = sorted((v.coeff for v in level), reverse=True)
                 assert tuple(values) == solve_value_multiset(
                     math.comb(3, k - 1) if k else 0, math.comb(4, k)
                 )

@@ -1,0 +1,54 @@
+"""The names `import semifree` exports, listed by hand, so that adding,
+renaming or removing one shows up in the diff of this test."""
+
+import types
+
+import semifree
+
+EXPORTED = [
+    "CubeClass",
+    "FixedPoint",
+    "FixedPointData",
+    "GradedQuotient",
+    "IdealPresentation",
+    "ModelData",
+    "RestrictionAssignment",
+    "Term",
+    "alpha_class",
+    "beta_class",
+    "betti_by_counting",
+    "consistency_check",
+    "counts",
+    "equivariant_chern_series",
+    "euler_class",
+    "express_in_basis",
+    "forced_level_sum",
+    "gamma_restrictions",
+    "graded_quotient",
+    "hypercube_data",
+    "injectivity_rank_check",
+    "integrate",
+    "kernel_generators",
+    "poincare_check",
+    "predict_counts",
+    "reduced_chern_series",
+    "rep_chern_classes",
+    "restrict_class",
+    "run_pipeline",
+    "search_candidates",
+    "smith_normal_form",
+    "solve_value_multiset",
+    "split_by_moment_sign",
+    "vandermonde_complete",
+    "vandermonde_kernel",
+    "verify_moment_equations",
+]
+
+
+def test_exported_names():
+    # submodules are attributes of the package too, but are not exports
+    names = sorted(
+        name for name, value in vars(semifree).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == EXPORTED
