@@ -36,8 +36,8 @@ print("\nbeta_{1} =", b)
 print("beta_{1} at the empty set:", restrict_class(b, frozenset()))
 print("beta_{1} at {1,2}:", restrict_class(b, {1, 2}))
 
-# Any ring element expands uniquely over the alpha basis with polynomial
-# coefficients; y itself is x times the unit.
+# Any homogeneous ring element expands uniquely over the alpha basis with
+# Term coefficients c*x^m; y itself is x times the unit.
 y = CubeClass.gen_y()
 print("\ny expands as:", {tuple(sorted(J)): str(p) for J, p in express_in_basis(y, n).items()})
 

@@ -70,6 +70,7 @@ def parse_document(text: str) -> FixedPointData:
         if not line:
             continue
         tokens = line.split()
+        name, _, value = line.partition("=")
         if tokens[0] == "point":
             if n is None:
                 raise InputError(f"line {lineno}: 'n = ...' must come first")
@@ -93,15 +94,15 @@ def parse_document(text: str) -> FixedPointData:
             if not weights:
                 raise InputError(f"line {lineno}: no weights given")
             points.append(FixedPoint(pid, weights, moment))
-        elif (parts := line.replace("=", " ").split())[:1] == ["n"]:
+        elif tokens[0] == "n" or name.strip() == "n":
             if n is not None:
                 raise InputError(f"line {lineno}: a second 'n = <int>' line")
-            if len(parts) != 2:
+            if name.strip() != "n" or len(value.split()) != 1:
                 raise InputError(f"line {lineno}: expected 'n = <int>'")
             try:
-                n = int(parts[1])
+                n = int(value)
             except ValueError:
-                raise InputError(f"line {lineno}: bad n {parts[1]!r}")
+                raise InputError(f"line {lineno}: bad n {value.strip()!r}")
             if n < 1:
                 raise InputError(f"line {lineno}: n must be at least 1, got {n}")
         else:

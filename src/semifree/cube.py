@@ -1,11 +1,16 @@
 """The model space: a product of n two-spheres with the diagonal circle action.
 
 Fixed points are subsets J of {1..n}.  The equivariant cohomology ring is
-Z[a_1..a_n, y] / (a_i y - a_i^2); classes are kept in normal form, so every
-monomial is a square-free product of a_i's times a power of y.  Under the
-rewrite a_i^2 -> a_i y, products of monomials stay monomials:
+Z[a_1..a_n, y] / (a_i y - a_i^2), and every class this package builds in
+it is homogeneous.  A class of degree d is kept as its integer coefficients
+c_S at square-free monomials a_S, the power of y being implied:
 
-    (S1, m1) * (S2, m2) = (S1 | S2, m1 + m2 + |S1 & S2|).
+    sum over S of c_S a_S y^(d - |S|),   |S| <= d.
+
+Since a_i^2 = a_i y, a product of two such monomials is the monomial of the
+union at the sum of the degrees:
+
+    a_S1 y^(d1 - |S1|) * a_S2 y^(d2 - |S2|) = a_(S1 | S2) y^(d1 + d2 - |S1 | S2|).
 """
 
 from __future__ import annotations
@@ -19,73 +24,75 @@ from .algebra import Term, echelon_basis
 from .errors import NotInModule, RingTooLarge, ZeroIsCritical
 from .fixed_points import FixedPoint, FixedPointData
 
-Monomial = tuple[tuple[int, ...], int]  # (sorted subset, power of y)
-
-
-def _key(S, m: int) -> Monomial:
-    return tuple(sorted(S)), m
-
 
 class CubeClass:
-    """Integer combination of square-free monomials times powers of y."""
+    """The homogeneous class sum c_S a_S y^(degree - |S|), integer c_S.
 
-    __slots__ = ("terms",)
+    Immutable.  `terms` maps each sorted subset S to its nonzero c_S; zero
+    has degree -1 and no terms, and a constant (degree 0) equals, and hashes
+    as, its integer.  A subset larger than the degree is refused.  Classes
+    multiply and take powers; two classes add only when they have the same
+    degree or one of them is zero.
+    """
 
-    def __init__(self, terms: dict[Monomial, int] | None = None):
-        cleaned = {}
-        if terms:
-            for (S, m), c in terms.items():
-                if c:
-                    cleaned[(tuple(sorted(S)), int(m))] = int(c)
+    __slots__ = ("terms", "degree")
+
+    def __init__(self, terms: dict | None = None, degree: int = 0):
+        cleaned = {tuple(sorted(S)): int(c) for S, c in (terms or {}).items() if c}
+        if cleaned and len(big := max(cleaned, key=len)) > degree:
+            raise ValueError(f"subset {big} is larger than the degree {degree}")
         object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "degree", degree if cleaned else -1)
 
     def __setattr__(self, *args):
         raise AttributeError("CubeClass is immutable")
 
     @staticmethod
     def unit() -> "CubeClass":
-        return CubeClass({((), 0): 1})
+        return CubeClass({(): 1})
 
     @staticmethod
     def gen_a(i: int) -> "CubeClass":
-        return CubeClass({((i,), 0): 1})
+        return CubeClass({(i,): 1}, 1)
 
     @staticmethod
     def gen_y() -> "CubeClass":
-        return CubeClass({((), 1): 1})
+        return CubeClass({(): 1}, 1)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = CubeClass({((), 0): other})
+            other = CubeClass({(): other})
         if not isinstance(other, CubeClass):
             return NotImplemented
-        return self.terms == other.terms
+        return self.degree == other.degree and self.terms == other.terms
 
     def __hash__(self):
         # a constant equals its integer, so it hashes as that integer
-        if set(self.terms) <= {((), 0)}:
-            return hash(self.terms.get(((), 0), 0))
-        return hash(frozenset(self.terms.items()))
+        if self.degree <= 0:
+            return hash(self.terms.get((), 0))
+        return hash((self.degree, frozenset(self.terms.items())))
 
     def __add__(self, other) -> "CubeClass":
         if isinstance(other, int):
-            other = CubeClass({((), 0): other})
+            other = CubeClass({(): other})
+        if not other:
+            return self
+        if self and self.degree != other.degree:
+            raise ValueError(f"cannot add {self} and {other}: degrees differ")
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return CubeClass(out)
+        for S, c in other.terms.items():
+            out[S] = out.get(S, 0) + c
+        return CubeClass(out, other.degree)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CubeClass":
-        return CubeClass({k: -c for k, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other) -> "CubeClass":
-        if isinstance(other, int):
-            other = CubeClass({((), 0): other})
         return self + (-other)
 
     def __rsub__(self, other) -> "CubeClass":
@@ -93,82 +100,54 @@ class CubeClass:
 
     def __mul__(self, other) -> "CubeClass":
         if isinstance(other, int):
-            return CubeClass({k: c * other for k, c in self.terms.items()})
-        out: dict[Monomial, int] = {}
-        for (S1, m1), c1 in self.terms.items():
-            s1 = frozenset(S1)
-            for (S2, m2), c2 in other.terms.items():
-                s2 = frozenset(S2)
-                k = _key(s1 | s2, m1 + m2 + len(s1 & s2))
-                out[k] = out.get(k, 0) + c1 * c2
-        return CubeClass(out)
+            return CubeClass({S: c * other for S, c in self.terms.items()}, self.degree)
+        out: dict[tuple[int, ...], int] = {}
+        for S1, c1 in self.terms.items():
+            for S2, c2 in other.terms.items():
+                S = tuple(sorted({*S1, *S2}))
+                out[S] = out.get(S, 0) + c1 * c2
+        return CubeClass(out, self.degree + other.degree)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "CubeClass":
+        if k < 0:
+            raise ValueError(f"negative power {k}")
         result = CubeClass.unit()
         for _ in range(k):
             result = result * self
         return result
 
-    @property
-    def degree(self) -> int:
-        """The one degree len(S) + m of every term (S, m); -1 for zero.
-        A class with terms of more than one degree raises ValueError."""
-        degrees = {len(S) + m for S, m in self.terms}
-        if len(degrees) > 1:
-            raise ValueError(f"{self} is not homogeneous: degrees {sorted(degrees)}")
-        return degrees.pop() if degrees else -1
-
-    def monomials(self) -> list[tuple[Monomial, int]]:
-        """Terms in normal-form order: by (degree, subset, y power)."""
-        return sorted(
-            self.terms.items(), key=lambda kv: (len(kv[0][0]) + kv[0][1], kv[0])
-        )
-
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
-        for (S, m), c in self.monomials():
-            factors = [f"a{i}" for i in S]
-            if m == 1:
-                factors.append("y")
-            elif m > 1:
-                factors.append(f"y^{m}")
-            body = "*".join(factors) or "1"
-            if c == 1 and factors:
-                parts.append(body)
-            elif c == -1 and factors:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}" if factors else str(c))
-        return " + ".join(parts).replace("+ -", "- ")
+        for S, c in sorted(self.terms.items()):
+            m = self.degree - len(S)
+            factors = [f"a{i}" for i in S] + (["y"] if m == 1 else [f"y^{m}"] if m else [])
+            head = {1: "", -1: "-"}.get(c, f"{c}*")
+            parts.append(head + "*".join(factors) if factors else str(c))
+        return " + ".join(parts).replace("+ -", "- ") or "0"
 
     def __repr__(self) -> str:
-        return f"CubeClass({self.terms!r})"
+        return f"CubeClass({self.terms!r}, {self.degree})"
 
 
 def restrict_class(cls: CubeClass, J) -> Term:
-    """Restrict a homogeneous class to the fixed point J: a_i -> x for i in J
-    else 0, y -> x; a class of several degrees raises ValueError."""
+    """Restrict a class to the fixed point J: a_i -> x for i in J else 0,
+    y -> x."""
     J = frozenset(J)
-    return Term(sum(c for (S, m), c in cls.terms.items() if J.issuperset(S)), cls.degree)
+    return Term(sum(c for S, c in cls.terms.items() if J.issuperset(S)), cls.degree)
 
 
 def alpha_class(J) -> CubeClass:
     """Product of a_j over j in J; restricts to x^|J| exactly at supersets of J."""
-    return CubeClass({_key(J, 0): 1})
+    return CubeClass({tuple(J): 1}, len(J))
 
 
 def beta_class(J, n: int) -> CubeClass:
     """Product of (y - a_j) over j not in J; supported on subsets of J."""
     comp = sorted(set(range(1, n + 1)) - set(J))
-    out: dict[Monomial, int] = {}
-    for size in range(len(comp) + 1):
-        for T in combinations(comp, size):
-            out[_key(T, len(comp) - size)] = (-1) ** size
-    return CubeClass(out)
+    return CubeClass({T: (-1) ** size for size in range(len(comp) + 1)
+                      for T in combinations(comp, size)}, len(comp))
 
 
 def chern_coefficient(n: int, k: int, s: int) -> int:
@@ -184,31 +163,27 @@ def chern_coefficient(n: int, k: int, s: int) -> int:
 def equivariant_chern_series(n: int, up_to: int) -> list[CubeClass]:
     """c_1..c_min(up_to, n), the coefficients of t^k in the product of
     (1 + t(2a_i - y)), written term by term from chern_coefficient."""
-    return [CubeClass({(S, m): chern_coefficient(n, k, len(S))
-                       for S, m in degree_basis(n, k)})
+    return [CubeClass({S: chern_coefficient(n, k, len(S)) for S in degree_basis(n, k)}, k)
             for k in range(1, min(up_to, n) + 1)]
 
 
+def degree_basis(n: int, d: int) -> list[tuple[int, ...]]:
+    """The sorted subsets S of {1..n}, |S| <= d, of the degree-d monomials
+    a_S y^(d - |S|), ordered by (size, lexicographic)."""
+    return [S for k in range(min(d, n) + 1) for S in combinations(range(1, n + 1), k)]
+
+
 def all_subsets(n: int) -> list[frozenset]:
-    """Subsets of {1..n}, ordered by (size, lexicographic)."""
-    out = []
-    for size in range(n + 1):
-        out.extend(frozenset(c) for c in combinations(range(1, n + 1), size))
-    return out
-
-
-def degree_basis(n: int, d: int) -> list[Monomial]:
-    """Monomials (subset, y-power) of total degree d, in canonical order."""
-    out = []
-    for k in range(min(d, n) + 1):
-        for S in combinations(range(1, n + 1), k):
-            out.append((S, d - k))
-    return out
+    """Subsets of {1..n} as frozensets, in degree_basis order."""
+    return [frozenset(S) for S in degree_basis(n, n)]
 
 
 def subset_id(J) -> str:
-    """Deterministic point id for a subset, e.g. 'p135'; 'p' for the empty set."""
-    return "p" + "".join(str(i) for i in sorted(J))
+    """Deterministic point id for a subset: 'p', the digit of each element
+    below 10, then '_' and each element from 10 up, e.g. 'p135' or
+    'p2_10_12'; 'p' for the empty set.  Sorting puts the single digits
+    first, so no two subsets share an id."""
+    return "p" + "".join(str(i) if i < 10 else f"_{i}" for i in sorted(J))
 
 
 @dataclass(frozen=True)
@@ -306,14 +281,12 @@ def injectivity_rank_check(n: int) -> RankCheckReport:
 def express_in_basis(cls: CubeClass, n: int) -> dict[frozenset, Term]:
     """Expand a homogeneous class over the alpha basis with Term coefficients.
 
-    In normal form a_S y^m = x^m alpha_S, and a class of degree d has at
-    most the one term (S, d - |S|) at each subset S, so the coefficient of
-    alpha_S is the Term c x^(d - |S|).  The coefficients come in all_subsets
-    order; a generator a_i with i outside 1..n is not in the module, and a
-    class of several degrees raises ValueError.
+    Since a_S y^m = x^m alpha_S, the coefficient of alpha_S in a class of
+    degree d is the Term c_S x^(d - |S|).  The coefficients come in
+    all_subsets order; a generator a_i with i outside 1..n is not in the
+    module.
     """
-    if any(not 1 <= i <= n for S, _ in cls.terms for i in S):
+    if any(not 1 <= i <= n for S in cls.terms for i in S):
         raise NotInModule(f"{cls} has a generator outside a1..a{n}")
-    d = cls.degree
-    terms = sorted(cls.terms.items(), key=lambda t: (len(t[0][0]), t[0]))
-    return {frozenset(S): Term(c, d - len(S)) for (S, _), c in terms}
+    terms = sorted(cls.terms.items(), key=lambda t: (len(t[0]), t[0]))
+    return {frozenset(S): Term(c, cls.degree - len(S)) for S, c in terms}

@@ -32,11 +32,11 @@ MAX_REDUCE_N = 9
 class IdealPresentation:
     """Relations cutting out the reduced ring from Z[a_1..a_n, y].
 
-    The rewrite relations a_i y - a_i^2 are absorbed by the square-free
-    normal form of CubeClass; the two explicit families are the upward
-    classes alpha_J of the mu-positive subsets and the downward classes
-    beta_J of the mu-negative subsets.  A generator is its subset J, in
-    all_subsets order, and relation_rows writes its rows from J.
+    The rewrite relations a_i y - a_i^2 are absorbed by the monomials
+    a_S y^(d - |S|), one per subset S; the two explicit families are the
+    upward classes alpha_J of the mu-positive subsets and the downward
+    classes beta_J of the mu-negative subsets.  A generator is its subset
+    J, in all_subsets order, and relation_rows writes its rows from J.
     """
 
     n: int
@@ -111,7 +111,7 @@ def relation_rows(pres: IdealPresentation, d: int) -> list[dict[int, int]]:
     on a model level every positive J is larger than every negative one, so
     no row is empty, and elsewhere echelon_basis drops an empty row.
     """
-    col = {S: i for i, (S, _) in enumerate(degree_basis(pres.n, d))}
+    col = {S: i for i, S in enumerate(degree_basis(pres.n, d))}
     alpha = {S for S in col if any(J.issubset(S) for J in pres.positive)}
     rows = [{i: 1} for S, i in col.items() if S in alpha]
     for J in pres.negative:
@@ -180,7 +180,7 @@ def reduced_chern_series(q: GradedQuotient, up_to: int) -> list[ReducedChernEntr
         )
     out = []
     for i in range(1, min(up_to, q.n) + 1):
-        vec = [chern_coefficient(q.n, i, len(S)) for S, _ in degree_basis(q.n, i)]
+        vec = [chern_coefficient(q.n, i, len(S)) for S in degree_basis(q.n, i)]
         out.append(ReducedChernEntry(i, tuple(reduce_mod_rows(vec, q.bases[i]))))
     return out
 

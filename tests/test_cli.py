@@ -121,12 +121,22 @@ class TestExitCodes:
         ("n = 1\n= 1\n", "line 2: unrecognized directive '= 1'"),
         ("n = 0\npoint A weights 1\n", "line 1: n must be at least 1, got 0"),
         ("n = -1\npoint A weights 1\n", "line 1: n must be at least 1, got -1"),
-    ], ids=["second_n", "nonsense", "bare_equals", "n_zero", "n_negative"])
+        # only 'n = <int>' is the n line
+        ("n 1\npoint A weights 1\npoint B weights -1\n", "line 1: expected 'n = <int>'"),
+        ("n == 1\npoint A weights 1\npoint B weights -1\n", "line 1: expected 'n = <int>'"),
+    ], ids=["second_n", "nonsense", "bare_equals", "n_zero", "n_negative",
+            "no_equals", "double_equals"])
     def test_malformed_n_line(self, tmp_path, capsys, text, message):
         f = tmp_path / "doc.txt"
         f.write_text(text)
         assert main(["solve", str(f)]) == 2
         assert capsys.readouterr().err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize("line", ["n = 1", "n=1", "n =1", "  n= 1  # comment"])
+    def test_n_line_spacing(self, tmp_path, line):
+        f = tmp_path / "doc.txt"
+        f.write_text(f"{line}\npoint A weights 1\npoint B weights -1\n")
+        assert main(["solve", str(f)]) == 0
 
     def test_validation_error_is_input_error(self, tmp_path):
         f = tmp_path / "zero.txt"

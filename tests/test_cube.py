@@ -23,22 +23,14 @@ from semifree.errors import NotInModule, RingTooLarge, ZeroIsCritical
 
 
 def random_class(rng, n, max_terms=4, max_y=3):
-    """A class of up to max_terms terms, in general of several degrees."""
+    """A class of one degree d <= n + max_y and up to max_terms terms, at
+    subsets of size at most d."""
+    d = rng.randint(0, n + max_y)
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
-        size = rng.randint(0, n)
-        S = tuple(sorted(rng.sample(range(1, n + 1), size)))
-        terms[(S, rng.randint(0, max_y))] = rng.randint(-5, 5)
-    return CubeClass(terms)
-
-
-def components(cls):
-    """The homogeneous components of a class, by degree: each term (S, m)
-    goes to degree |S| + m, so the components sum back to the class."""
-    out = {}
-    for (S, m), c in cls.terms.items():
-        out.setdefault(len(S) + m, {})[S, m] = c
-    return {d: CubeClass(terms) for d, terms in sorted(out.items())}
+        S = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, min(d, n)))))
+        terms[S] = rng.randint(-5, 5)
+    return CubeClass(terms, d)
 
 
 class TestRestrict:
@@ -231,28 +223,19 @@ class TestExpressInBasis:
         assert out == {frozenset({1, 3}): Term(1)}
 
     def test_round_trip_random(self):
-        # each homogeneous component expands and is rebuilt from its terms,
-        # and the rebuilt components sum back to the whole class
+        # a class expands and is rebuilt from its terms
         rng = random.Random(3)
         for _ in range(60):
             n = rng.randint(1, 4)
             cls = random_class(rng, n)
-            whole = CubeClass()
-            for d, part in components(cls).items():
-                rebuilt = CubeClass()
-                for J, term in express_in_basis(part, n).items():
-                    assert term.degree == d - len(J)
-                    assert term.coeff.denominator == 1
-                    rebuilt = rebuilt + int(term.coeff) * (
-                        alpha_class(J) * CubeClass.gen_y() ** term.degree
-                    )
-                assert rebuilt == part
-                whole = whole + rebuilt
-            assert whole == cls
-
-    def test_class_of_several_degrees_is_refused(self):
-        with pytest.raises(ValueError, match="not homogeneous"):
-            express_in_basis(CubeClass.gen_y() + CubeClass.unit(), 1)
+            rebuilt = CubeClass()
+            for J, term in express_in_basis(cls, n).items():
+                assert term.degree == cls.degree - len(J)
+                assert term.coeff.denominator == 1
+                rebuilt = rebuilt + int(term.coeff) * (
+                    alpha_class(J) * CubeClass.gen_y() ** term.degree
+                )
+            assert rebuilt == cls
 
     def test_zero_class_detection(self):
         # a class restricting to zero everywhere expands to nothing
@@ -266,21 +249,21 @@ class TestExpressInBasis:
         rng = random.Random(5)
         for _ in range(100):
             n = rng.randint(1, 5)
-            for part in components(random_class(rng, n, max_terms=8)).values():
-                out = express_in_basis(part, n)
-                assert list(out) == [J for J in all_subsets(n) if J in out]
+            out = express_in_basis(random_class(rng, n, max_terms=8), n)
+            assert list(out) == [J for J in all_subsets(n) if J in out]
+
+
+def as_sympy(sympy, cls, n):
+    """cls as a polynomial in a_1..a_n and y."""
+    a, y = sympy.symbols(f"a1:{n + 1}"), sympy.Symbol("y")
+    return sum((c * sympy.Mul(*(a[i - 1] for i in S)) * y ** (cls.degree - len(S))
+                for S, c in cls.terms.items()), sympy.Integer(0))
 
 
 class TestRestrictAgainstSympy:
     """restrict_class against a route through sympy: write the class as a
     polynomial in a_1..a_n and y, substitute a_i -> x for i in J, else 0,
     and y -> x, and read off the coefficient of each power of x."""
-
-    @staticmethod
-    def as_sympy(sympy, cls, n):
-        a, y = sympy.symbols(f"a1:{n + 1}"), sympy.Symbol("y")
-        return sum((c * sympy.Mul(*(a[i - 1] for i in S)) * y**m
-                    for (S, m), c in cls.terms.items()), sympy.Integer(0))
 
     @staticmethod
     def restricted(sympy, expr, n, J):
@@ -292,9 +275,9 @@ class TestRestrictAgainstSympy:
 
     @staticmethod
     def ours(cls, J):
-        """{degree: Term} of the nonzero restrictions of cls's components."""
-        terms = {d: restrict_class(part, J) for d, part in components(cls).items()}
-        return {d: t for d, t in terms.items() if t}
+        """{degree: Term} of the restriction of cls, empty when it is zero."""
+        term = restrict_class(cls, J)
+        return {term.degree: term} if term else {}
 
     def test_each_component_of_random_classes_and_products(self):
         sympy = pytest.importorskip("sympy")
@@ -303,46 +286,81 @@ class TestRestrictAgainstSympy:
             n = rng.randint(1, 4)
             f, g = random_class(rng, n), random_class(rng, n)
             J = frozenset(rng.sample(range(1, n + 1), rng.randint(0, n)))
-            f_expr, g_expr = self.as_sympy(sympy, f, n), self.as_sympy(sympy, g, n)
+            f_expr, g_expr = as_sympy(sympy, f, n), as_sympy(sympy, g, n)
             assert self.ours(f, J) == self.restricted(sympy, f_expr, n, J)
             # sympy multiplies outside the normal form a_i^2 = a_i y
             assert self.ours(f * g, J) == self.restricted(sympy, f_expr * g_expr, n, J)
 
 
+class TestProductAgainstSympy:
+    """f * g against sympy: expand the product of the two polynomials and
+    divide it by the relations a_i^2 - a_i y.  Their leading terms a_i^2 are
+    coprime, so the relations are a Groebner basis and the remainder is the
+    square-free normal form; each of its coefficients must be the one f * g
+    holds at that subset, with the y power the degree implies."""
+
+    def test_random_products(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(43)
+        for _ in range(100):
+            n = rng.randint(1, 4)
+            f, g = random_class(rng, n), random_class(rng, n)
+            a, y = sympy.symbols(f"a1:{n + 1}"), sympy.Symbol("y")
+            product = sympy.expand(as_sympy(sympy, f, n) * as_sympy(sympy, g, n))
+            relations = [ai**2 - ai * y for ai in a]
+            _, rest = sympy.reduced(product, relations, *a, y, order="lex")
+            theirs = {}
+            for exps, c in sympy.Poly(rest, *a, y).as_dict().items():
+                assert max(exps[:-1]) <= 1  # square-free
+                S = tuple(i for i, e in enumerate(exps[:-1], start=1) if e)
+                theirs[S, exps[-1]] = int(c)
+            fg = f * g
+            assert {(S, fg.degree - len(S)): c for S, c in fg.terms.items()} == theirs
+
+
 class TestRingProperties:
     def test_equal_constants_hash_equal(self):
         # a constant equals its integer, so a set or dict finds it by that integer
-        assert 3 in {CubeClass({((), 0): 3})}
+        assert 3 in {CubeClass({(): 3})}
         assert 0 in {CubeClass()}
         assert CubeClass.unit() in {1}
-        assert {CubeClass({((), 0): -4}): "c"}[-4] == "c"
+        assert {CubeClass({(): -4}): "c"}[-4] == "c"
         assert CubeClass.gen_y() not in {1}
 
     def test_restriction_is_multiplicative(self):
-        # for every pair of homogeneous components f_d, g_e
         rng = random.Random(17)
         for _ in range(200):
             n = rng.randint(1, 4)
             f, g = random_class(rng, n), random_class(rng, n)
             J = frozenset(rng.sample(range(1, n + 1), rng.randint(0, n)))
-            for fd in components(f).values():
-                for ge in components(g).values():
-                    assert restrict_class(fd * ge, J) == (
-                        restrict_class(fd, J) * restrict_class(ge, J))
+            assert restrict_class(f * g, J) == restrict_class(f, J) * restrict_class(g, J)
 
-    def test_restriction_of_several_degrees_is_refused(self):
-        with pytest.raises(ValueError, match="not homogeneous"):
-            restrict_class(CubeClass.gen_a(1) + CubeClass.unit(), {1})
+    def test_adding_different_degrees_is_refused(self):
+        with pytest.raises(ValueError, match="degrees differ"):
+            CubeClass.gen_a(1) + CubeClass.unit()
+        with pytest.raises(ValueError, match="degrees differ"):
+            CubeClass.gen_y() - 1
 
-    def test_components_sum_to_the_class(self):
+    def test_subset_larger_than_the_degree_is_refused(self):
+        with pytest.raises(ValueError, match="larger than the degree 0"):
+            CubeClass({(1,): 1})
+        with pytest.raises(ValueError, match="larger than the degree 1"):
+            CubeClass({(1, 2): 1}, 1)
+
+    def test_negative_power_is_refused(self):
+        with pytest.raises(ValueError, match="negative power"):
+            CubeClass.gen_a(1) ** -1
+        assert CubeClass.gen_a(1) ** 0 == 1
+
+    def test_a_class_is_the_sum_of_its_monomials(self):
         rng = random.Random(29)
         for _ in range(50):
             n = rng.randint(1, 4)
             cls = random_class(rng, n)
-            parts = components(cls)
-            assert sum(parts.values(), CubeClass()) == cls
-            for d, part in parts.items():
-                assert part.degree == d
+            monomials = [c * alpha_class(S) * CubeClass.gen_y() ** (cls.degree - len(S))
+                         for S, c in cls.terms.items()]
+            assert sum(monomials, CubeClass()) == cls
+            assert cls.degree == (max(m.degree for m in monomials) if monomials else -1)
 
     def test_alpha_products_expand_over_unions(self):
         rng = random.Random(23)
@@ -384,3 +402,13 @@ class TestModelData:
     def test_subset_ids(self):
         assert subset_id(frozenset()) == "p"
         assert subset_id({3, 1}) == "p13"
+        assert subset_id({12, 2, 10}) == "p2_10_12"
+
+    def test_subset_ids_below_ten_are_the_digits(self):
+        for J in all_subsets(9):
+            assert subset_id(J) == "p" + "".join(map(str, sorted(J)))
+
+    def test_subset_ids_are_distinct(self):
+        # {12} and {1, 2} once shared 'p12'
+        ids = [subset_id(J) for J in all_subsets(14)]
+        assert len(set(ids)) == len(ids)

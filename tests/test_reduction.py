@@ -39,9 +39,9 @@ def product_rows(pres, d):
         beta_class(J, pres.n) for J in pres.negative]
     rows = []
     for gen in gens:
-        (g,) = {len(S) + m for S, m in gen.terms}
-        for mono in degree_basis(pres.n, d - g) if g <= d else ():
-            product = gen * CubeClass({mono: 1})
+        g = gen.degree
+        for S in degree_basis(pres.n, d - g) if g <= d else ():
+            product = gen * CubeClass({S: 1}, d - g)
             rows.append({index[key]: c for key, c in product.terms.items()})
     return rows
 
@@ -60,7 +60,7 @@ def assert_only_unit_rows_meet_alpha_columns(pres, d):
     """The rows with an entry at a column a_S y^m, S containing a positive
     J, are the unit rows at those columns, one each: beta rows are written
     modulo the alpha rows."""
-    alpha = [i for i, (S, _) in enumerate(degree_basis(pres.n, d))
+    alpha = [i for i, S in enumerate(degree_basis(pres.n, d))
              if any(J <= set(S) for J in pres.positive)]
     meeting = [row for row in relation_rows(pres, d) if row.keys() & set(alpha)]
     assert sorted(tuple(row.items()) for row in meeting) == [((i, 1),) for i in alpha]
@@ -172,6 +172,7 @@ class TestGradedQuotient:
         assert len(degree_basis(3, 0)) == 1
         assert len(degree_basis(3, 1)) == 4  # a1, a2, a3, y
         assert len(degree_basis(3, 2)) == 7
+        assert degree_basis(3, 1) == [(), (1,), (2,), (3,)]
 
 
 class TestBettiByCounting:
