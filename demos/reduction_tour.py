@@ -18,7 +18,9 @@ from semifree import (
 )
 
 # Reduce the n=3 model at the balanced level: the moment map is |J| - 3/2,
-# so four points sit below zero and four above.
+# so four points sit below zero and four above.  kernel_generators reads
+# the model as one more fixed-point document, hypercube_data(n, c), whose
+# points carry those moment values.
 n = 3
 model = ModelData(n, Fraction(3, 2))
 pres = kernel_generators(model)
@@ -36,15 +38,14 @@ print("torsion:", q.torsion, "(always empty here)")
 print("Euler characteristic:", q.euler_characteristic)
 
 # The same ranks fall out of pure point counting below the level.
-data = hypercube_data(n, with_moment=True, c=model.c)
+data = hypercube_data(n, model.c)
 print("by counting:", betti_by_counting(data))
 
 # Duality of the reduced space, and the images of the Chern classes,
 # reduced against the echelon bases the quotient kept.
-print("Poincare duality:", poincare_check(q, n).passed)
-for entry in reduced_chern_series(q, 2):
-    print(f"c{entry.degree} image over the degree-{entry.degree} monomials:",
-          list(entry.coefficients))
+print("Poincare duality:", poincare_check(q).passed)
+for i, coefficients in enumerate(reduced_chern_series(q), start=1):
+    print(f"c{i} image over the degree-{i} monomials:", list(coefficients))
 
 # Sweep every regular level of every small model: the two computations of
 # the Betti numbers always agree.
@@ -53,6 +54,6 @@ for m in range(1, 6):
     for step in range(m):
         c = Fraction(2 * step + 1, 2)
         qm = graded_quotient(kernel_generators(ModelData(m, c)), 2 * (m - 1))
-        dm = hypercube_data(m, with_moment=True, c=c)
+        dm = hypercube_data(m, c)
         agree = betti_by_counting(dm) == qm.ranks
         print(f"  n={m}, c={c}: betti {qm.ranks}, counting agrees: {agree}")

@@ -44,7 +44,7 @@ class Term:
         object.__setattr__(self, "degree", degree if c else -1)
 
     def __setattr__(self, *args):
-        raise AttributeError("Term is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __bool__(self) -> bool:
         return bool(self.coeff)

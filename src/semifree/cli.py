@@ -218,18 +218,17 @@ def cmd_solve(args) -> int:
 
 def cmd_reduce(args) -> int:
     if args.file:
+        if args.n is not None or args.c is not None:
+            raise InputError("reduce takes a file or --n (with optional --c), not both")
         data = load_document(args.file)
-        pres = reduction.presentation_from_data(data)
-        n = data.n
-        moment_data = data
     else:
         if args.n is None:
             raise InputError("reduce needs --n (with optional --c) or a file")
-        n = args.n
-        c = parse_rational(args.c) if args.c else None
-        model = ModelData(n, c)
-        pres = reduction.kernel_generators(model)
-        moment_data = hypercube_data(n, with_moment=True, c=model.c)
+        model = ModelData(args.n, parse_rational(args.c) if args.c else None)
+        reduction.require_reducible(model.n)
+        data = hypercube_data(model.n, model.c)
+    pres = reduction.presentation_from_data(data)
+    n = data.n
     # the reduced space has dimension 2(n-1): nothing lives above that degree
     top = 2 * (n - 1)
     max_degree = args.max_degree if args.max_degree is not None else top
@@ -240,7 +239,7 @@ def cmd_reduce(args) -> int:
     q = reduction.graded_quotient(pres, max_degree)
     print("betti:", " ".join(str(r) for r in q.ranks))
     failed = False
-    by_count = reduction.betti_by_counting(moment_data)
+    by_count = reduction.betti_by_counting(data)
     for i, (r, counted) in enumerate(zip(q.ranks, by_count)):
         if counted != r:
             print(f"degree {2*i}: quotient rank {r} != counting rank {counted}  FAIL")
@@ -248,11 +247,11 @@ def cmd_reduce(args) -> int:
     if any(q.torsion):
         print("torsion:", q.torsion, " FAIL")
         failed = True
-    duality = reduction.poincare_check(q, n)
+    duality = reduction.poincare_check(q)
     print("poincare duality:", "ok" if duality.passed else "FAIL")
     failed |= not duality.passed
-    for entry in reduction.reduced_chern_series(q, min(n, max_degree // 2)):
-        print(f"c{entry.degree} image: {list(entry.coefficients)}")
+    for i, coefficients in enumerate(reduction.reduced_chern_series(q), start=1):
+        print(f"c{i} image: {list(coefficients)}")
     if len(q.ranks) == n:  # the sum needs every degree 0..n-1
         print("euler characteristic:", q.euler_characteristic)
     return EXIT_CONSTRAINT if failed else EXIT_OK

@@ -30,22 +30,26 @@ class CubeClass:
 
     Immutable.  `terms` maps each sorted subset S to its nonzero c_S; zero
     has degree -1 and no terms, and a constant (degree 0) equals, and hashes
-    as, its integer.  A subset larger than the degree is refused.  Classes
-    multiply and take powers; two classes add only when they have the same
-    degree or one of them is zero.
+    as, its integer.  A subset larger than the degree, or a coefficient or
+    scalar that is not an int, is refused.  Classes multiply and take
+    powers; two classes add only when they have the same degree or one of
+    them is zero.
     """
 
     __slots__ = ("terms", "degree")
 
     def __init__(self, terms: dict | None = None, degree: int = 0):
-        cleaned = {tuple(sorted(S)): int(c) for S, c in (terms or {}).items() if c}
+        terms = terms or {}
+        if bad := [c for c in terms.values() if not isinstance(c, int)]:
+            raise TypeError(f"expected integer coefficients, got {type(bad[0]).__name__}")
+        cleaned = {tuple(sorted(S)): int(c) for S, c in terms.items() if c}
         if cleaned and len(big := max(cleaned, key=len)) > degree:
             raise ValueError(f"subset {big} is larger than the degree {degree}")
         object.__setattr__(self, "terms", cleaned)
         object.__setattr__(self, "degree", degree if cleaned else -1)
 
     def __setattr__(self, *args):
-        raise AttributeError("CubeClass is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @staticmethod
     def unit() -> "CubeClass":
@@ -76,7 +80,7 @@ class CubeClass:
         return hash((self.degree, frozenset(self.terms.items())))
 
     def __add__(self, other) -> "CubeClass":
-        if isinstance(other, int):
+        if not isinstance(other, CubeClass):
             other = CubeClass({(): other})
         if not other:
             return self
@@ -99,7 +103,7 @@ class CubeClass:
         return -(self - other)
 
     def __mul__(self, other) -> "CubeClass":
-        if isinstance(other, int):
+        if not isinstance(other, CubeClass):
             return CubeClass({S: c * other for S, c in self.terms.items()}, self.degree)
         out: dict[tuple[int, ...], int] = {}
         for S1, c1 in self.terms.items():
@@ -188,40 +192,32 @@ def subset_id(J) -> str:
 
 @dataclass(frozen=True)
 class ModelData:
-    """Model parameters: half-dimension and the moment offset c, mu(J) = |J| - c."""
+    """Model parameters: half-dimension n and the moment offset c, mu(J) =
+    |J| - c; an integral c, for which 0 is critical, is refused when built."""
 
     n: int
     c: Fraction | None = None
 
     def __post_init__(self):
-        if self.c is None:
-            # default regular level: half-integral offset nearest the middle
-            c = Fraction(self.n, 2) if self.n % 2 else Fraction(self.n, 2) + Fraction(1, 2)
-            object.__setattr__(self, "c", c)
-        else:
-            object.__setattr__(self, "c", Fraction(self.c))
-
-    def mu(self, J) -> Fraction:
-        return Fraction(len(J)) - self.c
-
-    def require_regular(self):
-        if self.c.denominator == 1:
-            raise ZeroIsCritical(f"offset {self.c} makes 0 a critical level")
+        # default: the half-integral offset nearest the middle, n//2 + 1/2
+        c = Fraction(2 * (self.n // 2) + 1, 2) if self.c is None else Fraction(self.c)
+        object.__setattr__(self, "c", c)
+        if c.denominator == 1:
+            raise ZeroIsCritical(f"offset {c} makes 0 a critical level")
 
 
-def hypercube_data(n: int, with_moment: bool = False, c: Fraction | None = None) -> FixedPointData:
-    """Fixed point data of the model: one point per subset.
+def hypercube_data(n: int, c: Fraction | None = None) -> FixedPointData:
+    """Fixed point data of the model: one point per subset, with moment
+    value |J| - c when an offset c is given and none otherwise.
 
     Tangent weight convention: -1 on sphere i when i is in J, +1 otherwise,
     so the index of J is 2|J|.
     """
-    model = ModelData(n, c)
-    points = []
-    for J in all_subsets(n):
-        weights = tuple(-1 if i in J else 1 for i in range(1, n + 1))
-        mu = model.mu(J) if with_moment else None
-        points.append(FixedPoint(subset_id(J), weights, mu))
-    return FixedPointData(n, tuple(points))
+    return FixedPointData(n, tuple(
+        FixedPoint(subset_id(J), tuple(-1 if i in J else 1 for i in range(1, n + 1)),
+                   None if c is None else len(J) - c)
+        for J in all_subsets(n)
+    ))
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,16 @@ class FixedPoint:
     moment_value: Fraction | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        if self.moment_value is not None and not isinstance(
-            self.moment_value, Fraction
-        ):
+        # exact values only: int weights, and an int or Fraction moment value
+        object.__setattr__(self, "weights", tuple(self.weights))
+        if bad := [w for w in self.weights if not isinstance(w, int)]:
+            raise TypeError(f"point {self.id!r}: weights must be integers, "
+                            f"got {type(bad[0]).__name__}")
+        if isinstance(self.moment_value, int):
             object.__setattr__(self, "moment_value", Fraction(self.moment_value))
+        elif not isinstance(self.moment_value, (Fraction, type(None))):
+            raise TypeError(f"point {self.id!r}: the moment value must be an integer "
+                            f"or Fraction, got {type(self.moment_value).__name__}")
 
     @property
     def negative_count(self) -> int:

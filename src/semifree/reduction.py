@@ -2,7 +2,9 @@
 
 The kernel of the surjection onto the reduced space's cohomology is spanned
 by the upward classes at points above the level and the downward classes at
-points below it.  Each graded piece of the quotient is a finite integer
+points below it.  A model level (n, c) is one more fixed-point document,
+hypercube_data(n, c), so presentation_from_data is the one route to the
+relations.  Each graded piece of the quotient is a finite integer
 linear-algebra problem: square-free monomials times powers of y form a basis
 of the ambient degree slice, and the relations in it are written in closed
 form from the generators' subsets.  One integer echelon basis per degree
@@ -16,15 +18,14 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .algebra import echelon_basis, reduce_mod_rows, smith_normal_form
-from .cube import ModelData, all_subsets, chern_coefficient, degree_basis
+from .cube import ModelData, chern_coefficient, degree_basis, hypercube_data
 from .errors import NotSemifree, ReductionTooLarge
 from .fixed_points import FixedPointData, require_binomial_counts, split_by_moment_sign
 from .pipeline import run_pipeline
 
-# Largest n that kernel_generators and graded_quotient accept: on a 2-core
-# Xeon `reduce --n 9` takes 1.2 s at 19 MB peak; the n = 10 quotient takes
-# about 8.5 s at 30 MB, 6.8 s of it in echelon_basis (rows 1.3 s, Smith
-# normal form 0.4 s).
+# Largest n that require_reducible accepts: on a 2-core Xeon `reduce --n 9`
+# takes 1.2 s at 19 MB peak; the n = 10 quotient takes about 8.5 s at 30 MB,
+# 6.8 s of it in echelon_basis (rows 1.3 s, Smith normal form 0.4 s).
 MAX_REDUCE_N = 9
 
 
@@ -65,35 +66,27 @@ class GradedQuotient:
         return sum(self.ranks)
 
 
-def _split(n: int, above) -> IdealPresentation:
-    subsets = all_subsets(n)
-    return IdealPresentation(n, tuple(J for J in subsets if above(J)),
-                             tuple(J for J in subsets if not above(J)))
-
-
-def _require_reducible(n: int) -> None:
+def require_reducible(n: int) -> None:
     if n > MAX_REDUCE_N:
         raise ReductionTooLarge(f"n={n} exceeds the reduction bound {MAX_REDUCE_N}")
 
 
 def kernel_generators(model: ModelData) -> IdealPresentation:
-    """Split the subsets by moment sign into the two generator families,
-    refusing an n above MAX_REDUCE_N before the 2^n subsets are listed."""
-    model.require_regular()
-    _require_reducible(model.n)
-    return _split(model.n, lambda J: model.mu(J) > 0)
+    """The presentation of the document hypercube_data(n, c), refusing an n
+    above MAX_REDUCE_N before its 2^n points are listed."""
+    require_reducible(model.n)
+    return presentation_from_data(hypercube_data(model.n, model.c))
 
 
 def presentation_from_data(data: FixedPointData) -> IdealPresentation:
-    """Relations for abstract semifree data with moment values.
-
-    The deduction pipeline labels points by subsets; the moment sign of a
-    point then decides which family its subset lands in.
-    """
+    """Relations for semifree data with moment values: the deduction
+    pipeline labels each point by a subset, and the point's moment sign puts
+    the subset in one family.  The pipeline pairs the points, in their
+    (index, id) order, with all_subsets, so each family is in that order."""
     subsets = run_pipeline(data)
-    plus, _ = split_by_moment_sign(data)
-    up = {subsets[p.id] for p in plus}
-    return _split(data.n, up.__contains__)
+    plus, minus = split_by_moment_sign(data)
+    return IdealPresentation(data.n, tuple(subsets[p.id] for p in plus),
+                             tuple(subsets[p.id] for p in minus))
 
 
 def relation_rows(pres: IdealPresentation, d: int) -> list[dict[int, int]]:
@@ -128,7 +121,7 @@ def relation_rows(pres: IdealPresentation, d: int) -> list[dict[int, int]]:
 
 def graded_quotient(pres: IdealPresentation, max_degree: int) -> GradedQuotient:
     """Quotient ring data in cohomological degrees 0, 2, ..., max_degree."""
-    _require_reducible(pres.n)
+    require_reducible(pres.n)
     ranks, torsion, bases = [], [], []
     for d in range(max_degree // 2 + 1):
         basis = echelon_basis(relation_rows(pres, d))
@@ -163,26 +156,13 @@ def betti_by_counting(data: FixedPointData) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class ReducedChernEntry:
-    degree: int  # cohomological degree 2*degree_index
-    coefficients: tuple[int, ...]
-
-
-def reduced_chern_series(q: GradedQuotient, up_to: int) -> list[ReducedChernEntry]:
-    """Images of the Chern coefficient classes c_1..c_min(up_to, n) in the
-    quotient: each c_i is written over degree_basis from chern_coefficient
-    and reduced against the degree's echelon basis."""
-    if up_to >= len(q.bases):
-        raise ValueError(
-            f"c_{up_to} needs the relation basis in degree {up_to}; "
-            f"the quotient holds bases for {len(q.bases)} degree(s)"
-        )
-    out = []
-    for i in range(1, min(up_to, q.n) + 1):
-        vec = [chern_coefficient(q.n, i, len(S)) for S in degree_basis(q.n, i)]
-        out.append(ReducedChernEntry(i, tuple(reduce_mod_rows(vec, q.bases[i]))))
-    return out
+def reduced_chern_series(q: GradedQuotient) -> list[tuple[int, ...]]:
+    """Images of c_1..c_min(n, computed) in the quotient, one per degree
+    whose echelon basis q holds: each c_i is written over degree_basis from
+    chern_coefficient and reduced against that basis."""
+    return [tuple(reduce_mod_rows([chern_coefficient(q.n, i, len(S)) for S in degree_basis(q.n, i)],
+                                  basis))
+            for i, basis in enumerate(q.bases[1:q.n + 1], start=1)]
 
 
 @dataclass(frozen=True)
@@ -196,13 +176,13 @@ class DualityReport:
         return self.torsion_free and self.symmetric
 
 
-def poincare_check(q: GradedQuotient, n: int) -> DualityReport:
+def poincare_check(q: GradedQuotient) -> DualityReport:
     """Rank symmetry rank_{2i} = rank_{2(n-1-i)} and absence of torsion.
 
     Only pairs whose two ranks were both computed are compared, so a
     quotient computed below the top degree is checked as far as it goes.
     """
-    top = n - 1
+    top = q.n - 1
     ranks = q.ranks[:top + 1]
     symmetric = all(ranks[i] == ranks[top - i]
                     for i in range(len(ranks)) if top - i < len(ranks))

@@ -134,20 +134,20 @@ def test_criterion_7_reduced_space():
     start = time.monotonic()
     pres = kernel_generators(ModelData(3, Fraction(3, 2)))
     q = graded_quotient(pres, 4)
-    data3 = hypercube_data(3, with_moment=True, c=Fraction(3, 2))
+    data3 = hypercube_data(3, Fraction(3, 2))
     ok = q.ranks == (1, 4, 1)
     ok &= all(not t for t in q.torsion)
     ok &= betti_by_counting(data3) == q.ranks
-    ok &= poincare_check(q, 3).passed
+    ok &= poincare_check(q).passed
     ok &= q.euler_characteristic == 6
     for n in range(1, 6):
         for step in range(n):
             c = Fraction(2 * step + 1, 2)
             pres = kernel_generators(ModelData(n, c))
             qn = graded_quotient(pres, 2 * (n - 1))
-            data = hypercube_data(n, with_moment=True, c=c)
+            data = hypercube_data(n, c)
             ok &= betti_by_counting(data) == qn.ranks
-            ok &= poincare_check(qn, n).passed
+            ok &= poincare_check(qn).passed
     elapsed = time.monotonic() - start
     report(
         f"7 reduced-space ranks, duality, counting agreement ({elapsed:.1f}s)",

@@ -210,6 +210,20 @@ class TestCommands:
         assert main(["reduce", cube_file]) == 0
         assert "betti: 1 4 1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("options", [["--n", "5", "--c", "3/2"], ["--c", "7"]],
+                             ids=["n_and_c", "c_alone"])
+    def test_reduce_file_refuses_a_model_level(self, options, cube_file, capsys):
+        # the file states n and the moments; a level given beside it is refused
+        assert main(["reduce", cube_file, *options]) == 2
+        assert capsys.readouterr() == (
+            "", "input error: reduce takes a file or --n (with optional --c), not both\n")
+
+    @pytest.mark.parametrize("c", ["1", "5"])
+    def test_reduce_refuses_a_critical_offset(self, c, capsys):
+        assert main(["reduce", "--n", "5", "--c", c]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: offset {c} makes 0 a critical level\n")
+
     def test_search(self, capsys):
         assert main(
             ["search", "--n", "3", "--points", "2", "--bound", "2", "--degree", "3"]
@@ -508,10 +522,11 @@ def test_check_output_is_frozen(name, tmp_path, capsys):
     assert (rc, hashlib.sha256(out.encode()).hexdigest()) == CHECK_DIGESTS[name]
 
 
-def seeded_cube_document(n: int, seed: int, random_signs: bool = False) -> str:
+def seeded_cube_document(n: int, seed: int, random_signs: bool = False,
+                         level: Fraction | None = None) -> str:
     """The model datum in dimension 2n under random point ids, in shuffled
-    lines.  Moments are scale * (|J| - c) at a regular level c, or random
-    nonzero fractions of either sign."""
+    lines.  Moments are scale * (|J| - c) at a regular level c, the given
+    level or a random one, or random nonzero fractions of either sign."""
     rng = random.Random(seed)
     alphabet = string.ascii_letters + string.digits
     ids: set[str] = set()
@@ -519,7 +534,7 @@ def seeded_cube_document(n: int, seed: int, random_signs: bool = False) -> str:
         ids.add(rng.choice(string.ascii_letters) + "".join(rng.choices(alphabet, k=4)))
     ids = sorted(ids)
     rng.shuffle(ids)
-    c = Fraction(2 * rng.randrange(n) + 1, 2)
+    c = level if level is not None else Fraction(2 * rng.randrange(n) + 1, 2)
     scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
     lines = []
     for pid, J in zip(ids, all_subsets(n)):
@@ -588,6 +603,18 @@ def test_reduce_file_output_is_frozen(name, tmp_path, capsys):
     rc = main(["reduce", str(path)])
     out = capsys.readouterr().out
     assert (rc, hashlib.sha256(out.encode()).hexdigest()) == REDUCE_FILE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("n,c", [(n, c) for n, c in REDUCE_DIGESTS if n <= 6])
+def test_reduce_file_agrees_with_the_model_level(n, c, tmp_path, capsys):
+    # a model level is one more fixed-point document: the same level under
+    # random ids, shuffled lines and moments scaled by a positive rational
+    # must reduce to the same output
+    path = tmp_path / "doc.txt"
+    path.write_text(seeded_cube_document(n, 1000 + n, level=Fraction(c)))
+    rc = main(["reduce", "--n", str(n), "--c", c])
+    expected = capsys.readouterr().out
+    assert (main(["reduce", str(path)]), capsys.readouterr().out) == (rc, expected)
 
 
 # exit code and sha256 of `ring --n n --format f` stdout, frozen from the

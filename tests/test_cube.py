@@ -347,6 +347,24 @@ class TestRingProperties:
         with pytest.raises(ValueError, match="larger than the degree 1"):
             CubeClass({(1, 2): 1}, 1)
 
+    @pytest.mark.parametrize("terms,degree,name", [
+        ({(): Fraction(1, 2)}, 0, "Fraction"),
+        ({(1,): 2.7}, 1, "float"),
+        ({(): Fraction(2)}, 0, "Fraction"),
+        ({(1,): 1, (2,): "1"}, 1, "str"),
+    ])
+    def test_non_integer_coefficient_is_refused(self, terms, degree, name):
+        with pytest.raises(TypeError, match=f"expected integer coefficients, got {name}"):
+            CubeClass(terms, degree)
+
+    @pytest.mark.parametrize("other", [Fraction(1, 2), Fraction(0), 0.5, "a"])
+    def test_arithmetic_with_a_non_integer_is_refused(self, other):
+        a1 = CubeClass.gen_a(1)
+        for op in (lambda: a1 * other, lambda: other * a1,
+                   lambda: a1 + other, lambda: other + a1, lambda: a1 - other):
+            with pytest.raises(TypeError):
+                op()
+
     def test_negative_power_is_refused(self):
         with pytest.raises(ValueError, match="negative power"):
             CubeClass.gen_a(1) ** -1
@@ -391,13 +409,23 @@ class TestModelData:
         assert ModelData(4).c == Fraction(5, 2)
 
     def test_regular_level_enforced(self):
-        with pytest.raises(ZeroIsCritical):
-            ModelData(2, Fraction(1)).require_regular()
+        with pytest.raises(ZeroIsCritical, match="offset 1 makes 0 a critical level"):
+            ModelData(2, Fraction(1))
 
     def test_hypercube_moment_split(self):
-        data = hypercube_data(3, with_moment=True)
+        data = hypercube_data(3, Fraction(3, 2))
         low = [p for p in data.points if p.moment_value < 0]
         assert len(low) == 4
+
+    def test_hypercube_moments_exactly_when_an_offset_is_given(self):
+        assert all(p.moment_value is None for p in hypercube_data(2).points)
+        data = hypercube_data(2, Fraction(1, 2))
+        assert {p.id: p.moment_value for p in data.points} == {
+            "p": Fraction(-1, 2), "p1": Fraction(1, 2), "p2": Fraction(1, 2),
+            "p12": Fraction(3, 2),
+        }
+        # any offset gives the moments |J| - c; only a model level is checked
+        assert [p.moment_value for p in hypercube_data(1, 1).points] == [-1, 0]
 
     def test_subset_ids(self):
         assert subset_id(frozenset()) == "p"

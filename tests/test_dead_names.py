@@ -1,7 +1,9 @@
 """Every module-level function, class and constant in src/semifree is named
 somewhere other than its own definition, and every dataclass field there is
 read as an attribute, in the code of src/, tests/, demos/ or perfbench/: a
-name nothing reads is dead code, and a field nothing reads is dead state."""
+name nothing reads is dead code, and a field nothing reads is dead state.
+Every parameter of a function in src/semifree is read in that function's
+body: a parameter nothing reads restates what the other inputs say."""
 
 import ast
 from pathlib import Path
@@ -125,3 +127,51 @@ def test_detects_an_unread_field():
     }
     assert dataclass_fields(trees["lib.py"]) == ["A.x", "A.y", "B.z"]
     assert attributes_read(trees) == {"x"}
+
+
+def unread_parameters(tree: ast.Module) -> list[str]:
+    """Qualified.function.parameter for each parameter, self included, that
+    the function's body never reads as a name; a read in a nested function
+    or lambda counts."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = prefix + getattr(child, "name", "<lambda>")
+                a = child.args
+                params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg,
+                                          *a.kwonlyargs, a.kwarg) if p]
+                body = child.body if isinstance(child.body, list) else [child.body]
+                read = {n.id for stmt in body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                out.extend(f"{name}.{p}" for p in params if p not in read)
+                visit(child, name + ".")
+            else:
+                visit(child, prefix + child.name + "." if isinstance(child, ast.ClassDef)
+                      else prefix)
+
+    visit(tree, "")
+    return out
+
+
+# The immutability guards refuse every assignment, whatever its arguments.
+UNREAD_EXEMPT = {"algebra.Term.__setattr__.args", "cube.CubeClass.__setattr__.args"}
+
+
+def test_every_parameter_is_read():
+    unread = {f"{Path(key).stem}.{p}" for key in MODULES for p in unread_parameters(TREES[key])}
+    assert unread == UNREAD_EXEMPT
+
+
+def test_detects_an_unread_parameter():
+    tree = ast.parse(
+        "def f(a, b, *rest, c=1, **kw): return a + kw['x']\n"
+        "def g(n, m): return (lambda k: k + n)(0)\n"
+        "class C:\n"
+        "    def h(self, x):\n"
+        "        def inner(y): return x\n"
+        "        return inner\n"
+    )
+    assert unread_parameters(tree) == [
+        "f.b", "f.rest", "f.c", "g.m", "C.h.self", "C.h.inner.y"]

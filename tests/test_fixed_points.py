@@ -57,6 +57,29 @@ class TestValidate:
         assert isinstance(caught.value, InputError)
 
 
+class TestFixedPointTypes:
+    @pytest.mark.parametrize("weights,name", [
+        ((1.7, -1), "float"), ((1, Fraction(1)), "Fraction"), (("1",), "str")])
+    def test_non_integer_weight_is_refused(self, weights, name):
+        with pytest.raises(TypeError) as caught:
+            FixedPoint("a", weights)
+        assert str(caught.value) == f"point 'a': weights must be integers, got {name}"
+
+    @pytest.mark.parametrize("moment,name", [(0.1, "float"), ("1/2", "str")])
+    def test_float_moment_value_is_refused(self, moment, name):
+        with pytest.raises(TypeError) as caught:
+            FixedPoint("a", (1,), moment)
+        assert str(caught.value) == (
+            f"point 'a': the moment value must be an integer or Fraction, got {name}")
+
+    def test_integer_moment_value_becomes_a_fraction(self):
+        p = FixedPoint("a", [1, -1], -2)
+        assert p.weights == (1, -1)
+        assert p.moment_value == Fraction(-2) and isinstance(p.moment_value, Fraction)
+        assert FixedPoint("a", (1,), Fraction(1, 3)).moment_value == Fraction(1, 3)
+        assert FixedPoint("a", (1,)).moment_value is None
+
+
 class TestCounts:
     def test_two_sphere(self):
         assert counts(SPHERE) == (1, 1)
@@ -98,7 +121,7 @@ class TestSplitByMomentSign:
         assert [p.id for p in minus] == ["s"]
 
     def test_balanced_hypercube(self):
-        data = hypercube_data(3, with_moment=True)  # mu(J) = |J| - 3/2
+        data = hypercube_data(3, Fraction(3, 2))  # mu(J) = |J| - 3/2
         plus, minus = split_by_moment_sign(data)
         assert len(plus) == len(minus) == 4
         assert all(p.negative_count >= 2 for p in plus)

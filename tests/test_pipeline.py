@@ -109,7 +109,7 @@ class TestRunPipeline:
 
     def test_missing_middle_point_gives_one_message(self):
         # the counting formula and the deduction share one binomial-row check
-        base = hypercube_data(4, with_moment=True)
+        base = hypercube_data(4, Fraction(5, 2))
         data = FixedPointData(4, tuple(p for p in base.points if p.id != "p23"))
         message = "level 2 has 5 point(s), the binomial row needs C(4, 2) = 6"
         for run in (run_pipeline, betti_by_counting):

@@ -1,9 +1,14 @@
-"""The README's library quick start runs and prints what its comments say."""
+"""The README's library quick start and command-line examples run and print
+what their comments say."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
+
+import pytest
+
+from semifree.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,3 +28,21 @@ def test_quick_start_prints_its_commented_outputs():
     with contextlib.redirect_stdout(out):
         exec(code, {})
     assert out.getvalue().splitlines() == expected
+
+
+def command_line_comments() -> dict[str, str]:
+    """Each command of the "Command line" block mapped to its comment."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    return {command.strip(): comment.strip() for command, _, comment
+            in (line.partition("#") for line in block.splitlines())}
+
+
+@pytest.mark.parametrize("command,first_line", [
+    ("semifree count --n 3", "1 3 3 1"),
+    ("semifree reduce --n 3 --c 3/2", "betti: 1 4 1"),
+])
+def test_command_line_block_prints_its_commented_outputs(command, first_line, capsys):
+    assert command_line_comments()[command] == first_line
+    assert main(command.split()[1:]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == first_line

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 
 from semifree.algebra import echelon_basis, reduce_mod_rows
-from semifree.cube import CubeClass, ModelData, alpha_class, beta_class, hypercube_data
+from semifree.cube import (
+    CubeClass,
+    ModelData,
+    all_subsets,
+    alpha_class,
+    beta_class,
+    hypercube_data,
+)
 from semifree.errors import MissingMomentValue, ReductionTooLarge, ZeroIsCritical
 from semifree.fixed_points import FixedPoint, FixedPointData
 from semifree.reduction import (
@@ -178,7 +185,7 @@ class TestGradedQuotient:
 class TestBettiByCounting:
     @pytest.mark.parametrize("i,expected", [(0, 1), (1, 4), (2, 1)])
     def test_n3_balanced(self, i, expected):
-        data = hypercube_data(3, with_moment=True)
+        data = hypercube_data(3, Fraction(3, 2))
         assert betti_by_counting(data)[i] == expected
 
     def test_requires_moment_values(self):
@@ -190,7 +197,7 @@ class TestBettiByCounting:
         for c in half_integers(n):
             pres = kernel_generators(ModelData(n, c))
             q = graded_quotient(pres, 2 * (n - 1))
-            data = hypercube_data(n, with_moment=True, c=c)
+            data = hypercube_data(n, c)
             assert betti_by_counting(data) == q.ranks, (n, c)
             assert all(not t for t in q.torsion)
 
@@ -198,13 +205,13 @@ class TestBettiByCounting:
 class TestReducedChern:
     def test_n1_vanishing(self):
         pres = kernel_generators(ModelData(1, Fraction(1, 2)))
-        (c1,) = reduced_chern_series(graded_quotient(pres, 2), 1)
-        assert all(c == 0 for c in c1.coefficients)
+        assert reduced_chern_series(graded_quotient(pres, 2)) == [(0, 0)]
 
     def test_n3_nonzero_first_class(self):
         pres = kernel_generators(ModelData(3, Fraction(3, 2)))
-        entries = reduced_chern_series(graded_quotient(pres, 4), 2)
-        assert any(c != 0 for c in entries[0].coefficients)
+        c1, c2 = reduced_chern_series(graded_quotient(pres, 4))
+        assert any(c != 0 for c in c1)
+        assert len(c2) == 7  # over the degree-2 monomials
 
     def test_unit_class_degreezero(self):
         # degree-0 statement: the empty product is the unit, untouched by
@@ -214,54 +221,79 @@ class TestReducedChern:
         assert q.bases == ((),)
         assert reduce_mod_rows([1], q.bases[0]) == [1]
 
-    def test_needs_the_basis_of_each_degree(self):
+    def test_covers_every_degree_computed(self):
+        # c_i for i = 1..min(n, computed): none at degree 0, c_1 at degree
+        # 2, and c_1..c_n when degrees above the top are computed too
         pres = kernel_generators(ModelData(3, Fraction(3, 2)))
-        with pytest.raises(ValueError):
-            reduced_chern_series(graded_quotient(pres, 2), 2)
+        assert reduced_chern_series(graded_quotient(pres, 0)) == []
+        assert len(reduced_chern_series(graded_quotient(pres, 2))) == 1
+        assert len(reduced_chern_series(graded_quotient(pres, 10))) == 3
 
 
 class TestPoincare:
     def test_n3_balanced(self):
         pres = kernel_generators(ModelData(3, Fraction(3, 2)))
         q = graded_quotient(pres, 4)
-        report = poincare_check(q, 3)
+        report = poincare_check(q)
         assert report.passed
         assert report.ranks == (1, 4, 1)
 
     def test_n2_low_level(self):
         pres = kernel_generators(ModelData(2, Fraction(1, 2)))
         q = graded_quotient(pres, 2)
-        assert poincare_check(q, 2).passed
+        assert poincare_check(q).passed
 
     def test_constructed_violation(self):
         fake = GradedQuotient(2, (1, 2), ((), ()))
-        assert not poincare_check(fake, 2).passed
+        assert not poincare_check(fake).passed
 
     def test_degrees_not_computed_are_not_compared(self):
         # n = 4 has degrees 0..3; ranks up to 2 pair only 1 with 2
-        assert poincare_check(GradedQuotient(4, (1, 5, 5), ((), (), ())), 4).passed
-        assert poincare_check(GradedQuotient(4, (1,), ((),)), 4).passed
-        assert not poincare_check(GradedQuotient(4, (1, 5, 4), ((), (), ())), 4).passed
+        assert poincare_check(GradedQuotient(4, (1, 5, 5), ((), (), ()))).passed
+        assert poincare_check(GradedQuotient(4, (1,), ((),))).passed
+        assert not poincare_check(GradedQuotient(4, (1, 5, 4), ((), (), ()))).passed
+
+    def test_reads_n_from_the_quotient(self):
+        # ranks (1, 4, 2) at n = 3 pair 1 with 2: not symmetric
+        assert not poincare_check(GradedQuotient(3, (1, 4, 2), ((), (), ()))).passed
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_all_regular_levels(self, n):
         for c in half_integers(n):
             pres = kernel_generators(ModelData(n, c))
             q = graded_quotient(pres, 2 * (n - 1))
-            assert poincare_check(q, n).passed, (n, c)
+            assert poincare_check(q).passed, (n, c)
 
 
 class TestPresentationFromData:
     def test_matches_model_presentation(self):
-        data = hypercube_data(3, with_moment=True)
+        data = hypercube_data(3, Fraction(3, 2))
         pres = presentation_from_data(data)
         model_pres = kernel_generators(ModelData(3, Fraction(3, 2)))
         assert pres == model_pres
         q = graded_quotient(pres, 4)
         assert q.ranks == (1, 4, 1)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_families_split_by_size_in_all_subsets_order(self, n):
+        # relation_rows writes rows in the families' order, and row order
+        # moves the time of echelon_basis: both stay in all_subsets order,
+        # however the document's points are named and listed
+        rng = random.Random(n)
+        for c in half_integers(n):
+            points = list(hypercube_data(n, c).points)
+            rng.shuffle(points)
+            relabelled = FixedPointData(n, tuple(
+                FixedPoint(f"q{rng.randrange(10**6)}_{i}", p.weights, p.moment_value)
+                for i, p in enumerate(points)))
+            subsets = all_subsets(n)
+            expected = IdealPresentation(n, tuple(J for J in subsets if len(J) > c),
+                                         tuple(J for J in subsets if len(J) < c))
+            assert kernel_generators(ModelData(n, c)) == expected
+            assert presentation_from_data(relabelled) == expected
+
     def test_relabeled_points(self):
-        base = hypercube_data(2, with_moment=True)
+        base = hypercube_data(2, Fraction(3, 2))
         renamed = FixedPointData(
             2,
             tuple(
