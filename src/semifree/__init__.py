@@ -12,7 +12,6 @@ from .algebra import (
 )
 from .cube import (
     CubeClass,
-    ModelData,
     alpha_class,
     beta_class,
     equivariant_chern_series,
@@ -48,8 +47,8 @@ from .reduction import (
     IdealPresentation,
     betti_by_counting,
     graded_quotient,
-    kernel_generators,
     poincare_check,
+    presentation_from_data,
     reduced_chern_series,
 )
 

@@ -23,13 +23,13 @@ from fractions import Fraction
 from . import localization, reduction
 from .algebra import Term
 from .cube import (
-    ModelData,
     all_subsets,
     equivariant_chern_series,
     hypercube_data,
     subset_id,
 )
-from .errors import InputError, IntegralTooLarge, RingTooLarge, SemifreeError
+from .errors import (InputError, IntegralTooLarge, RingTooLarge, SemifreeError,
+                     ZeroIsCritical)
 from .fixed_points import FixedPoint, FixedPointData
 from .pipeline import forced_level_sum, run_pipeline, solve_value_multiset
 
@@ -224,9 +224,12 @@ def cmd_reduce(args) -> int:
     else:
         if args.n is None:
             raise InputError("reduce needs --n (with optional --c) or a file")
-        model = ModelData(args.n, parse_rational(args.c) if args.c else None)
-        reduction.require_reducible(model.n)
-        data = hypercube_data(model.n, model.c)
+        # default: the half-integral offset nearest the middle, n//2 + 1/2
+        c = Fraction(2 * (args.n // 2) + 1, 2) if args.c is None else parse_rational(args.c)
+        if c.denominator == 1:
+            raise ZeroIsCritical(f"offset {c} makes 0 a critical level")
+        reduction.require_reducible(args.n)
+        data = hypercube_data(args.n, c)
     pres = reduction.presentation_from_data(data)
     n = data.n
     # the reduced space has dimension 2(n-1): nothing lives above that degree
@@ -247,9 +250,9 @@ def cmd_reduce(args) -> int:
     if any(q.torsion):
         print("torsion:", q.torsion, " FAIL")
         failed = True
-    duality = reduction.poincare_check(q)
-    print("poincare duality:", "ok" if duality.passed else "FAIL")
-    failed |= not duality.passed
+    dual = reduction.poincare_check(q)
+    print("poincare duality:", "ok" if dual else "FAIL")
+    failed |= not dual
     for i, coefficients in enumerate(reduction.reduced_chern_series(q), start=1):
         print(f"c{i} image: {list(coefficients)}")
     if len(q.ranks) == n:  # the sum needs every degree 0..n-1

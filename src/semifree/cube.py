@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .algebra import Term, echelon_basis
-from .errors import NotInModule, RingTooLarge, ZeroIsCritical
+from .errors import NotInModule, RingTooLarge
 from .fixed_points import FixedPoint, FixedPointData
 
 
@@ -103,8 +103,11 @@ class CubeClass:
         return -(self - other)
 
     def __mul__(self, other) -> "CubeClass":
-        if not isinstance(other, CubeClass):
+        if isinstance(other, int):
             return CubeClass({S: c * other for S, c in self.terms.items()}, self.degree)
+        if not isinstance(other, CubeClass):
+            # checked here: the zero class has no coefficient for __init__ to see
+            raise TypeError(f"expected an integer or a class, got {type(other).__name__}")
         out: dict[tuple[int, ...], int] = {}
         for S1, c1 in self.terms.items():
             for S2, c2 in other.terms.items():
@@ -190,22 +193,6 @@ def subset_id(J) -> str:
     return "p" + "".join(str(i) if i < 10 else f"_{i}" for i in sorted(J))
 
 
-@dataclass(frozen=True)
-class ModelData:
-    """Model parameters: half-dimension n and the moment offset c, mu(J) =
-    |J| - c; an integral c, for which 0 is critical, is refused when built."""
-
-    n: int
-    c: Fraction | None = None
-
-    def __post_init__(self):
-        # default: the half-integral offset nearest the middle, n//2 + 1/2
-        c = Fraction(2 * (self.n // 2) + 1, 2) if self.c is None else Fraction(self.c)
-        object.__setattr__(self, "c", c)
-        if c.denominator == 1:
-            raise ZeroIsCritical(f"offset {c} makes 0 a critical level")
-
-
 def hypercube_data(n: int, c: Fraction | None = None) -> FixedPointData:
     """Fixed point data of the model: one point per subset, with moment
     value |J| - c when an offset c is given and none otherwise.
@@ -233,7 +220,6 @@ class RankCheckEntry:
 
 @dataclass(frozen=True)
 class RankCheckReport:
-    n: int
     entries: tuple[RankCheckEntry, ...]
 
     @property
@@ -271,7 +257,7 @@ def injectivity_rank_check(n: int) -> RankCheckReport:
         size += math.comb(n, d)
         rank = len(echelon_basis(rows[:size]))
         entries.append(RankCheckEntry(d, size, rank))
-    return RankCheckReport(n, tuple(entries))
+    return RankCheckReport(tuple(entries))
 
 
 def express_in_basis(cls: CubeClass, n: int) -> dict[frozenset, Term]:

@@ -262,7 +262,6 @@ class ConsistencyEntry:
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    n: int
     entries: tuple[ConsistencyEntry, ...]
 
     @property
@@ -287,7 +286,7 @@ def consistency_check(data: FixedPointData, max_degree: int) -> ConsistencyRepor
                          total == 0 if d < n else total % denominator == 0)
         for e, d, total in zip(monomials.exponents, monomials.degrees, sums)
     )
-    return ConsistencyReport(n, entries)
+    return ConsistencyReport(entries)
 
 
 # Most configurations that search_candidates enumerates, and most points

@@ -2,14 +2,16 @@
 
 The kernel of the surjection onto the reduced space's cohomology is spanned
 by the upward classes at points above the level and the downward classes at
-points below it.  A model level (n, c) is one more fixed-point document,
-hypercube_data(n, c), so presentation_from_data is the one route to the
-relations.  Each graded piece of the quotient is a finite integer
-linear-algebra problem: square-free monomials times powers of y form a basis
-of the ambient degree slice, and the relations in it are written in closed
-form from the generators' subsets.  One integer echelon basis per degree
-gives the free rank (its length), the torsion (Smith normal form of that
-basis alone) and the canonical images of the Chern classes.
+points below it.  The relations are read from fixed-point data alone, by
+presentation_from_data; a model level (n, c) is the document
+hypercube_data(n, c), whose n a caller bounds with require_reducible before
+its 2^n points are listed.  Each graded piece of the quotient is a finite
+integer linear-algebra problem: square-free monomials times powers of y
+form a basis of the ambient degree slice, and the relations in it are
+written in closed form from the generators' subsets.  One integer echelon
+basis per degree gives the free rank (its length), the torsion (Smith
+normal form of that basis alone) and the canonical images of the Chern
+classes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .algebra import echelon_basis, reduce_mod_rows, smith_normal_form
-from .cube import ModelData, chern_coefficient, degree_basis, hypercube_data
+from .cube import chern_coefficient, degree_basis
 from .errors import NotSemifree, ReductionTooLarge
 from .fixed_points import FixedPointData, require_binomial_counts, split_by_moment_sign
 from .pipeline import run_pipeline
@@ -69,13 +71,6 @@ class GradedQuotient:
 def require_reducible(n: int) -> None:
     if n > MAX_REDUCE_N:
         raise ReductionTooLarge(f"n={n} exceeds the reduction bound {MAX_REDUCE_N}")
-
-
-def kernel_generators(model: ModelData) -> IdealPresentation:
-    """The presentation of the document hypercube_data(n, c), refusing an n
-    above MAX_REDUCE_N before its 2^n points are listed."""
-    require_reducible(model.n)
-    return presentation_from_data(hypercube_data(model.n, model.c))
 
 
 def presentation_from_data(data: FixedPointData) -> IdealPresentation:
@@ -165,18 +160,7 @@ def reduced_chern_series(q: GradedQuotient) -> list[tuple[int, ...]]:
             for i, basis in enumerate(q.bases[1:q.n + 1], start=1)]
 
 
-@dataclass(frozen=True)
-class DualityReport:
-    ranks: tuple[int, ...]
-    torsion_free: bool
-    symmetric: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.torsion_free and self.symmetric
-
-
-def poincare_check(q: GradedQuotient) -> DualityReport:
+def poincare_check(q: GradedQuotient) -> bool:
     """Rank symmetry rank_{2i} = rank_{2(n-1-i)} and absence of torsion.
 
     Only pairs whose two ranks were both computed are compared, so a
@@ -184,7 +168,6 @@ def poincare_check(q: GradedQuotient) -> DualityReport:
     """
     top = q.n - 1
     ranks = q.ranks[:top + 1]
-    symmetric = all(ranks[i] == ranks[top - i]
-                    for i in range(len(ranks)) if top - i < len(ranks))
-    torsion_free = all(not t for t in q.torsion)
-    return DualityReport(ranks, torsion_free, symmetric)
+    return (all(not t for t in q.torsion)
+            and all(ranks[i] == ranks[top - i]
+                    for i in range(len(ranks)) if top - i < len(ranks)))

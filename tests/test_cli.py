@@ -218,11 +218,17 @@ class TestCommands:
         assert capsys.readouterr() == (
             "", "input error: reduce takes a file or --n (with optional --c), not both\n")
 
-    @pytest.mark.parametrize("c", ["1", "5"])
-    def test_reduce_refuses_a_critical_offset(self, c, capsys):
-        assert main(["reduce", "--n", "5", "--c", c]) == 1
+    # the offset is checked before the size bound, so n = 40 reports it
+    @pytest.mark.parametrize("n,c", [("5", "1"), ("5", "5"), ("40", "1")],
+                             ids=["1", "5", "n40_1"])
+    def test_reduce_refuses_a_critical_offset(self, n, c, capsys):
+        assert main(["reduce", "--n", n, "--c", c]) == 1
         assert capsys.readouterr() == (
             "", f"error: offset {c} makes 0 a critical level\n")
+
+    def test_reduce_refuses_an_empty_offset(self, capsys):
+        assert main(["reduce", "--n", "3", "--c", ""]) == 2
+        assert capsys.readouterr() == ("", "input error: bad rational ''\n")
 
     def test_search(self, capsys):
         assert main(
@@ -291,7 +297,7 @@ class TestOutOfRange:
         # 2^40 subsets: listing them would run for hours or exhaust memory
         proc = self.run_cli_subprocess(["reduce", "--n", "40"])
         assert proc.returncode == 1
-        assert "exceeds the reduction bound" in proc.stderr
+        assert proc.stderr == f"error: n=40 exceeds the reduction bound {MAX_REDUCE_N}\n"
 
     @pytest.mark.parametrize("command", ["solve", "reduce"])
     def test_count_mismatch_far_from_the_binomial_row_is_one_short_line(
@@ -465,6 +471,15 @@ REDUCE_DIGESTS = {
 def test_reduce_output_is_frozen(n, c, capsys):
     assert main(["reduce", "--n", str(n), "--c", c]) == 0
     out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REDUCE_DIGESTS[(n, c)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_reduce_defaults_to_the_middle_level(n, capsys):
+    # without --c, the half-integral offset nearest the middle, n//2 + 1/2
+    assert main(["reduce", "--n", str(n)]) == 0
+    out = capsys.readouterr().out
+    c = f"{2 * (n // 2) + 1}/2"
     assert hashlib.sha256(out.encode()).hexdigest() == REDUCE_DIGESTS[(n, c)]
 
 

@@ -6,7 +6,6 @@ import pytest
 from semifree.algebra import Term, X, echelon_basis
 from semifree.cube import (
     CubeClass,
-    ModelData,
     RankCheckEntry,
     RankCheckReport,
     all_subsets,
@@ -20,6 +19,7 @@ from semifree.cube import (
     subset_id,
 )
 from semifree.errors import NotInModule, RingTooLarge, ZeroIsCritical
+from semifree.fixed_points import split_by_moment_sign
 
 
 def random_class(rng, n, max_terms=4, max_y=3):
@@ -205,7 +205,7 @@ class TestInjectivity:
             basis = [J for J in subsets if len(J) <= d]
             rows = ({k: 1 for k, Jp in enumerate(subsets) if J <= Jp} for J in basis)
             entries.append(RankCheckEntry(d, len(basis), len(echelon_basis(rows))))
-        assert injectivity_rank_check(n) == RankCheckReport(n, tuple(entries))
+        assert injectivity_rank_check(n) == RankCheckReport(tuple(entries))
 
 
 class TestExpressInBasis:
@@ -359,11 +359,12 @@ class TestRingProperties:
 
     @pytest.mark.parametrize("other", [Fraction(1, 2), Fraction(0), 0.5, "a"])
     def test_arithmetic_with_a_non_integer_is_refused(self, other):
-        a1 = CubeClass.gen_a(1)
-        for op in (lambda: a1 * other, lambda: other * a1,
-                   lambda: a1 + other, lambda: other + a1, lambda: a1 - other):
-            with pytest.raises(TypeError):
-                op()
+        # the zero class has no coefficient to check, so it is refused too
+        for cls in (CubeClass.gen_a(1), CubeClass()):
+            for op in (lambda: cls * other, lambda: other * cls,
+                       lambda: cls + other, lambda: other + cls, lambda: cls - other):
+                with pytest.raises(TypeError):
+                    op()
 
     def test_negative_power_is_refused(self):
         with pytest.raises(ValueError, match="negative power"):
@@ -403,14 +404,16 @@ class TestRingProperties:
                     assert r == Term(1, n)
 
 
-class TestModelData:
-    def test_default_offsets(self):
-        assert ModelData(3).c == Fraction(3, 2)
-        assert ModelData(4).c == Fraction(5, 2)
-
+class TestHypercubeData:
     def test_regular_level_enforced(self):
-        with pytest.raises(ZeroIsCritical, match="offset 1 makes 0 a critical level"):
-            ModelData(2, Fraction(1))
+        # an integral offset puts points at moment 0, refused where the
+        # moments are split, naming the first in (index, id) order
+        with pytest.raises(ZeroIsCritical, match="point 'p1' has moment value 0"):
+            split_by_moment_sign(hypercube_data(2, 1))
+
+    def test_float_offset_is_refused(self):
+        with pytest.raises(TypeError, match="got float"):
+            hypercube_data(3, 0.1)
 
     def test_hypercube_moment_split(self):
         data = hypercube_data(3, Fraction(3, 2))

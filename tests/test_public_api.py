@@ -11,7 +11,6 @@ EXPORTED = [
     "FixedPointData",
     "GradedQuotient",
     "IdealPresentation",
-    "ModelData",
     "RestrictionAssignment",
     "Term",
     "alpha_class",
@@ -28,9 +27,9 @@ EXPORTED = [
     "hypercube_data",
     "injectivity_rank_check",
     "integrate",
-    "kernel_generators",
     "poincare_check",
     "predict_counts",
+    "presentation_from_data",
     "reduced_chern_series",
     "rep_chern_classes",
     "restrict_class",

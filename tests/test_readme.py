@@ -1,6 +1,7 @@
 """The README's library quick start and command-line examples run and print
-what their comments say."""
+what their comments say, and every name the README calls is defined."""
 
+import ast
 import contextlib
 import io
 import re
@@ -46,3 +47,37 @@ def test_command_line_block_prints_its_commented_outputs(command, first_line, ca
     assert command_line_comments()[command] == first_line
     assert main(command.split()[1:]) == 0
     assert capsys.readouterr().out.splitlines()[0] == first_line
+
+
+# Called in the README but defined outside the package: the builtin, the
+# rational type of the quick start and the binomial coefficient C(n, k).
+DEFINED_ELSEWHERE = {"print", "Fraction", "C"}
+
+
+def readme_code() -> list[str]:
+    """The fenced code blocks of the README, then its code spans."""
+    text = README.read_text()
+    fence = r"```.*?```"
+    prose = re.sub(fence, "", text, flags=re.DOTALL)
+    return re.findall(fence, text, re.DOTALL) + re.findall(r"`([^`]+)`", prose)
+
+
+def package_definitions() -> set[str]:
+    """Each function, class and method, and each module-level constant, of
+    src/semifree."""
+    names = set()
+    for path in (README.parent / "src" / "semifree").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        names.update(node.name for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+        names.update(t.id for node in tree.body if isinstance(node, ast.Assign)
+                     for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_every_name_called_in_the_readme_is_defined():
+    # a name called as `name(`; in `σ_i(w)` the subscript is not a name
+    called = {name for code in readme_code()
+              for name in re.findall(r"(?<!\w)([A-Za-z_]\w*)\(", code)}
+    assert {"print", "CubeClass"} <= called  # from a block and from a span
+    assert called - package_definitions() - DEFINED_ELSEWHERE == set()

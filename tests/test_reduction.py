@@ -6,7 +6,6 @@ import pytest
 from semifree.algebra import echelon_basis, reduce_mod_rows
 from semifree.cube import (
     CubeClass,
-    ModelData,
     all_subsets,
     alpha_class,
     beta_class,
@@ -21,7 +20,6 @@ from semifree.reduction import (
     degree_basis,
     MAX_REDUCE_N,
     graded_quotient,
-    kernel_generators,
     poincare_check,
     presentation_from_data,
     reduced_chern_series,
@@ -31,6 +29,11 @@ from semifree.reduction import (
 
 def half_integers(n):
     return [Fraction(2 * k + 1, 2) for k in range(n)]
+
+
+def model_presentation(n, c):
+    """The relations at the model level (n, c), read from its document."""
+    return presentation_from_data(hypercube_data(n, c))
 
 
 def sparse(row):
@@ -86,28 +89,39 @@ def random_sign_document(n, seed):
 
 
 class TestKernelGenerators:
+    """The two generator families of the kernel at a model level."""
+
     def test_n1(self):
-        pres = kernel_generators(ModelData(1, Fraction(1, 2)))
+        pres = model_presentation(1, Fraction(1, 2))
         assert pres.positive == (frozenset({1}),)
         assert alpha_class(pres.positive[0]) == CubeClass.gen_a(1)
         assert pres.negative == (frozenset(),)
         assert beta_class(pres.negative[0], 1) == CubeClass.gen_y() - CubeClass.gen_a(1)
 
     def test_n3_balanced_counts(self):
-        pres = kernel_generators(ModelData(3, Fraction(3, 2)))
+        pres = model_presentation(3, Fraction(3, 2))
         assert len(pres.positive) == 4
         assert all(len(J) >= 2 for J in pres.positive)
         assert len(pres.negative) == 4
         assert all(len(J) <= 1 for J in pres.negative)
 
     def test_integer_offset_rejected(self):
-        with pytest.raises(ZeroIsCritical):
-            kernel_generators(ModelData(2, Fraction(1)))
+        # the document of an integral offset has points at moment 0; the
+        # first of them in (index, id) order is named
+        with pytest.raises(ZeroIsCritical, match="point 'p1' has moment value 0"):
+            presentation_from_data(hypercube_data(2, 1))
+
+    def test_integral_offset_outside_the_range_is_the_empty_space(self):
+        # no point sits at moment 0, and every point lies below the level,
+        # as at the half-integral level c = 7/2
+        q = graded_quotient(presentation_from_data(hypercube_data(3, 5)), 4)
+        assert q == graded_quotient(model_presentation(3, Fraction(7, 2)), 4)
+        assert q.ranks == (0, 0, 0)
 
 
 class TestGradedQuotient:
     def test_n1_point(self):
-        pres = kernel_generators(ModelData(1, Fraction(1, 2)))
+        pres = model_presentation(1, Fraction(1, 2))
         q = graded_quotient(pres, 0)
         assert q.ranks == (1,)
         assert q.torsion == ((),)
@@ -115,19 +129,19 @@ class TestGradedQuotient:
         assert graded_quotient(pres, 4).ranks == (1, 0, 0)[:3]
 
     def test_n3_balanced(self):
-        pres = kernel_generators(ModelData(3, Fraction(3, 2)))
+        pres = model_presentation(3, Fraction(3, 2))
         q = graded_quotient(pres, 4)
         assert q.ranks == (1, 4, 1)
         assert all(not t for t in q.torsion)
         assert q.euler_characteristic == 6
 
     def test_n2_low_level_sphere(self):
-        pres = kernel_generators(ModelData(2, Fraction(1, 2)))
+        pres = model_presentation(2, Fraction(1, 2))
         q = graded_quotient(pres, 2)
         assert q.ranks == (1, 1)
 
     def test_bases_take_no_part_in_equality(self):
-        pres = kernel_generators(ModelData(3, Fraction(3, 2)))
+        pres = model_presentation(3, Fraction(3, 2))
         q = graded_quotient(pres, 4)
         assert len(q.bases) == 3
         assert q == GradedQuotient(3, (1, 4, 1), ((), (), ()))
@@ -140,7 +154,7 @@ class TestGradedQuotient:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_beta_rows_avoid_the_alpha_columns_on_model_levels(self, n):
         for c in half_integers(n):
-            pres = kernel_generators(ModelData(n, c))
+            pres = model_presentation(n, c)
             for d in range(n + 1):
                 assert_only_unit_rows_meet_alpha_columns(pres, d)
 
@@ -154,7 +168,7 @@ class TestGradedQuotient:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_relation_rows_are_nonzero_and_distinct(self, n):
         for c in half_integers(n):
-            pres = kernel_generators(ModelData(n, c))
+            pres = model_presentation(n, c)
             for d in range(n):
                 rows = [frozenset(row.items()) for row in relation_rows(pres, d)]
                 assert all(row for row in rows)
@@ -164,7 +178,7 @@ class TestGradedQuotient:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_relation_rows_span_the_generator_products(self, n):
         for c in half_integers(n):
-            pres = kernel_generators(ModelData(n, c))
+            pres = model_presentation(n, c)
             for d in range(n + 1):
                 assert_same_lattice(pres, d)
 
@@ -195,7 +209,7 @@ class TestBettiByCounting:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_agrees_with_quotient_all_levels(self, n):
         for c in half_integers(n):
-            pres = kernel_generators(ModelData(n, c))
+            pres = model_presentation(n, c)
             q = graded_quotient(pres, 2 * (n - 1))
             data = hypercube_data(n, c)
             assert betti_by_counting(data) == q.ranks, (n, c)
@@ -204,11 +218,11 @@ class TestBettiByCounting:
 
 class TestReducedChern:
     def test_n1_vanishing(self):
-        pres = kernel_generators(ModelData(1, Fraction(1, 2)))
+        pres = model_presentation(1, Fraction(1, 2))
         assert reduced_chern_series(graded_quotient(pres, 2)) == [(0, 0)]
 
     def test_n3_nonzero_first_class(self):
-        pres = kernel_generators(ModelData(3, Fraction(3, 2)))
+        pres = model_presentation(3, Fraction(3, 2))
         c1, c2 = reduced_chern_series(graded_quotient(pres, 4))
         assert any(c != 0 for c in c1)
         assert len(c2) == 7  # over the degree-2 monomials
@@ -216,7 +230,7 @@ class TestReducedChern:
     def test_unit_class_degreezero(self):
         # degree-0 statement: the empty product is the unit, untouched by
         # relations of positive degree
-        pres = kernel_generators(ModelData(2, Fraction(3, 2)))
+        pres = model_presentation(2, Fraction(3, 2))
         q = graded_quotient(pres, 0)
         assert q.bases == ((),)
         assert reduce_mod_rows([1], q.bases[0]) == [1]
@@ -224,7 +238,7 @@ class TestReducedChern:
     def test_covers_every_degree_computed(self):
         # c_i for i = 1..min(n, computed): none at degree 0, c_1 at degree
         # 2, and c_1..c_n when degrees above the top are computed too
-        pres = kernel_generators(ModelData(3, Fraction(3, 2)))
+        pres = model_presentation(3, Fraction(3, 2))
         assert reduced_chern_series(graded_quotient(pres, 0)) == []
         assert len(reduced_chern_series(graded_quotient(pres, 2))) == 1
         assert len(reduced_chern_series(graded_quotient(pres, 10))) == 3
@@ -232,45 +246,49 @@ class TestReducedChern:
 
 class TestPoincare:
     def test_n3_balanced(self):
-        pres = kernel_generators(ModelData(3, Fraction(3, 2)))
+        pres = model_presentation(3, Fraction(3, 2))
         q = graded_quotient(pres, 4)
-        report = poincare_check(q)
-        assert report.passed
-        assert report.ranks == (1, 4, 1)
+        assert q.ranks == (1, 4, 1)
+        assert poincare_check(q) is True
 
     def test_n2_low_level(self):
-        pres = kernel_generators(ModelData(2, Fraction(1, 2)))
+        pres = model_presentation(2, Fraction(1, 2))
         q = graded_quotient(pres, 2)
-        assert poincare_check(q).passed
+        assert poincare_check(q)
 
     def test_constructed_violation(self):
         fake = GradedQuotient(2, (1, 2), ((), ()))
-        assert not poincare_check(fake).passed
+        assert not poincare_check(fake)
+
+    def test_torsion_fails(self):
+        # symmetric ranks, but Z/2 in degree 0
+        assert poincare_check(GradedQuotient(2, (1, 1), ((2,), ()))) is False
 
     def test_degrees_not_computed_are_not_compared(self):
         # n = 4 has degrees 0..3; ranks up to 2 pair only 1 with 2
-        assert poincare_check(GradedQuotient(4, (1, 5, 5), ((), (), ()))).passed
-        assert poincare_check(GradedQuotient(4, (1,), ((),))).passed
-        assert not poincare_check(GradedQuotient(4, (1, 5, 4), ((), (), ()))).passed
+        assert poincare_check(GradedQuotient(4, (1, 5, 5), ((), (), ())))
+        assert poincare_check(GradedQuotient(4, (1,), ((),)))
+        assert not poincare_check(GradedQuotient(4, (1, 5, 4), ((), (), ())))
 
     def test_reads_n_from_the_quotient(self):
         # ranks (1, 4, 2) at n = 3 pair 1 with 2: not symmetric
-        assert not poincare_check(GradedQuotient(3, (1, 4, 2), ((), (), ()))).passed
+        assert not poincare_check(GradedQuotient(3, (1, 4, 2), ((), (), ())))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_all_regular_levels(self, n):
         for c in half_integers(n):
-            pres = kernel_generators(ModelData(n, c))
+            pres = model_presentation(n, c)
             q = graded_quotient(pres, 2 * (n - 1))
-            assert poincare_check(q).passed, (n, c)
+            assert poincare_check(q), (n, c)
 
 
 class TestPresentationFromData:
     def test_matches_model_presentation(self):
         data = hypercube_data(3, Fraction(3, 2))
         pres = presentation_from_data(data)
-        model_pres = kernel_generators(ModelData(3, Fraction(3, 2)))
-        assert pres == model_pres
+        subsets = all_subsets(3)
+        assert pres == IdealPresentation(3, tuple(J for J in subsets if len(J) >= 2),
+                                         tuple(J for J in subsets if len(J) <= 1))
         q = graded_quotient(pres, 4)
         assert q.ranks == (1, 4, 1)
 
@@ -289,7 +307,7 @@ class TestPresentationFromData:
             subsets = all_subsets(n)
             expected = IdealPresentation(n, tuple(J for J in subsets if len(J) > c),
                                          tuple(J for J in subsets if len(J) < c))
-            assert kernel_generators(ModelData(n, c)) == expected
+            assert model_presentation(n, c) == expected
             assert presentation_from_data(relabelled) == expected
 
     def test_relabeled_points(self):
