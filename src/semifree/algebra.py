@@ -152,16 +152,22 @@ def smith_normal_form(rows: Iterable[Mapping[int, int]]) -> tuple[tuple[int, ...
     """Invariant factors (with the divisibility chain) and rank.
 
     Rows are maps {column: entry} as echelon_basis takes them, read once;
-    column keys must be non-negative integers.  Alternates echelon_basis on
-    the rows and on the columns (each pass drops zero lines) until the
-    matrix is diagonal, then sorts the diagonal into a divisibility chain
-    by replacing pairs with their gcd and lcm.  This ends: the (0, 0) entry
-    becomes the gcd of its column, then of its row, so it is a positive
-    integer that only shrinks; once it stops, it divides its column and its
-    row, both clear, and the same argument applies to the trailing block.
-    Only the factors are returned.
+    column keys must be non-negative integers.  After the first echelon
+    pass, a basis whose pivots are all 1 is done: its minor on the pivot
+    columns is unitriangular, of determinant 1, so the gcd of its r x r
+    minors is 1, and so is every invariant factor.  Otherwise alternates
+    echelon_basis on the rows and on the columns (each pass drops zero
+    lines) until the matrix is diagonal, then sorts the diagonal entries
+    above 1 into a divisibility chain by replacing pairs with their gcd and
+    lcm, behind the ones, which no pair would change.  This ends: the (0, 0)
+    entry becomes the gcd of its column, then of its row, so it is a
+    positive integer that only shrinks; once it stops, it divides its
+    column and its row, both clear, and the same argument applies to the
+    trailing block.  Only the factors are returned.
     """
     rows = echelon_basis(rows)
+    if all(row[min(row)] == 1 for row in rows):
+        return (1,) * len(rows), len(rows)
     # pivots increase from column 0 on, since keys are non-negative, so row
     # i has its pivot at column i or later: diagonal when its last column is i
     while any(max(row) > i for i, row in enumerate(rows)):
@@ -170,12 +176,13 @@ def smith_normal_form(rows: Iterable[Mapping[int, int]]) -> tuple[tuple[int, ...
             for j, e in row.items():
                 cols.setdefault(j, {})[i] = e
         rows = echelon_basis(cols[j] for j in sorted(cols))
-    factors = [row[i] for i, row in enumerate(rows)]
+    diagonal = [row[i] for i, row in enumerate(rows)]
+    factors = [f for f in diagonal if f > 1]
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             a, b = factors[i], factors[j]
             factors[i], factors[j] = math.gcd(a, b), math.lcm(a, b)
-    return tuple(factors), len(factors)
+    return (1,) * (len(diagonal) - len(factors)) + tuple(factors), len(diagonal)
 
 
 def echelon_basis(rows: Iterable[Mapping[int, int]]) -> list[dict[int, int]]:

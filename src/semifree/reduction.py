@@ -8,15 +8,18 @@ hypercube_data(n, c), whose n a caller bounds with require_reducible before
 its 2^n points are listed.  Each graded piece of the quotient is a finite
 integer linear-algebra problem: square-free monomials times powers of y
 form a basis of the ambient degree slice, and the relations in it are
-written in closed form from the generators' subsets.  One integer echelon
-basis per degree gives the free rank (its length), the torsion (Smith
-normal form of that basis alone) and the canonical images of the Chern
-classes.
+written in closed form from the generators' subsets.  The two sets those
+rows are written from, the columns a positive J makes zero and the maximal
+negative J, do not depend on the degree: a presentation builds them once,
+on first use.  One integer echelon basis per degree gives the free rank
+(its length), the torsion (Smith normal form of that basis alone) and the
+canonical images of the Chern classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .algebra import echelon_basis, reduce_mod_rows, smith_normal_form
@@ -25,10 +28,10 @@ from .errors import NotSemifree, ReductionTooLarge
 from .fixed_points import FixedPointData, require_binomial_counts, split_by_moment_sign
 from .pipeline import run_pipeline
 
-# Largest n that require_reducible accepts: on a 2-core Xeon `reduce --n 9`
-# takes 1.2 s at 19 MB peak; the n = 10 quotient takes about 8.5 s at 30 MB,
-# 6.8 s of it in echelon_basis (rows 1.3 s, Smith normal form 0.4 s).
-MAX_REDUCE_N = 9
+# Largest n that require_reducible accepts: on a 2-core Xeon `reduce --n 10`
+# takes 2.8-3.4 s at 29 MB peak, most of it in echelon_basis, and `--n 9`
+# 0.4-0.5 s at 19 MB; `--n 11` would take about 9 s at 53 MB.
+MAX_REDUCE_N = 10
 
 
 @dataclass(frozen=True)
@@ -39,12 +42,37 @@ class IdealPresentation:
     a_S y^(d - |S|), one per subset S; the two explicit families are the
     upward classes alpha_J of the mu-positive subsets and the downward
     classes beta_J of the mu-negative subsets.  A generator is its subset
-    J, in all_subsets order, and relation_rows writes its rows from J.
+    J, in all_subsets order, and relation_rows writes its rows from J and
+    from the two sets below, built once per presentation.
     """
 
     n: int
     positive: tuple[frozenset, ...]  # J of alpha_J, mu(J) > 0
     negative: tuple[frozenset, ...]  # J of beta_J, mu(J) < 0
+
+    @cached_property
+    def alpha_columns(self) -> frozenset[tuple[int, ...]]:
+        """The sorted subsets S, as degree_basis writes them, that contain a
+        positive J: the up-closure of the positive family.  degree_basis
+        lists the subsets by size, and S contains a positive J exactly when
+        S is one or S less one element contains one."""
+        closed = {tuple(sorted(J)) for J in self.positive}
+        for S in degree_basis(self.n, self.n):
+            if S not in closed and any(S[:i] + S[i + 1:] in closed for i in range(len(S))):
+                closed.add(S)
+        return frozenset(closed)
+
+    @cached_property
+    def maximal_negative(self) -> tuple[frozenset, ...]:
+        """The negative J inside no other negative J, in family order.  The
+        sets strictly inside a negative J are the down-closure, by one
+        element at a time from the largest subsets, of the family."""
+        negative = {tuple(sorted(J)) for J in self.negative}
+        inside: set[tuple[int, ...]] = set()
+        for S in reversed(degree_basis(self.n, self.n)):
+            if S in negative or S in inside:
+                inside.update(S[:i] + S[i + 1:] for i in range(len(S)))
+        return tuple(J for J in self.negative if tuple(sorted(J)) not in inside)
 
 
 @dataclass(frozen=True)
@@ -97,25 +125,39 @@ def relation_rows(pres: IdealPresentation, d: int) -> list[dict[int, int]]:
     in the quotient, so beta rows are written modulo them, without those
     columns.  A beta row keeps its column S unless S contains a positive J:
     on a model level every positive J is larger than every negative one, so
-    no row is empty, and elsewhere echelon_basis drops an empty row.
+    no row is empty, and elsewhere echelon_basis drops an empty row.  The
+    alpha columns and the maximal negative J come from the presentation,
+    which builds them once for every degree.
+
+    The rows come in the order echelon_basis was measured to take them
+    fastest: the last maximal J first and, within one J, the largest S
+    first, down to S empty, then the unit rows from the last column to the
+    first.  Written the other way round, the n = 10 quotient spends 6.9 s
+    in echelon_basis instead of 1.9 s on a 2-core Xeon, and in a random
+    order it does not end within minutes.  The lattice, and with it every
+    rank, torsion factor and reduced class, does not depend on the order.
     """
     col = {S: i for i, S in enumerate(degree_basis(pres.n, d))}
-    alpha = {S for S in col if any(J.issubset(S) for J in pres.positive)}
-    rows = [{i: 1} for S, i in col.items() if S in alpha]
-    for J in pres.negative:
-        if any(J < K for K in pres.negative):
-            continue
+    alpha = pres.alpha_columns
+    rows = []
+    for J in reversed(pres.maximal_negative):
         comp = tuple(sorted(set(range(1, pres.n + 1)) - J))
-        for k in range(d - len(comp) + 1):
-            for S in combinations(sorted(J), k):
+        for k in reversed(range(d - len(comp) + 1)):
+            for S in reversed(list(combinations(sorted(J), k))):
                 rows.append({col[U]: (-1) ** t
                              for t in range(len(comp) + 1) for T in combinations(comp, t)
                              if (U := tuple(sorted(S + T))) not in alpha})
+    rows += ({i: 1} for S, i in reversed(col.items()) if S in alpha)
     return rows
 
 
 def graded_quotient(pres: IdealPresentation, max_degree: int) -> GradedQuotient:
-    """Quotient ring data in cohomological degrees 0, 2, ..., max_degree."""
+    """Quotient ring data in cohomological degrees 0, 2, ..., max_degree.
+
+    Each degree's relation rows go to echelon_basis in the order
+    relation_rows writes them, unit rows last, which is the order that
+    eliminates them fastest; Smith normal form then reads the torsion from
+    that basis, at once when every pivot is 1."""
     require_reducible(pres.n)
     ranks, torsion, bases = [], [], []
     for d in range(max_degree // 2 + 1):

@@ -319,6 +319,26 @@ class TestSmithNormalForm:
             expected = tuple(abs(int(f)) for f in invariant_factors(sympy.Matrix(m)) if f)
             assert smith_normal_form(map(sparse, m)) == (expected, len(expected))
 
+    def test_a_non_unit_pivot_gets_the_full_smith_form(self):
+        # one pivot of 2 is enough to leave the unit-pivot shortcut; the
+        # determinant 2 then makes the chain (1, 2)
+        assert smith_normal_form(map(sparse, [[2, 1], [0, 1]])) == ((1, 2), 2)
+
+    def test_unit_pivots_with_off_diagonal_entries_give_ones(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        rng = random.Random(29)
+        for _ in range(60):
+            nrows = rng.randint(1, 6)
+            ncols = rng.randint(nrows, 8)
+            pivots = sorted(rng.sample(range(ncols), nrows))
+            m = [[0] * p + [1] + [rng.randint(-9, 9) for _ in range(ncols - p - 1)]
+                 for p in pivots]
+            expected = tuple(abs(int(f)) for f in invariant_factors(sympy.Matrix(m)) if f)
+            assert expected == (1,) * nrows
+            assert smith_normal_form(map(sparse, m)) == (expected, nrows)
+
 
 # --- echelon basis -----------------------------------------------------------
 

@@ -422,11 +422,13 @@ class TestOutOfRange:
         assert proc.stdout == "0 configuration(s) pass all checks up to degree 1\n"
 
 
-# sha256 of `reduce --n n --c c` stdout for every regular level with n <= 8,
-# frozen from the Smith-normal-form / Hermite implementation that preceded
-# the echelon kernel (n <= 6), from the generator-times-monomial relation
-# rows that preceded the closed-form rows (n = 7) and from the dense echelon
-# rows that preceded the sparse ones (n = 8).
+# sha256 of `reduce --n n --c c` stdout for every regular level with n <= 8
+# and for the default level at n = 9, frozen from the Smith-normal-form /
+# Hermite implementation that preceded the echelon kernel (n <= 6), from the
+# generator-times-monomial relation rows that preceded the closed-form rows
+# (n = 7), from the dense echelon rows that preceded the sparse ones (n = 8)
+# and from the relation rows in generation order, before they were written
+# reversed (n = 9).
 REDUCE_DIGESTS = {
     (1, "1/2"): "a55aefa9299f21e6d09c3f6235e5c68e431377f6151da7328deeab5061ea3927",
     (2, "1/2"): "81b5fce734e88d1c38c402fe5c03e7939bb84c6b34bbbb82779fb5478753a87d",
@@ -464,6 +466,7 @@ REDUCE_DIGESTS = {
     (8, "11/2"): "f4395aecf6330aca1bd73431c18620d9b5e73bf18ad64ac5a784a6e8276c5600",
     (8, "13/2"): "3f0c113d51165158ac7b906fc1680a6d0950dd6d45f126ec0c6f8c2d8a48db33",
     (8, "15/2"): "5800d83e54ea480e99a1f66ac4bb288555ebe9007d73a46de8608f4e0aff23c8",
+    (9, "9/2"): "5aa9bf072d241f878d76439c32d9219cc0fa29e2eb7180aea3cd78c39044e96a",
 }
 
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from semifree.algebra import echelon_basis, reduce_mod_rows
+from semifree import algebra, reduction
+from semifree.algebra import echelon_basis, reduce_mod_rows, smith_normal_form
 from semifree.cube import (
     CubeClass,
     all_subsets,
@@ -244,6 +245,80 @@ class TestReducedChern:
         assert len(reduced_chern_series(graded_quotient(pres, 10))) == 3
 
 
+def quotient_with_rows(pres, reorder):
+    """Ranks, torsion and reduced Chern classes of pres in every degree up to
+    n, with each degree's relation rows reordered before elimination."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reduction, "relation_rows", lambda p, d: reorder(relation_rows(p, d)))
+        q = graded_quotient(pres, 2 * pres.n)
+    return q.ranks, q.torsion, reduced_chern_series(q)
+
+
+# relation_rows writes its rows reversed from the order they were generated
+# in before, which echelon_basis takes faster; the lattice, and with it every
+# result, is the same in either order and in any other
+ROW_ORDERS = {
+    "written": lambda rows: rows,
+    "generated": lambda rows: rows[::-1],
+    "shuffled": lambda rows: random.Random(len(rows)).sample(rows, len(rows)),
+}
+
+
+class TestRowOrder:
+    def assert_order_free(self, pres):
+        results = {name: quotient_with_rows(pres, order) for name, order in ROW_ORDERS.items()}
+        assert results["generated"] == results["written"] == results["shuffled"]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_model_levels(self, n):
+        for c in half_integers(n):
+            self.assert_order_free(model_presentation(n, c))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_signs(self, seed):
+        self.assert_order_free(presentation_from_data(random_sign_document(1 + seed % 6, seed)))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_smith_normal_form_makes_no_column_pass_on_model_levels(self, n, monkeypatch):
+        # every pivot of a model level's echelon basis is 1, so Smith normal
+        # form stops after its first echelon pass over the rows
+        calls = []
+        monkeypatch.setattr(algebra, "echelon_basis",
+                            lambda rows: calls.append(1) or echelon_basis(rows))
+        for c in half_integers(n):
+            pres = model_presentation(n, c)
+            for d in range(n + 1):
+                basis = echelon_basis(relation_rows(pres, d))
+                calls.clear()
+                assert smith_normal_form(basis) == ((1,) * len(basis), len(basis))
+                assert len(calls) == 1, (n, c, d)
+        calls.clear()
+        assert smith_normal_form([{0: 2, 1: 1}, {1: 1}]) == ((1, 2), 2)
+        assert len(calls) > 1
+
+
+class TestPresentationSets:
+    """The two sets a presentation builds once, against their definitions."""
+
+    @staticmethod
+    def presentations():
+        for n in range(1, 7):
+            yield from (model_presentation(n, c) for c in half_integers(n))
+            yield from (presentation_from_data(random_sign_document(n, seed))
+                        for seed in range(4))
+
+    def test_alpha_columns_are_the_subsets_containing_a_positive_set(self):
+        for pres in self.presentations():
+            assert pres.alpha_columns == {
+                S for S in degree_basis(pres.n, pres.n)
+                if any(J <= set(S) for J in pres.positive)}
+
+    def test_maximal_negative_sets(self):
+        for pres in self.presentations():
+            assert pres.maximal_negative == tuple(
+                J for J in pres.negative if not any(J < K for K in pres.negative))
+
+
 class TestPoincare:
     def test_n3_balanced(self):
         pres = model_presentation(3, Fraction(3, 2))
@@ -294,9 +369,10 @@ class TestPresentationFromData:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_families_split_by_size_in_all_subsets_order(self, n):
-        # relation_rows writes rows in the families' order, and row order
-        # moves the time of echelon_basis: both stay in all_subsets order,
-        # however the document's points are named and listed
+        # relation_rows writes rows in the reverse of the families' order,
+        # and row order moves the time of echelon_basis: both families stay
+        # in all_subsets order, however the document's points are named and
+        # listed
         rng = random.Random(n)
         for c in half_integers(n):
             points = list(hypercube_data(n, c).points)
