@@ -157,13 +157,12 @@ def smith_normal_form(rows: Iterable[Mapping[int, int]]) -> tuple[tuple[int, ...
     columns is unitriangular, of determinant 1, so the gcd of its r x r
     minors is 1, and so is every invariant factor.  Otherwise alternates
     echelon_basis on the rows and on the columns (each pass drops zero
-    lines) until the matrix is diagonal, then sorts the diagonal entries
-    above 1 into a divisibility chain by replacing pairs with their gcd and
-    lcm, behind the ones, which no pair would change.  This ends: the (0, 0)
-    entry becomes the gcd of its column, then of its row, so it is a
-    positive integer that only shrinks; once it stops, it divides its
-    column and its row, both clear, and the same argument applies to the
-    trailing block.  Only the factors are returned.
+    lines) until the matrix is diagonal, then sorts the diagonal into a
+    divisibility chain by replacing pairs with their gcd and lcm.  This
+    ends: the (0, 0) entry becomes the gcd of its column, then of its row,
+    so it is a positive integer that only shrinks; once it stops, it
+    divides its column and its row, both clear, and the same argument
+    applies to the trailing block.  Only the factors are returned.
     """
     rows = echelon_basis(rows)
     if all(row[min(row)] == 1 for row in rows):
@@ -176,13 +175,12 @@ def smith_normal_form(rows: Iterable[Mapping[int, int]]) -> tuple[tuple[int, ...
             for j, e in row.items():
                 cols.setdefault(j, {})[i] = e
         rows = echelon_basis(cols[j] for j in sorted(cols))
-    diagonal = [row[i] for i, row in enumerate(rows)]
-    factors = [f for f in diagonal if f > 1]
+    factors = [row[i] for i, row in enumerate(rows)]
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             a, b = factors[i], factors[j]
             factors[i], factors[j] = math.gcd(a, b), math.lcm(a, b)
-    return (1,) * (len(diagonal) - len(factors)) + tuple(factors), len(diagonal)
+    return tuple(factors), len(factors)
 
 
 def echelon_basis(rows: Iterable[Mapping[int, int]]) -> list[dict[int, int]]:

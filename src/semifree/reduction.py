@@ -29,8 +29,10 @@ from .fixed_points import FixedPointData, require_binomial_counts, split_by_mome
 from .pipeline import run_pipeline
 
 # Largest n that require_reducible accepts: on a 2-core Xeon `reduce --n 10`
-# takes 2.8-3.4 s at 29 MB peak, most of it in echelon_basis, and `--n 9`
-# 0.4-0.5 s at 19 MB; `--n 11` would take about 9 s at 53 MB.
+# takes 2.8-3.1 s at 29 MB peak at its default level c = 11/2 and 4.0-5.6 s
+# at 30 MB at the slowest of its ten regular levels, c = 13/2; `reduce FILE`
+# on random-sign n = 10 documents takes 0.2-0.3 s.  `--n 9` takes at most
+# 1 s, and `--n 11` would take about 9 s at 53 MB.
 MAX_REDUCE_N = 10
 
 
@@ -53,26 +55,14 @@ class IdealPresentation:
     @cached_property
     def alpha_columns(self) -> frozenset[tuple[int, ...]]:
         """The sorted subsets S, as degree_basis writes them, that contain a
-        positive J: the up-closure of the positive family.  degree_basis
-        lists the subsets by size, and S contains a positive J exactly when
-        S is one or S less one element contains one."""
-        closed = {tuple(sorted(J)) for J in self.positive}
-        for S in degree_basis(self.n, self.n):
-            if S not in closed and any(S[:i] + S[i + 1:] in closed for i in range(len(S))):
-                closed.add(S)
-        return frozenset(closed)
+        positive J."""
+        return frozenset(S for S in degree_basis(self.n, self.n)
+                         if any(J <= set(S) for J in self.positive))
 
     @cached_property
     def maximal_negative(self) -> tuple[frozenset, ...]:
-        """The negative J inside no other negative J, in family order.  The
-        sets strictly inside a negative J are the down-closure, by one
-        element at a time from the largest subsets, of the family."""
-        negative = {tuple(sorted(J)) for J in self.negative}
-        inside: set[tuple[int, ...]] = set()
-        for S in reversed(degree_basis(self.n, self.n)):
-            if S in negative or S in inside:
-                inside.update(S[:i] + S[i + 1:] for i in range(len(S)))
-        return tuple(J for J in self.negative if tuple(sorted(J)) not in inside)
+        """The negative J inside no other negative J, in family order."""
+        return tuple(J for J in self.negative if not any(J < K for K in self.negative))
 
 
 @dataclass(frozen=True)

@@ -297,28 +297,6 @@ class TestRowOrder:
         assert len(calls) > 1
 
 
-class TestPresentationSets:
-    """The two sets a presentation builds once, against their definitions."""
-
-    @staticmethod
-    def presentations():
-        for n in range(1, 7):
-            yield from (model_presentation(n, c) for c in half_integers(n))
-            yield from (presentation_from_data(random_sign_document(n, seed))
-                        for seed in range(4))
-
-    def test_alpha_columns_are_the_subsets_containing_a_positive_set(self):
-        for pres in self.presentations():
-            assert pres.alpha_columns == {
-                S for S in degree_basis(pres.n, pres.n)
-                if any(J <= set(S) for J in pres.positive)}
-
-    def test_maximal_negative_sets(self):
-        for pres in self.presentations():
-            assert pres.maximal_negative == tuple(
-                J for J in pres.negative if not any(J < K for K in pres.negative))
-
-
 class TestPoincare:
     def test_n3_balanced(self):
         pres = model_presentation(3, Fraction(3, 2))
