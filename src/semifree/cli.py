@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import localization, reduction
 from .algebra import Term
@@ -270,7 +271,11 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    main call: parse_args leaves it as it is and copies each subcommand's
+    func and every option default into a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="semifree",
         description="Exact localization computations for circle actions "

@@ -12,9 +12,11 @@ restricts to prod sigma_i(w)^e_i times a power of x.  monomial_numerators
 writes these values per point shape as integers over one common denominator
 (the lcm of the |prod w|), so an integral is a column sum of integers.
 consistency_check reports every column; search_candidates computes the
-columns below the middle degree once for all point shapes, rejects a
-configuration at the first nonzero sum, and only for the rest asks that
-every integral from the middle degree on be an integer.
+columns below the middle degree once for all point shapes, looks up the
+last shape of each configuration by the degree-0 value that cancels the
+others' sum, sums the other columns below the middle for those alone, and
+only for the survivors asks that every integral from the middle degree on
+be an integer.
 """
 
 from __future__ import annotations
@@ -289,17 +291,19 @@ def consistency_check(data: FixedPointData, max_degree: int) -> ConsistencyRepor
     return ConsistencyReport(entries)
 
 
-# Most configurations that search_candidates enumerates, and most points
-# summed over them (configurations times points): each configuration sums a
-# column entry per point.  On a 2-core Xeon the slowest searches these allow
-# take 0.7-1.6 s at 15-18 MB peak: (1, 2, 999, 30) has 1 997 001
-# configurations and 999 survivors, 1.4 s; (3, 2, 10, 3) has 1 186 570,
-# 0.7 s; (1, 15, 5, 1) sums 19 612 560 points, 1.6 s; (1, 4471, 1, 1) sums
-# 19 994 312, 0.8 s.  A summed point costs 35-100 ns when points are many,
-# and a configuration of two points about 0.3-0.7 us.  The digit bound on
-# (n * weight_bound)^max_degree caps the cost of the survivors' full
-# integrals: the slowest search it allows that was found, (1, 2, 999, 1433),
-# takes 5.5 s at 23 MB; (1, 3, 113, 2094) takes 3.4 s at 29 MB.
+# Most configurations that search_candidates counts, and most points summed
+# over them (configurations times points).  The search sums the degree-0
+# entries of every head, the first num_points - 1 shapes of a configuration,
+# and looks its last shape up, so two points cost one lookup per shape and
+# more points about 45-100 ns per summed head point.  On a 2-core Xeon the
+# searches at these caps take at most 1.2 s at 16-17 MB peak, medians of
+# five runs: (1, 15, 5, 1) sums 19 612 560 points, 1.2 s; (1, 4471, 1, 1)
+# sums 19 994 312, 0.9 s; (1, 2, 999, 30) has 1 997 001 configurations and
+# 999 survivors, 0.03 s; (3, 2, 10, 3) has 1 186 570, 0.02 s.  The digit
+# bound on (n * weight_bound)^max_degree caps the cost of the survivors'
+# full integrals: the slowest search it allows that was found,
+# (1, 2, 999, 1433), takes 3.5 s at 21 MB; (1, 3, 113, 2094) takes 2.0 s at
+# 24 MB.
 MAX_SEARCH_CONFIGS = 2_000_000
 MAX_SEARCH_POINTS_SUMMED = 20_000_000
 
@@ -337,12 +341,24 @@ def search_candidates(
     The numerators of the monomials below the middle degree are computed
     once per point shape, over one common denominator for all shapes
     (monomial_numerators); a configuration's integrals there are the column
-    sums of its shapes' rows, and it is rejected at the first nonzero sum.
-    Only a configuration that passes them all has its integrals worked out
-    in full (monomial_integrals, over the denominator of its own shapes),
-    and it survives when every one from the middle degree on is an integer.
-    Those high columns are not tabulated for all shapes, because over the
-    shapes' common denominator they grow with it and with the degree:
+    sums of its shapes' rows.  Nearly every configuration fails at the
+    degree-0 column, the sum of 1 / prod w, so the shapes are indexed by
+    their negated degree-0 numerator: for each head, a sorted multiset of
+    num_points - 1 shapes taken in lexicographic order, the only possible
+    last shapes are those that cancel the head's degree-0 sum, in index
+    order, and no earlier than the head's last shape.  The list so comes out
+    in the order of a search over all configurations, and only these
+    configurations have their other columns below the middle summed.  The
+    index is keyed on the degree-0 column alone, so a head sums that column
+    only: keyed on every column below the middle, (3, 4, 3, 3) took 0.09 s
+    instead of 0.035 s.
+
+    Only a configuration that passes every column below the middle has its
+    integrals worked out in full (monomial_integrals, over the denominator
+    of its own shapes), and it survives when every one from the middle
+    degree on is an integer.  Those high columns are not tabulated for all
+    shapes, because over the shapes' common denominator they grow with it
+    and with the degree:
     (1, 2, 999, 200) peaks at 154 MB that way and at 17 MB here.
     """
     if min(n, num_points, weight_bound, max_degree) < 1:
@@ -375,15 +391,19 @@ def search_candidates(
     point_shapes = list(combinations_with_replacement(values, n))
     below_middle = chern_monomials(n, min(max_degree, n - 1))
     _, rows = monomial_numerators(below_middle, point_shapes)
-    # nearly every configuration fails at the degree-0 column, sum of 1 / prod w
     degree_zero, *low = zip(*rows)
+    # the last shapes whose degree-0 numerator cancels a head's sum, in index order
+    completing = {}
+    for k, v in enumerate(degree_zero):
+        completing.setdefault(-v, []).append(k)
     passing = []
-    for config in combinations_with_replacement(range(len(point_shapes)), num_points):
-        if (sum(degree_zero[k] for k in config)
-                or any(sum(column[k] for k in config) for column in low)):
-            continue
-        config_shapes = tuple(point_shapes[k] for k in config)
-        denominator, sums = monomial_integrals(monomials, config_shapes)
-        if all(t % denominator == 0 for t, d in zip(sums, monomials.degrees) if d >= n):
-            passing.append(config_shapes)
+    for head in combinations_with_replacement(range(len(point_shapes)), num_points - 1):
+        for last in completing.get(sum(degree_zero[k] for k in head), ()):
+            config = head + (last,)
+            if last < head[-1] or any(sum(column[k] for k in config) for column in low):
+                continue
+            config_shapes = tuple(point_shapes[k] for k in config)
+            denominator, sums = monomial_integrals(monomials, config_shapes)
+            if all(t % denominator == 0 for t, d in zip(sums, monomials.degrees) if d >= n):
+                passing.append(config_shapes)
     return passing

@@ -29,10 +29,11 @@ from .fixed_points import FixedPointData, require_binomial_counts, split_by_mome
 from .pipeline import run_pipeline
 
 # Largest n that require_reducible accepts: on a 2-core Xeon `reduce --n 10`
-# takes 2.8-3.1 s at 29 MB peak at its default level c = 11/2 and 4.0-5.6 s
-# at 30 MB at the slowest of its ten regular levels, c = 13/2; `reduce FILE`
-# on random-sign n = 10 documents takes 0.2-0.3 s.  `--n 9` takes at most
-# 1 s, and `--n 11` would take about 9 s at 53 MB.
+# takes 2.3-2.5 s at its default level c = 11/2 and 3.9-4.5 s at the slowest
+# of its ten regular levels, c = 13/2, at 33-34 MB peak (process ru_maxrss,
+# four runs each); `reduce FILE` on random-sign n = 10 documents takes
+# 0.2-0.3 s.  `--n 9` takes at most 1 s, and `--n 11` would take about 9 s
+# at 53 MB.
 MAX_REDUCE_N = 10
 
 
@@ -53,10 +54,9 @@ class IdealPresentation:
     negative: tuple[frozenset, ...]  # J of beta_J, mu(J) < 0
 
     @cached_property
-    def alpha_columns(self) -> frozenset[tuple[int, ...]]:
-        """The sorted subsets S, as degree_basis writes them, that contain a
-        positive J."""
-        return frozenset(S for S in degree_basis(self.n, self.n)
+    def alpha_columns(self) -> frozenset[int]:
+        """The subsets S that contain a positive J, as bitmasks (subset_mask)."""
+        return frozenset(subset_mask(S) for S in degree_basis(self.n, self.n)
                          if any(J <= set(S) for J in self.positive))
 
     @cached_property
@@ -84,6 +84,12 @@ class GradedQuotient:
     @property
     def euler_characteristic(self) -> int:
         return sum(self.ranks)
+
+
+def subset_mask(S) -> int:
+    """A subset of {1..n} as the integer with bit i set for each i in it, so
+    the union of disjoint subsets is the sum of their masks."""
+    return sum(1 << i for i in S)
 
 
 def require_reducible(n: int) -> None:
@@ -117,7 +123,10 @@ def relation_rows(pres: IdealPresentation, d: int) -> list[dict[int, int]]:
     on a model level every positive J is larger than every negative one, so
     no row is empty, and elsewhere echelon_basis drops an empty row.  The
     alpha columns and the maximal negative J come from the presentation,
-    which builds them once for every degree.
+    which builds them once for every degree.  Columns are keyed by
+    subset_mask, so the signed terms a_T of one J are listed once for all
+    its rows and each entry's column is found from a sum of two masks,
+    with no sorting.
 
     The rows come in the order echelon_basis was measured to take them
     fastest: the last maximal J first and, within one J, the largest S
@@ -127,17 +136,21 @@ def relation_rows(pres: IdealPresentation, d: int) -> list[dict[int, int]]:
     order it does not end within minutes.  The lattice, and with it every
     rank, torsion factor and reduced class, does not depend on the order.
     """
-    col = {S: i for i, S in enumerate(degree_basis(pres.n, d))}
+    col = {subset_mask(S): i for i, S in enumerate(degree_basis(pres.n, d))}
     alpha = pres.alpha_columns
     rows = []
     for J in reversed(pres.maximal_negative):
-        comp = tuple(sorted(set(range(1, pres.n + 1)) - J))
+        comp = sorted(set(range(1, pres.n + 1)) - J)
+        if d < len(comp):  # beta_J itself lies above degree d
+            continue
+        # (-1)^|T| a_T for T in J^c, shared by every row of this J
+        terms = [(subset_mask(T), (-1) ** t)
+                 for t in range(len(comp) + 1) for T in combinations(comp, t)]
         for k in reversed(range(d - len(comp) + 1)):
             for S in reversed(list(combinations(sorted(J), k))):
-                rows.append({col[U]: (-1) ** t
-                             for t in range(len(comp) + 1) for T in combinations(comp, t)
-                             if (U := tuple(sorted(S + T))) not in alpha})
-    rows += ({i: 1} for S, i in reversed(col.items()) if S in alpha)
+                s = subset_mask(S)
+                rows.append({col[u]: sign for t, sign in terms if (u := s + t) not in alpha})
+    rows += ({i: 1} for U, i in reversed(col.items()) if U in alpha)
     return rows
 
 

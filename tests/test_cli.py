@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import importlib
 import json
 import os
 import random
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import semifree
 from semifree import cli
 from semifree.cli import MAX_RING_N, main, parse_document
 from semifree.cube import CubeClass, all_subsets, alpha_class, restrict_class
@@ -142,6 +145,57 @@ class TestExitCodes:
         f = tmp_path / "zero.txt"
         f.write_text("n = 2\npoint A weights 1 0\n")
         assert main(["check", str(f)]) == 2
+
+
+def fresh_cli(monkeypatch):
+    """semifree.cli imported anew, as by a new process; the module the other
+    tests hold is put back afterwards."""
+    monkeypatch.delitem(sys.modules, "semifree.cli")
+    monkeypatch.setattr(semifree, "cli", cli)
+    return importlib.import_module("semifree.cli")
+
+
+class TestParserReuse:
+    def test_parser_is_built_once_per_import(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        fresh = fresh_cli(monkeypatch)
+        assert fresh is not cli and not built
+        f = tmp_path / "pair.txt"
+        f.write_text(REMARK_PAIR)
+        argvs = [["count", "--n", "3"], ["check", str(f)], ["solve", str(f)],
+                 ["reduce", "--n", "3"], ["search", "--n", "1", "--points", "2",
+                                          "--bound", "1", "--degree", "1"]]
+        for argv in argvs * 2:
+            fresh.main(argv)
+        capsys.readouterr()
+        assert built.count("semifree") == 1
+        assert len(built) == len(set(built))  # no subcommand parser built twice
+
+    def test_reused_parser_keeps_no_state_between_calls(self, tmp_path, capsys):
+        f = tmp_path / "pair.txt"
+        f.write_text(REMARK_PAIR)
+        with pytest.raises(SystemExit) as bad:
+            main(["reduce", "--n", "three"])
+        assert bad.value.code == 2
+        capsys.readouterr()
+
+        def run(argv):
+            return main(argv), capsys.readouterr().out
+
+        reduce_argv = ["reduce", "--n", "3", "--c", "3/2"]
+        for argv in (["check", str(f)], reduce_argv):
+            first = run(argv)
+            assert first[0] == 0 and run(argv) == first
+        # an option given on one call is not the default of the next
+        run(reduce_argv + ["--max-degree", "2"])
+        assert run(reduce_argv) == first
 
 
 class TestCommands:

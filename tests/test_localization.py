@@ -567,15 +567,38 @@ def seeded_grid(seed: int, size: int, most_configs: int):
 # configurations has one (checked for n <= 8, points and bound <= 7 and
 # degree <= 2n).  Each reference search here takes at most about 0.5 s.
 SIEVE_GRID = [(2, 4, 3, 2), (3, 2, 2, 3), (2, 1, 3, 2)] + seeded_grid(5, 10, 2000)
+# The searches of the benchmark's `sieve` workload, at most 1771
+# configurations each.
+SIEVE_MENU = [(3, 2, 3, 3), (3, 3, 2, 3), (2, 3, 3, 2), (3, 2, 3, 4), (2, 4, 2, 3),
+              (4, 2, 2, 4), (3, 2, 2, 3)]
 
 
 class TestSieveAgainstReference:
-    @pytest.mark.parametrize("key", SIEVE_GRID, ids=str)
+    @pytest.mark.parametrize(
+        "key", SIEVE_GRID + [key for key in SIEVE_MENU if key not in SIEVE_GRID], ids=str)
     def test_survivors_and_order(self, key):
         assert search_candidates(*key) == reference_search(*key)[0]
 
     def test_grid_reaches_integrality(self):
         assert sum(reference_search(*key)[1] for key in SIEVE_GRID) >= 1
+
+    def test_grid_has_shapes_told_apart_below_degree_zero(self):
+        # search_candidates finds a configuration's last shape from the
+        # degree-0 column alone, so the grid must hold two shapes that agree
+        # there and differ in a later column below the middle degree, where
+        # only the check after the lookup can reject the configuration
+        def shapes_apart(n, bound, degree):
+            values = [w for w in range(-bound, bound + 1) if w]
+            shapes = list(combinations_with_replacement(values, n))
+            _, rows = monomial_numerators(chern_monomials(n, min(degree, n - 1)), shapes)
+            first_row = {}
+            for row in rows:
+                if first_row.setdefault(row[0], row) != row:
+                    return True
+            return False
+
+        assert any(shapes_apart(n, bound, degree) for n, points, bound, degree in SIEVE_GRID
+                   if points > 1)
 
     @pytest.mark.parametrize("key", SIEVE_GRID + [
         (3, 2, 3, 3), (3, 3, 2, 3), (2, 3, 3, 2), (3, 2, 3, 4), (2, 4, 2, 3),
