@@ -4,12 +4,7 @@ counts, the model ring of a product of two-spheres, the deduction pipeline
 identifying points with subsets, and the cohomology of reductions.
 """
 
-from .algebra import (
-    Term,
-    smith_normal_form,
-    vandermonde_complete,
-    vandermonde_kernel,
-)
+from .algebra import Term, smith_normal_form
 from .cube import (
     CubeClass,
     alpha_class,

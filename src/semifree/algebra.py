@@ -15,8 +15,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import Inconsistent, Underdetermined
-
 
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
@@ -96,60 +94,8 @@ class Term:
 X = Term(1, 1)
 
 
-def vandermonde_kernel(n: int) -> tuple[Fraction, ...]:
-    """The kernel vector of the n x (n+1) power matrix, entry (i, j) = j**i
-    with 0**0 = 1, normalized to start at 1.
-
-    Equals ((-1)^k * C(n, k)) for k = 0..n.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    row = [1]
-    for k in range(n):
-        # C(n, k+1) = C(n, k) (n-k) / (k+1), exactly
-        row.append(-row[-1] * (n - k) // (k + 1))
-    return tuple(map(Fraction, row))
-
-
-def vandermonde_complete(
-    n: int, l: int, known: Mapping[int, Fraction | int]
-) -> tuple[Fraction, ...]:
-    """Complete prescribed entries to the unique kernel vector.
-
-    Finds the length-(n+1) vector killed by the first n-l rows of the power
-    matrix of vandermonde_kernel that agrees with `known` (a map index ->
-    value with at least l+1 entries).
-    That kernel is {((-1)^k C(n,k) p(k))_k : deg p <= l}: the n-th finite
-    difference kills every degree below n, and the dimensions agree.  So p
-    is interpolated through l+1 known entries and checked on the others.
-    """
-    if not 0 <= l < n:
-        raise ValueError("need 0 <= l < n")
-    bad = [k for k in known if not 0 <= k <= n]
-    if bad:
-        raise ValueError(f"known indices out of range: {bad}")
-    if len(known) < l + 1:
-        raise Underdetermined(
-            f"need at least {l + 1} prescribed entries, got {len(known)}"
-        )
-    values = {k: _as_fraction(v) for k, v in known.items()}
-    kernel = vandermonde_kernel(n)
-    nodes = list(values)[: l + 1]
-    out = tuple(
-        kernel[x] * sum(
-            values[a] / kernel[a]
-            * math.prod(Fraction(x - b, a - b) for b in nodes if b != a)
-            for a in nodes
-        )
-        for x in range(n + 1)
-    )
-    if any(out[k] != v for k, v in values.items()):
-        raise Inconsistent("prescribed entries have no common completion")
-    return out
-
-
-def smith_normal_form(rows: Iterable[Mapping[int, int]]) -> tuple[tuple[int, ...], int]:
-    """Invariant factors (with the divisibility chain) and rank.
+def smith_normal_form(rows: Iterable[Mapping[int, int]]) -> tuple[int, ...]:
+    """Invariant factors, as a divisibility chain; their number is the rank.
 
     Rows are maps {column: entry} as echelon_basis takes them, read once;
     column keys must be non-negative integers.  After the first echelon
@@ -162,11 +108,11 @@ def smith_normal_form(rows: Iterable[Mapping[int, int]]) -> tuple[tuple[int, ...
     ends: the (0, 0) entry becomes the gcd of its column, then of its row,
     so it is a positive integer that only shrinks; once it stops, it
     divides its column and its row, both clear, and the same argument
-    applies to the trailing block.  Only the factors are returned.
+    applies to the trailing block.
     """
     rows = echelon_basis(rows)
     if all(row[min(row)] == 1 for row in rows):
-        return (1,) * len(rows), len(rows)
+        return (1,) * len(rows)
     # pivots increase from column 0 on, since keys are non-negative, so row
     # i has its pivot at column i or later: diagonal when its last column is i
     while any(max(row) > i for i, row in enumerate(rows)):
@@ -180,7 +126,7 @@ def smith_normal_form(rows: Iterable[Mapping[int, int]]) -> tuple[tuple[int, ...
         for j in range(i + 1, len(factors)):
             a, b = factors[i], factors[j]
             factors[i], factors[j] = math.gcd(a, b), math.lcm(a, b)
-    return tuple(factors), len(factors)
+    return tuple(factors)
 
 
 def echelon_basis(rows: Iterable[Mapping[int, int]]) -> list[dict[int, int]]:

@@ -324,7 +324,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         check_ranges(args)
-        return args.func(args)
+        # by name, so a cmd_* rebound after the parser was cached is the one run
+        return globals()[args.func.__name__](args)
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT

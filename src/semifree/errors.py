@@ -5,15 +5,6 @@ class SemifreeError(Exception):
     """Base class for all mathematical / validation errors raised here."""
 
 
-# exact_algebra
-class Inconsistent(SemifreeError):
-    """Prescribed entries are incompatible with the kernel constraints."""
-
-
-class Underdetermined(SemifreeError):
-    """Too few prescribed entries to pin down a unique kernel vector."""
-
-
 # fixed point data
 class InputError(SemifreeError):
     """Malformed input: a document or option that does not parse, or

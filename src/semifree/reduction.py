@@ -165,7 +165,7 @@ def graded_quotient(pres: IdealPresentation, max_degree: int) -> GradedQuotient:
     ranks, torsion, bases = [], [], []
     for d in range(max_degree // 2 + 1):
         basis = echelon_basis(relation_rows(pres, d))
-        factors, _ = smith_normal_form(basis)
+        factors = smith_normal_form(basis)
         ranks.append(len(degree_basis(pres.n, d)) - len(basis))
         torsion.append(tuple(f for f in factors if f > 1))
         bases.append(tuple(basis))

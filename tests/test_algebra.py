@@ -6,15 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semifree.algebra import (
-    Term,
-    echelon_basis,
-    reduce_mod_rows,
-    smith_normal_form,
-    vandermonde_complete,
-    vandermonde_kernel,
-)
-from semifree.errors import Inconsistent, Underdetermined
+from semifree.algebra import Term, echelon_basis, reduce_mod_rows, smith_normal_form
+from semifree.localization import predict_counts
 
 
 # --- independent oracles ---------------------------------------------------
@@ -150,104 +143,37 @@ class TestTerm:
             Term(1, 1).coeff = 2
 
 
-# --- Vandermonde kernels ----------------------------------------------------
+# --- the kernel of the moment equations --------------------------------------
 
 def power_rows(num_rows, num_cols):
     """The power matrix with entry (i, j) = j**i; 0**0 counts as 1."""
     return [[j**i for j in range(num_cols)] for i in range(num_rows)]
 
 
+def signed_row(n):
+    """The binomial row of predict_counts with signs (-1)^k."""
+    return tuple((-1) ** k * c for k, c in enumerate(predict_counts(n, 1)))
+
+
 class TestVandermondeKernel:
     def test_small(self):
-        assert vandermonde_kernel(1) == (1, -1)
-        assert vandermonde_kernel(2) == (1, -2, 1)
-        assert vandermonde_kernel(4) == (1, -4, 6, -4, 1)
+        assert signed_row(1) == (1, -1)
+        assert signed_row(2) == (1, -2, 1)
+        assert signed_row(4) == (1, -4, 6, -4, 1)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_signed_binomials(self, n):
-        kernel = vandermonde_kernel(n)
-        assert kernel == tuple(
-            Fraction((-1) ** k * math.comb(n, k)) for k in range(n + 1)
-        )
+        assert signed_row(n) == tuple((-1) ** k * math.comb(n, k) for k in range(n + 1))
+        for N0 in (2, 7):
+            assert predict_counts(n, N0) == tuple(N0 * math.comb(n, k) for k in range(n + 1))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
     def test_against_nullspace_oracle(self, n):
+        # the n moment equations have a one-dimensional kernel: the signed row
         basis = nullspace_oracle(power_rows(n, n + 1), n + 1)
         assert len(basis) == 1
         scaled = tuple(v / basis[0][0] for v in basis[0])
-        assert vandermonde_kernel(n) == scaled
-
-
-class TestVandermondeComplete:
-    def test_zero_vector(self):
-        assert vandermonde_complete(2, 1, {0: 0, 2: 0}) == (0, 0, 0)
-
-    def test_recovers_kernel(self):
-        assert vandermonde_complete(2, 0, {0: 1}) == (1, -2, 1)
-
-    def test_inconsistent_prescription(self):
-        # kernel of the (2 x 4) power matrix with D0 = D3 = 0 forces D = 0,
-        # so prescribing D1 = 1 as well has no completion (rank oracle: the
-        # 2x2 subsystem in D1, D2 is nonsingular)
-        with pytest.raises(Inconsistent):
-            vandermonde_complete(3, 1, {0: 0, 3: 0, 1: 1})
-
-    def test_underdetermined(self):
-        with pytest.raises(Underdetermined):
-            vandermonde_complete(3, 2, {0: 1})
-
-    def test_idempotent(self):
-        d = vandermonde_complete(3, 1, {0: 1, 3: Fraction(-1)})
-        again = vandermonde_complete(3, 1, dict(enumerate(d)))
-        assert again == d
-
-    def test_completion_lies_in_kernel(self):
-        d = vandermonde_complete(4, 2, {0: 2, 1: -5, 4: 2})
-        v = power_rows(2, 5)
-        for row in v:
-            assert sum(Fraction(a) * b for a, b in zip(row, d)) == 0
-
-    def test_float_value_rejected(self):
-        with pytest.raises(TypeError):
-            vandermonde_complete(2, 0, {0: 1.0})
-
-    def test_against_sympy_linsolve(self):
-        sympy = pytest.importorskip("sympy")
-
-        rng = random.Random(13)
-        seen = {"solved": 0, "inconsistent": 0, "underdetermined": 0}
-        for _ in range(300):
-            n = rng.randint(1, 8)
-            l = rng.randint(0, n - 1)
-            known = {}
-            for k in rng.sample(range(n + 1), rng.randint(0, n + 1)):
-                known[k] = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-            if rng.random() < 0.5:
-                # values of a kernel vector, so the prescription is consistent
-                coeffs = [rng.randint(-3, 3) for _ in range(l + 1)]
-                known = {
-                    k: (-1) ** k * math.comb(n, k) * sum(c * k**i for i, c in enumerate(coeffs))
-                    for k in known
-                }
-            d = sympy.symbols(f"d0:{n + 1}")
-            eqs = [sum(a * b for a, b in zip(row, d)) for row in power_rows(n - l, n + 1)]
-            eqs += [d[k] - sympy.Rational(v.numerator, v.denominator) for k, v in known.items()]
-            solutions = sympy.linsolve(eqs, d)
-            if solutions == sympy.S.EmptySet:
-                with pytest.raises(Inconsistent):
-                    vandermonde_complete(n, l, known)
-                seen["inconsistent"] += 1
-                continue
-            (solution,) = solutions
-            if any(e.free_symbols for e in solution):
-                with pytest.raises(Underdetermined):
-                    vandermonde_complete(n, l, known)
-                seen["underdetermined"] += 1
-            else:
-                expected = tuple(Fraction(int(e.p), int(e.q)) for e in solution)
-                assert vandermonde_complete(n, l, known) == expected
-                seen["solved"] += 1
-        assert all(seen.values()), seen
+        assert signed_row(n) == scaled
 
 
 # --- sparse rows -------------------------------------------------------------
@@ -264,42 +190,40 @@ def dense(rows, ncols):
 
 class TestSmithNormalForm:
     def test_identity(self):
-        assert smith_normal_form(map(sparse, [[1, 0], [0, 1]])) == ((1, 1), 2)
+        assert smith_normal_form(map(sparse, [[1, 0], [0, 1]])) == (1, 1)
 
     def test_diagonal_2_3(self):
-        assert smith_normal_form(map(sparse, [[2, 0], [0, 3]])) == ((1, 6), 2)
+        assert smith_normal_form(map(sparse, [[2, 0], [0, 3]])) == (1, 6)
 
     def test_zero(self):
-        assert smith_normal_form(map(sparse, [[0, 0], [0, 0]])) == ((), 0)
+        assert smith_normal_form(map(sparse, [[0, 0], [0, 0]])) == ()
 
     def test_empty(self):
-        assert smith_normal_form([]) == ((), 0)
+        assert smith_normal_form([]) == ()
 
     def test_one_shot_iterator_of_gapped_rows(self):
         # rows are read once; keys need not be contiguous, a stored zero is
         # not an entry and an empty map is a zero row
         rows = iter([{3: 2, 7: 0}, {7: 6}, {}])
-        assert smith_normal_form(rows) == ((2, 6), 2)
+        assert smith_normal_form(rows) == (2, 6)
 
     def test_rectangular(self):
-        factors, rank = smith_normal_form(map(sparse, [[2, 4, 4], [-6, 6, 12]]))
-        assert rank == 2
-        assert factors == (2, 6)
+        assert smith_normal_form(map(sparse, [[2, 4, 4], [-6, 6, 12]])) == (2, 6)
 
     def test_divisibility_chain_and_determinant(self):
         rng = random.Random(7)
         for _ in range(40):
             size = rng.randint(1, 4)
             rows = [[rng.randint(-6, 6) for _ in range(size)] for _ in range(size)]
-            factors, rank = smith_normal_form(map(sparse, rows))
+            factors = smith_normal_form(map(sparse, rows))
             for a, b in zip(factors, factors[1:]):
                 assert b % a == 0
             det = det_oracle(rows)
             if det:
-                assert rank == size
+                assert len(factors) == size
                 assert math.prod(factors) == abs(det)
             else:
-                assert rank < size
+                assert len(factors) < size
 
     def test_raw_matrices_against_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -317,12 +241,12 @@ class TestSmithNormalForm:
             for i in rng.sample(range(nrows), rng.randint(0, nrows // 2)):
                 m[i] = [0] * ncols  # zero rows
             expected = tuple(abs(int(f)) for f in invariant_factors(sympy.Matrix(m)) if f)
-            assert smith_normal_form(map(sparse, m)) == (expected, len(expected))
+            assert smith_normal_form(map(sparse, m)) == expected
 
     def test_a_non_unit_pivot_gets_the_full_smith_form(self):
         # one pivot of 2 is enough to leave the unit-pivot shortcut; the
         # determinant 2 then makes the chain (1, 2)
-        assert smith_normal_form(map(sparse, [[2, 1], [0, 1]])) == ((1, 2), 2)
+        assert smith_normal_form(map(sparse, [[2, 1], [0, 1]])) == (1, 2)
 
     def test_unit_pivots_with_off_diagonal_entries_give_ones(self):
         sympy = pytest.importorskip("sympy")
@@ -337,7 +261,7 @@ class TestSmithNormalForm:
                  for p in pivots]
             expected = tuple(abs(int(f)) for f in invariant_factors(sympy.Matrix(m)) if f)
             assert expected == (1,) * nrows
-            assert smith_normal_form(map(sparse, m)) == (expected, nrows)
+            assert smith_normal_form(map(sparse, m)) == expected
 
 
 # --- echelon basis -----------------------------------------------------------
@@ -370,7 +294,7 @@ class TestEchelonBasis:
             basis = echelon_basis(map(sparse, m))
             assert len(basis) == sympy.Matrix(m).rank()
             expected = tuple(abs(int(f)) for f in invariant_factors(sympy.Matrix(m)) if f)
-            assert smith_normal_form(basis) == (expected, len(basis))
+            assert smith_normal_form(basis) == expected
 
     def test_zero_and_empty_rows(self):
         assert echelon_basis([]) == []

@@ -197,6 +197,13 @@ class TestParserReuse:
         run(reduce_argv + ["--max-degree", "2"])
         assert run(reduce_argv) == first
 
+    def test_a_command_rebound_after_the_first_call_is_run(self, monkeypatch):
+        main(["count", "--n", "2"])
+        ran = []
+        monkeypatch.setattr(cli, "cmd_count", lambda args: ran.append(args.n) or 0)
+        assert main(["count", "--n", "3"]) == 0
+        assert ran == [3]
+
 
 class TestCommands:
     def test_count(self, capsys):

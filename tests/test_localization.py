@@ -335,6 +335,12 @@ class TestPredictCounts:
     def test_matches_data_counts(self, n):
         assert counts(hypercube_data(n)) == predict_counts(n, 1)
 
+    def test_at_the_size_bound(self):
+        row = predict_counts(MAX_COUNT_N, 3)
+        assert len(row) == MAX_COUNT_N + 1
+        for k in (0, 1, 7, MAX_COUNT_N // 2, MAX_COUNT_N - 1, MAX_COUNT_N):
+            assert row[k] == 3 * math.comb(MAX_COUNT_N, k)
+
     def test_above_the_size_bound_is_refused(self):
         with pytest.raises(CountTooLarge):
             predict_counts(MAX_COUNT_N + 1, 1)

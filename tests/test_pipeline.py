@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from semifree.algebra import Term, X, vandermonde_complete
+from semifree.algebra import Term, X
 from semifree.cube import all_subsets, alpha_class, hypercube_data, restrict_class
 from semifree.errors import CountMismatch, NoIntegerSolution
 from semifree.fixed_points import FixedPoint, FixedPointData
@@ -27,12 +27,13 @@ class TestForcedLevelSums:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_derivable_from_kernel_completion(self, n):
-        # D_k = (-1)^k (level-k sum coefficient) is the unique kernel vector
-        # of the (n-1)-row moment matrix with D_0 = 0, D_1 = -1
-        d = vandermonde_complete(n, 1, {0: 0, 1: -1})
-        for k in range(n + 1):
-            expected = Fraction((-1) ** k) * forced_level_sum(n, k).coeff
-            assert d[k] == expected
+        # D_k = (-1)^k (level-k sum coefficient) = (-1)^k C(n-1, k-1) with
+        # D_0 = 0, D_1 = -1 is killed by the first n-1 rows of the moment
+        # matrix, entry (l, k) = k^l with 0^0 = 1
+        d = [(-1) ** k * forced_level_sum(n, k).coeff for k in range(n + 1)]
+        assert d == [(-1) ** k * math.comb(n - 1, k - 1) if k else 0 for k in range(n + 1)]
+        for l in range(n - 1):
+            assert sum(k**l * d_k for k, d_k in enumerate(d)) == 0
 
 
 class TestSolveValueMultiset:

@@ -38,8 +38,6 @@ EXPORTED = [
     "smith_normal_form",
     "solve_value_multiset",
     "split_by_moment_sign",
-    "vandermonde_complete",
-    "vandermonde_kernel",
     "verify_moment_equations",
 ]
 
