@@ -8,11 +8,14 @@ hypercube_data(n, c), whose n a caller bounds with require_reducible before
 its 2^n points are listed.  Each graded piece of the quotient is a finite
 integer linear-algebra problem: square-free monomials times powers of y
 form a basis of the ambient degree slice, and the relations in it are
-written in closed form from the generators' subsets.  The two sets those
-rows are written from, the columns a positive J makes zero and the maximal
-negative J, do not depend on the degree: a presentation builds them once,
-on first use.  One integer echelon basis per degree gives the free rank
-(its length), the torsion (Smith normal form of that basis alone) and the
+written in closed form from the generators' subsets.  The sets those rows
+are written from do not depend on the degree, so a presentation builds them
+once, on first use: the columns a positive J makes zero and, for each
+maximal negative J, the signed terms of beta_J and the subsets S whose row
+beta_J a_S is not already a combination of earlier rows.  On the model
+levels measured (n <= 9), that leaves exactly as many rows as the lattice
+has rank.  One integer echelon basis per degree gives the free rank (its
+length), the torsion (Smith normal form of that basis alone) and the
 canonical images of the Chern classes.
 """
 
@@ -28,12 +31,12 @@ from .errors import NotSemifree, ReductionTooLarge
 from .fixed_points import FixedPointData, require_binomial_counts, split_by_moment_sign
 from .pipeline import run_pipeline
 
-# Largest n that require_reducible accepts: on a 2-core Xeon `reduce --n 10`
-# takes 2.3-2.5 s at its default level c = 11/2 and 3.9-4.5 s at the slowest
-# of its ten regular levels, c = 13/2, at 33-34 MB peak (process ru_maxrss,
-# four runs each); `reduce FILE` on random-sign n = 10 documents takes
-# 0.2-0.3 s.  `--n 9` takes at most 1 s, and `--n 11` would take about 9 s
-# at 53 MB.
+# Largest n that require_reducible accepts.  On a 2-core Xeon (process wall
+# time and ru_maxrss, three runs per level): `reduce --n 10` takes 1.5-1.8 s
+# at its default level c = 11/2 and 1.3-1.6 s at c = 13/2, at 24 MB, and at
+# most 0.8 s at its other eight regular levels; `--n 9` takes at most 0.6 s.
+# `--n 11` would take 4.4-5.3 s at c = 11/2, 5.3-6.6 s at c = 13/2 (43 MB)
+# and 4.3-4.4 s at c = 15/2, and at most 2.1 s at its other eight levels.
 MAX_REDUCE_N = 10
 
 
@@ -46,7 +49,7 @@ class IdealPresentation:
     upward classes alpha_J of the mu-positive subsets and the downward
     classes beta_J of the mu-negative subsets.  A generator is its subset
     J, in all_subsets order, and relation_rows writes its rows from J and
-    from the two sets below, built once per presentation.
+    from the two tables below, built once per presentation.
     """
 
     n: int
@@ -60,9 +63,35 @@ class IdealPresentation:
                          if any(J <= set(S) for J in self.positive))
 
     @cached_property
-    def maximal_negative(self) -> tuple[frozenset, ...]:
-        """The negative J inside no other negative J, in family order."""
-        return tuple(J for J in self.negative if not any(J < K for K in self.negative))
+    def beta_blocks(self) -> tuple[tuple[int, tuple, tuple], ...]:
+        """One block per maximal negative J (inside no other negative J), in
+        family order: |J^c|; the terms (-1)^|T| a_T of beta_J, T in J^c, as
+        (subset_mask(T), sign); and, by size, the masks of the subsets S of J
+        that contain no difference J - K, K a maximal negative before J.
+
+        Each such difference contains an inclusion-minimal one, so S is
+        tested against those alone.  A one-element difference {i} takes i
+        out of the subsets listed, and on a model level every minimal
+        difference has one element, so there the kept S are listed with no
+        test at all.
+        """
+        maximal = [J for J in self.negative if not any(J < K for K in self.negative)]
+        blocks = []
+        for i, J in enumerate(maximal):
+            minimal = []
+            for D in sorted({J - K for K in maximal[:i]}, key=len):
+                if not any(E <= D for E in minimal):
+                    minimal.append(D)
+            free = sorted(J.difference(*(D for D in minimal if len(D) == 1)))
+            wide = [subset_mask(D) for D in minimal if len(D) > 1]
+            comp = sorted(set(range(1, self.n + 1)) - J)
+            terms = tuple((subset_mask(T), (-1) ** t)
+                          for t in range(len(comp) + 1) for T in combinations(comp, t))
+            kept = tuple(tuple(s for s in map(subset_mask, combinations(free, k))
+                               if all(s & m != m for m in wide))
+                         for k in range(len(free) + 1))
+            blocks.append((len(comp), terms, kept))
+        return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -121,36 +150,36 @@ def relation_rows(pres: IdealPresentation, d: int) -> list[dict[int, int]]:
     in the quotient, so beta rows are written modulo them, without those
     columns.  A beta row keeps its column S unless S contains a positive J:
     on a model level every positive J is larger than every negative one, so
-    no row is empty, and elsewhere echelon_basis drops an empty row.  The
-    alpha columns and the maximal negative J come from the presentation,
-    which builds them once for every degree.  Columns are keyed by
-    subset_mask, so the signed terms a_T of one J are listed once for all
-    its rows and each entry's column is found from a sum of two masks,
-    with no sorting.
+    no row is empty, and elsewhere echelon_basis drops an empty row.
 
-    The rows come in the order echelon_basis was measured to take them
-    fastest: the last maximal J first and, within one J, the largest S
-    first, down to S empty, then the unit rows from the last column to the
-    first.  Written the other way round, the n = 10 quotient spends 6.9 s
-    in echelon_basis instead of 1.9 s on a 2-core Xeon, and in a random
-    order it does not end within minutes.  The lattice, and with it every
-    rank, torsion factor and reduced class, does not depend on the order.
+    Of the beta rows, only those of the subsets S that beta_blocks keeps
+    are written.  For maximal negative J and K, both sides of
+        beta_J prod_{i in J-K} (y - a_i) = beta_K prod_{i in K-J} (y - a_i)
+    are the product of y - a_j over j outside J & K.  For S containing
+    D = J - K, multiplying by a_(S-D) y^m writes +-(J, S) as rows (J, S'),
+    S' a proper subset of S, plus rows of K, all of the degree of (J, S).
+    So by induction on (position of J, |S|), with K before J, the rows
+    written span every row beta_J a_S y^m in every degree.
+
+    The alpha columns and the beta blocks come from the presentation, which
+    builds them once for every degree.  Columns are keyed by subset_mask,
+    so each entry's column is found from a sum of two masks, with no
+    sorting.  The unit rows come first, in column order, then each J in
+    family order with its S by increasing size: with no row left that
+    eliminates to zero, echelon_basis takes this order fastest (at n = 10,
+    c = 13/2, 0.77 s against 1.68 s for the reverse order on a 2-core
+    Xeon).  The lattice, and with it every rank, torsion factor and reduced
+    class, does not depend on the order.
     """
     col = {subset_mask(S): i for i, S in enumerate(degree_basis(pres.n, d))}
     alpha = pres.alpha_columns
-    rows = []
-    for J in reversed(pres.maximal_negative):
-        comp = sorted(set(range(1, pres.n + 1)) - J)
-        if d < len(comp):  # beta_J itself lies above degree d
+    rows = [{i: 1} for U, i in col.items() if U in alpha]
+    for codim, terms, kept in pres.beta_blocks:
+        if d < codim:  # beta_J itself lies above degree d
             continue
-        # (-1)^|T| a_T for T in J^c, shared by every row of this J
-        terms = [(subset_mask(T), (-1) ** t)
-                 for t in range(len(comp) + 1) for T in combinations(comp, t)]
-        for k in reversed(range(d - len(comp) + 1)):
-            for S in reversed(list(combinations(sorted(J), k))):
-                s = subset_mask(S)
+        for masks in kept[:d - codim + 1]:
+            for s in masks:
                 rows.append({col[u]: sign for t, sign in terms if (u := s + t) not in alpha})
-    rows += ({i: 1} for U, i in reversed(col.items()) if U in alpha)
     return rows
 
 
@@ -158,9 +187,11 @@ def graded_quotient(pres: IdealPresentation, max_degree: int) -> GradedQuotient:
     """Quotient ring data in cohomological degrees 0, 2, ..., max_degree.
 
     Each degree's relation rows go to echelon_basis in the order
-    relation_rows writes them, unit rows last, which is the order that
-    eliminates them fastest; Smith normal form then reads the torsion from
-    that basis, at once when every pivot is 1."""
+    relation_rows writes them, unit rows first, which is the order that
+    eliminates them fastest; on the model levels measured (n <= 9) none of
+    them reduces to zero.
+    Smith normal form then reads the torsion from that basis, at once when
+    every pivot is 1."""
     require_reducible(pres.n)
     ranks, torsion, bases = [], [], []
     for d in range(max_degree // 2 + 1):
