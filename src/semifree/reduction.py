@@ -35,8 +35,12 @@ from .pipeline import run_pipeline
 # time and ru_maxrss, three runs per level): `reduce --n 10` takes 1.5-1.8 s
 # at its default level c = 11/2 and 1.3-1.6 s at c = 13/2, at 24 MB, and at
 # most 0.8 s at its other eight regular levels; `--n 9` takes at most 0.6 s.
-# `--n 11` would take 4.4-5.3 s at c = 11/2, 5.3-6.6 s at c = 13/2 (43 MB)
-# and 4.3-4.4 s at c = 15/2, and at most 2.1 s at its other eight levels.
+# `reduce FILE` takes 0.14-0.26 s at 19 MB on ten random-sign n = 10
+# documents and 0.8-2.2 s at 24-28 MB on six n = 10 documents cut by a
+# moment map with weights 1-3 (random_sign_document and weighted_cut_document
+# in tests/test_reduction.py, seeds 8, 17, 26, 35, 100-105 and 0-5).  `--n 11`
+# would take 4.4-5.3 s at c = 11/2, 5.3-6.6 s at c = 13/2 (43 MB) and
+# 4.3-4.4 s at c = 15/2, and at most 2.1 s at its other eight levels.
 MAX_REDUCE_N = 10
 
 
@@ -70,10 +74,7 @@ class IdealPresentation:
         that contain no difference J - K, K a maximal negative before J.
 
         Each such difference contains an inclusion-minimal one, so S is
-        tested against those alone.  A one-element difference {i} takes i
-        out of the subsets listed, and on a model level every minimal
-        difference has one element, so there the kept S are listed with no
-        test at all.
+        tested against those alone.
         """
         maximal = [J for J in self.negative if not any(J < K for K in self.negative)]
         blocks = []
@@ -82,14 +83,13 @@ class IdealPresentation:
             for D in sorted({J - K for K in maximal[:i]}, key=len):
                 if not any(E <= D for E in minimal):
                     minimal.append(D)
-            free = sorted(J.difference(*(D for D in minimal if len(D) == 1)))
-            wide = [subset_mask(D) for D in minimal if len(D) > 1]
+            masks = [subset_mask(D) for D in minimal]
             comp = sorted(set(range(1, self.n + 1)) - J)
             terms = tuple((subset_mask(T), (-1) ** t)
                           for t in range(len(comp) + 1) for T in combinations(comp, t))
-            kept = tuple(tuple(s for s in map(subset_mask, combinations(free, k))
-                               if all(s & m != m for m in wide))
-                         for k in range(len(free) + 1))
+            kept = tuple(tuple(s for s in map(subset_mask, combinations(sorted(J), k))
+                               if all(s & m != m for m in masks))
+                         for k in range(len(J) + 1))
             blocks.append((len(comp), terms, kept))
         return tuple(blocks)
 
@@ -165,11 +165,15 @@ def relation_rows(pres: IdealPresentation, d: int) -> list[dict[int, int]]:
     builds them once for every degree.  Columns are keyed by subset_mask,
     so each entry's column is found from a sum of two masks, with no
     sorting.  The unit rows come first, in column order, then each J in
-    family order with its S by increasing size: with no row left that
-    eliminates to zero, echelon_basis takes this order fastest (at n = 10,
-    c = 13/2, 0.77 s against 1.68 s for the reverse order on a 2-core
-    Xeon).  The lattice, and with it every rank, torsion factor and reduced
-    class, does not depend on the order.
+    family order with its S by increasing size.  echelon_basis was
+    measured to take this order fastest on a 2-core Xeon, summed over the
+    degrees of n = 10 documents: at the model level c = 13/2, where no row
+    eliminates to zero, 0.77 s against 1.68 s for the reverse order; on
+    six documents cut by a moment map with weights 1-3, where up to 7 % of
+    the rows eliminate to zero, 0.7-1.8 s against 2.9-629 s; on random-sign
+    documents, where about half the rows eliminate to zero but each has at
+    most four entries, 5-15 ms either way.  The lattice, and with it every
+    rank, torsion factor and reduced class, does not depend on the order.
     """
     col = {subset_mask(S): i for i, S in enumerate(degree_basis(pres.n, d))}
     alpha = pres.alpha_columns
@@ -187,9 +191,9 @@ def graded_quotient(pres: IdealPresentation, max_degree: int) -> GradedQuotient:
     """Quotient ring data in cohomological degrees 0, 2, ..., max_degree.
 
     Each degree's relation rows go to echelon_basis in the order
-    relation_rows writes them, unit rows first, which is the order that
-    eliminates them fastest; on the model levels measured (n <= 9) none of
-    them reduces to zero.
+    relation_rows writes them, unit rows first, which is the order measured
+    to eliminate them fastest; on the model levels measured (n <= 9) none
+    of them reduces to zero, and on other documents some may.
     Smith normal form then reads the torsion from that basis, at once when
     every pivot is 1."""
     require_reducible(pres.n)

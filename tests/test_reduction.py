@@ -89,6 +89,23 @@ def random_sign_document(n, seed):
     ))
 
 
+def weighted_cut_document(n, seed):
+    """The hypercube's points under shuffled ids, with moment value the sum
+    of random weights w_i in {1, 2, 3} over the coordinates where the
+    point's weight is negative, less a half-integer c near the middle: the
+    families are cut by a wall, as at a model level (every w_i = 1), but
+    one whose minimal differences J - K can have two or more elements."""
+    rng = random.Random(seed)
+    w = [rng.choice((1, 2, 3)) for _ in range(n)]
+    c = Fraction(2 * (sum(w) // 2) + 1, 2)
+    points = list(hypercube_data(n).points)
+    rng.shuffle(points)
+    return FixedPointData(n, tuple(
+        FixedPoint(f"z{i}", p.weights, sum(x for x, e in zip(w, p.weights) if e < 0) - c)
+        for i, p in enumerate(points)
+    ))
+
+
 def y_minus_a(I):
     """The product of y - a_i over i in I, multiplied out by CubeClass."""
     product = CubeClass.unit()
@@ -226,6 +243,13 @@ class TestGradedQuotient:
         for d in range(n + 1):
             assert_same_lattice(pres, d)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_relation_rows_span_the_products_for_weighted_cuts(self, seed):
+        n = 2 + seed % 4
+        pres = presentation_from_data(weighted_cut_document(n, seed))
+        for d in range(n + 1):
+            assert_same_lattice(pres, d)
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_model_levels_write_no_redundant_row(self, n):
         # measured, not proved: on these levels the rows kept are independent,
@@ -239,7 +263,7 @@ class TestGradedQuotient:
 
     def test_two_element_difference(self):
         # J = {3, 4} and the earlier K = {1, 2} differ in two elements, so the
-        # row of S = J is left out by the per-row test, not by its elements
+        # row of S = J is left out and the rows of its elements are kept
         n, first, second = 4, frozenset({1, 2}), frozenset({3, 4})
         for positive in ((), (frozenset({1, 3}), frozenset({2, 4})), (frozenset({1, 2, 3, 4}),)):
             pres = IdealPresentation(n, positive, (first, second))
@@ -321,10 +345,11 @@ def quotient_with_rows(pres, reorder):
 
 
 # relation_rows writes the unit rows first, then each maximal negative J in
-# family order with its S by increasing size, which echelon_basis takes
-# fastest now that no row eliminates to zero (0.8 s at n = 10, c = 13/2,
-# against 1.7 s reversed); the lattice, and with it every result, is the same
-# in either order and in any other
+# family order with its S by increasing size, which echelon_basis was
+# measured to take fastest (at n = 10: 0.8 s at c = 13/2 against 1.7 s
+# reversed, and 0.7-1.8 s against 2.9-629 s on weighted_cut_document seeds
+# 0-5); the lattice, and with it every result, is the same in either order
+# and in any other
 ROW_ORDERS = {
     "written": lambda rows: rows,
     "reversed": lambda rows: rows[::-1],
