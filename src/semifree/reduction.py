@@ -8,15 +8,15 @@ hypercube_data(n, c), whose n a caller bounds with require_reducible before
 its 2^n points are listed.  Each graded piece of the quotient is a finite
 integer linear-algebra problem: square-free monomials times powers of y
 form a basis of the ambient degree slice, and the relations in it are
-written in closed form from the generators' subsets.  The sets those rows
-are written from do not depend on the degree, so a presentation builds them
-once, on first use: the columns a positive J makes zero and, for each
-maximal negative J, the signed terms of beta_J and the subsets S whose row
-beta_J a_S is not already a combination of earlier rows.  On the model
-levels measured (n <= 9), that leaves exactly as many rows as the lattice
-has rank.  One integer echelon basis per degree gives the free rank (its
-length), the torsion (Smith normal form of that basis alone) and the
-canonical images of the Chern classes.
+written in closed form from the generators' subsets.  Each degree's
+monomials are the first monomials of the top degree's, so a relation's row
+is the same in every degree that holds it: a presentation writes each row
+once, on first use, tagged with its degree, and leaves out every row
+beta_J a_S y^m that is already a combination of earlier rows.  On the
+model levels measured (n <= 9), that leaves exactly as many rows in each
+degree as the lattice has rank.  One integer echelon basis per degree gives
+the free rank (its length), the torsion (Smith normal form of that basis
+alone) and the canonical images of the Chern classes.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ class IdealPresentation:
     a_S y^(d - |S|), one per subset S; the two explicit families are the
     upward classes alpha_J of the mu-positive subsets and the downward
     classes beta_J of the mu-negative subsets.  A generator is its subset
-    J, in all_subsets order, and relation_rows writes its rows from J and
-    from the two tables below, built once per presentation.
+    J, in all_subsets order, and `relations` writes the rows of every
+    degree from J once per presentation.
     """
 
     n: int
@@ -61,37 +61,61 @@ class IdealPresentation:
     negative: tuple[frozenset, ...]  # J of beta_J, mu(J) < 0
 
     @cached_property
-    def alpha_columns(self) -> frozenset[int]:
-        """The subsets S that contain a positive J, as bitmasks (subset_mask)."""
-        return frozenset(subset_mask(S) for S in degree_basis(self.n, self.n)
-                         if any(J <= set(S) for J in self.positive))
+    def relations(self) -> tuple[tuple[int, dict[int, int]], ...]:
+        """Every relation row any degree needs, as (degree, row) pairs, each
+        row a sparse map {column: +-1} over degree_basis(n, n).
 
-    @cached_property
-    def beta_blocks(self) -> tuple[tuple[int, tuple, tuple], ...]:
-        """One block per maximal negative J (inside no other negative J), in
-        family order: |J^c|; the terms (-1)^|T| a_T of beta_J, T in J^c, as
-        (subset_mask(T), sign); and, by size, the masks of the subsets S of J
-        that contain no difference J - K, K a maximal negative before J.
+        degree_basis(n, d) is the first entries of degree_basis(n, n), so a
+        subset S has one column in every degree, and the row of a relation
+        is the same sparse vector in every degree that contains it: the
+        rows of degree d are the pairs tagged d or lower.
 
-        Each such difference contains an inclusion-minimal one, so S is
-        tested against those alone.
+        The generators are alpha_J and beta_J by definition, and a monomial
+        a_S y^m is fixed by S, so rows are written from J and S.  alpha_J
+        a_S y^m is the unit row at J | S, tagged |J | S|.  beta_J is a
+        multiple of beta_K for J < K, so only maximal negative J count, and
+        a_j (y - a_j) = 0 makes beta_J a_S y^m zero unless S lies in J, when
+        it is the sum over T in J^c of (-1)^|T| a_(S|T) y^(...), tagged
+        |J^c| + |S|.  The unit rows make every alpha column zero in the
+        quotient, so beta rows are written modulo them, without those
+        columns.  A beta row keeps its column S unless S contains a
+        positive J: on a model level every positive J is larger than every
+        negative one, so no row is empty, and elsewhere echelon_basis drops
+        an empty row.
+
+        Of the beta rows, only those of the S that contain no difference
+        J - K, K a maximal negative before J, are written.  For maximal
+        negative J and K, both sides of
+            beta_J prod_{i in J-K} (y - a_i) = beta_K prod_{i in K-J} (y - a_i)
+        are the product of y - a_j over j outside J & K.  For S containing
+        D = J - K, multiplying by a_(S-D) y^m writes +-(J, S) as rows
+        (J, S'), S' a proper subset of S, plus rows of K, all of the degree
+        of (J, S).  So by induction on (position of J, |S|), with K before
+        J, the rows written span every row beta_J a_S y^m in every degree.
+
+        Subsets are bitmasks (subset_mask), so each entry's column is found
+        from a sum of two masks, with no sorting.  The unit rows come first,
+        in column order, then each J in family order with its S by
+        increasing size; see relation_rows for why.  The rows are shared by
+        every degree and every caller, so a caller that changes a row copies
+        it first, as echelon_basis does.
         """
+        col = {subset_mask(S): i for i, S in enumerate(degree_basis(self.n, self.n))}
+        positive = [subset_mask(J) for J in self.positive]
+        alpha = {U for U in col if any(U & P == P for P in positive)}
+        rows = [(U.bit_count(), {i: 1}) for U, i in col.items() if U in alpha]
         maximal = [J for J in self.negative if not any(J < K for K in self.negative)]
-        blocks = []
         for i, J in enumerate(maximal):
-            minimal = []
-            for D in sorted({J - K for K in maximal[:i]}, key=len):
-                if not any(E <= D for E in minimal):
-                    minimal.append(D)
-            masks = [subset_mask(D) for D in minimal]
+            differences = {subset_mask(J - K) for K in maximal[:i]}
             comp = sorted(set(range(1, self.n + 1)) - J)
-            terms = tuple((subset_mask(T), (-1) ** t)
-                          for t in range(len(comp) + 1) for T in combinations(comp, t))
-            kept = tuple(tuple(s for s in map(subset_mask, combinations(sorted(J), k))
-                               if all(s & m != m for m in masks))
-                         for k in range(len(J) + 1))
-            blocks.append((len(comp), terms, kept))
-        return tuple(blocks)
+            terms = [(subset_mask(T), (-1) ** t)
+                     for t in range(len(comp) + 1) for T in combinations(comp, t)]
+            for k in range(len(J) + 1):
+                for s in map(subset_mask, combinations(sorted(J), k)):
+                    if all(s & D != D for D in differences):
+                        rows.append((len(comp) + k, {col[u]: sign for t, sign in terms
+                                                     if (u := s + t) not in alpha}))
+        return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -139,52 +163,21 @@ def presentation_from_data(data: FixedPointData) -> IdealPresentation:
 
 def relation_rows(pres: IdealPresentation, d: int) -> list[dict[int, int]]:
     """Sparse rows {column: +-1} over degree_basis spanning the degree-d
-    slice of the ideal.
+    slice of the ideal: the rows of pres.relations of degree d or lower, in
+    the order written there.
 
-    The generators are alpha_J and beta_J by definition and a degree-d
-    monomial a_S y^(d-|S|) is fixed by S, so rows are written from J and S:
-    alpha_J a_S y^m is the unit row at J | S; beta_J is a multiple of beta_K
-    for J < K, so only maximal negative J count, and a_j (y - a_j) = 0 makes
-    beta_J a_S y^m zero unless S lies in J, when it is the sum over T in J^c
-    of (-1)^|T| a_(S|T) y^(...).  The unit rows make every alpha column zero
-    in the quotient, so beta rows are written modulo them, without those
-    columns.  A beta row keeps its column S unless S contains a positive J:
-    on a model level every positive J is larger than every negative one, so
-    no row is empty, and elsewhere echelon_basis drops an empty row.
-
-    Of the beta rows, only those of the subsets S that beta_blocks keeps
-    are written.  For maximal negative J and K, both sides of
-        beta_J prod_{i in J-K} (y - a_i) = beta_K prod_{i in K-J} (y - a_i)
-    are the product of y - a_j over j outside J & K.  For S containing
-    D = J - K, multiplying by a_(S-D) y^m writes +-(J, S) as rows (J, S'),
-    S' a proper subset of S, plus rows of K, all of the degree of (J, S).
-    So by induction on (position of J, |S|), with K before J, the rows
-    written span every row beta_J a_S y^m in every degree.
-
-    The alpha columns and the beta blocks come from the presentation, which
-    builds them once for every degree.  Columns are keyed by subset_mask,
-    so each entry's column is found from a sum of two masks, with no
-    sorting.  The unit rows come first, in column order, then each J in
-    family order with its S by increasing size.  echelon_basis was
-    measured to take this order fastest on a 2-core Xeon, summed over the
-    degrees of n = 10 documents: at the model level c = 13/2, where no row
-    eliminates to zero, 0.77 s against 1.68 s for the reverse order; on
-    six documents cut by a moment map with weights 1-3, where up to 7 % of
-    the rows eliminate to zero, 0.7-1.8 s against 2.9-629 s; on random-sign
-    documents, where about half the rows eliminate to zero but each has at
-    most four entries, 5-15 ms either way.  The lattice, and with it every
-    rank, torsion factor and reduced class, does not depend on the order.
+    That order, the unit rows first, then each J in family order with its S
+    by increasing size, is the one echelon_basis was measured to take
+    fastest on a 2-core Xeon, summed over the degrees of n = 10 documents:
+    at the model level c = 13/2, where no row eliminates to zero, 0.77 s
+    against 1.68 s for the reverse order; on six documents cut by a moment
+    map with weights 1-3, where up to 7 % of the rows eliminate to zero,
+    0.7-1.8 s against 2.9-629 s; on random-sign documents, where about half
+    the rows eliminate to zero but each has at most four entries, 5-15 ms
+    either way.  The lattice, and with it every rank, torsion factor and
+    reduced class, does not depend on the order.
     """
-    col = {subset_mask(S): i for i, S in enumerate(degree_basis(pres.n, d))}
-    alpha = pres.alpha_columns
-    rows = [{i: 1} for U, i in col.items() if U in alpha]
-    for codim, terms, kept in pres.beta_blocks:
-        if d < codim:  # beta_J itself lies above degree d
-            continue
-        for masks in kept[:d - codim + 1]:
-            for s in masks:
-                rows.append({col[u]: sign for t, sign in terms if (u := s + t) not in alpha})
-    return rows
+    return [row for degree, row in pres.relations if degree <= d]
 
 
 def graded_quotient(pres: IdealPresentation, max_degree: int) -> GradedQuotient:
@@ -224,11 +217,10 @@ def betti_by_counting(data: FixedPointData) -> tuple[int, ...]:
     n = data.n
     require_binomial_counts(data)
     _, minus = split_by_moment_sign(data)
-    return tuple(
-        sum(1 for p in minus if p.negative_count <= i)
-        - sum(1 for p in minus if n - p.negative_count <= i)
-        for i in range(n)
-    )
+    below = [0] * (n + 1)  # points below the level, by half their index
+    for p in minus:
+        below[p.negative_count] += 1
+    return tuple(sum(below[:i + 1]) - sum(below[n - i:]) for i in range(n))
 
 
 def reduced_chern_series(q: GradedQuotient) -> list[tuple[int, ...]]:

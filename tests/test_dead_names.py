@@ -1,8 +1,9 @@
 """Every module-level function, class and constant in src/semifree is named
-somewhere other than its own definition, and every dataclass field there is
-read as an attribute of an instance of its own class, as far as the code's
-annotations and constructors show the class, in the code of src/, tests/,
-demos/ or perfbench/: a name nothing reads is dead code, and a field
+somewhere other than its own definition, and every dataclass field and
+every property there is read as an attribute of an instance of its own
+class, outside the property's own body, as far as the code's annotations
+and constructors show the class, in the code of src/, tests/, demos/ or
+perfbench/: a name nothing reads is dead code, and a field or property
 nothing reads is dead state.
 Every parameter of a function in src/semifree is read in that function's
 body: a parameter nothing reads restates what the other inputs say."""
@@ -283,19 +284,21 @@ class Types:
 
     def fields_read(self) -> set[str]:
         """Class.attribute for each attribute loaded on an expression of a
-        known class type."""
+        known class type, outside the body of that attribute's own method."""
         read = set()
 
-        def visit(node, env, cls=None):
+        def visit(node, env, cls=None, owner=None):
             if isinstance(node, DEFINITIONS + COMPREHENSIONS):
                 env = self.scope(node, env, cls)
+            if cls and isinstance(node, DEFINITIONS[:2]):
+                owner = f"{cls}.{node.name}"  # a read in its own body does not count
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 t = self.infer(node.value, env)
-                if t in self.classes:
+                if t in self.classes and f"{t}.{node.attr}" != owner:
                     read.add(f"{t}.{node.attr}")
             inner = node.name if isinstance(node, ast.ClassDef) else None
             for child in ast.iter_child_nodes(node):
-                visit(child, env, inner)
+                visit(child, env, inner, owner)
 
         for key, tree in self.trees.items():
             visit(tree, self.modules[key])
@@ -350,6 +353,44 @@ def test_a_field_read_on_another_class_does_not_count():
         "user.py": ast.parse("b = make(1)\nb.n\nA(1, 2).x\nsomething().n\n"),
     }
     assert fields_read(trees) == {"A.x", "B.n"}
+
+
+def properties(tree: ast.Module) -> list[str]:
+    """Class.name for each property and cached_property of a class."""
+    return [f"{node.name}.{f.name}" for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for f in node.body if isinstance(f, DEFINITIONS[:2])
+            and {getattr(d, "id", getattr(d, "attr", None)) for d in f.decorator_list}
+            & {"property", "cached_property"}]
+
+
+def test_every_property_is_read():
+    read = fields_read(TREES)
+    found = [p for key in MODULES for p in properties(TREES[key])]
+    assert len(found) >= 8
+    assert [p for p in found if p not in read] == []
+
+
+def test_detects_a_dead_property():
+    # A.dead is read by nothing, A.recursive only by itself, and A.shared
+    # only on B, whose property has the same name
+    trees = {
+        "lib.py": ast.parse(
+            "class A:\n"
+            "    @property\n    def used(self) -> int:\n        return 0\n"
+            "    @functools.cached_property\n    def dead(self) -> int:\n        return self.used\n"
+            "    @cached_property\n    def recursive(self) -> int:\n        return self.recursive\n"
+            "    @property\n    def shared(self) -> int:\n        return 1\n"
+            "    def method(self) -> int:\n        return 2\n"
+            "class B:\n"
+            "    @property\n    def shared(self) -> int:\n        return 3\n"
+        ),
+        "user.py": ast.parse("B().shared\nprint('dead')\n"),
+    }
+    assert properties(trees["lib.py"]) == [
+        "A.used", "A.dead", "A.recursive", "A.shared", "B.shared"]
+    read = fields_read(trees)
+    assert [p for p in properties(trees["lib.py"]) if p not in read] == [
+        "A.dead", "A.recursive", "A.shared"]
 
 
 def test_types_follow_the_code():

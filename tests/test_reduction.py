@@ -204,6 +204,7 @@ class TestGradedQuotient:
         pres = IdealPresentation(MAX_REDUCE_N + 1, (), ())
         with pytest.raises(ReductionTooLarge):
             graded_quotient(pres, 0)
+        assert "relations" not in vars(pres)  # no row was written
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_beta_rows_avoid_the_alpha_columns_on_model_levels(self, n):
@@ -265,17 +266,25 @@ class TestGradedQuotient:
         # J = {3, 4} and the earlier K = {1, 2} differ in two elements, so the
         # row of S = J is left out and the rows of its elements are kept
         n, first, second = 4, frozenset({1, 2}), frozenset({3, 4})
+        subsets = degree_basis(n, n)
         for positive in ((), (frozenset({1, 3}), frozenset({2, 4})), (frozenset({1, 2, 3, 4}),)):
             pres = IdealPresentation(n, positive, (first, second))
             assert multi_element_differences(pres) == [second]
-            # the kept S of J by size: the empty set, {3} and {4}, not {3, 4}
-            assert pres.beta_blocks[1][2] == ((0,), (1 << 3, 1 << 4), ())
+            rows = relation_rows(pres, n)
+            # the unit rows at the alpha columns, then the rows of K and of J,
+            # each known by its smallest column, S: every S of K, and of J the
+            # empty set, {3} and {4}, not {3, 4}
+            assert rows[:-7] == [{i: 1} for i, S in enumerate(subsets)
+                                 if any(P <= set(S) for P in positive)]
+            assert [subsets[min(row)] for row in rows[-7:]] == [
+                (), (1,), (2,), (1, 2), (), (3,), (4,)]
             for d in range(n + 1):
                 assert_same_lattice(pres, d)
 
     def test_random_signs_meet_a_multi_element_difference(self):
         # the seeds of test_relation_rows_span_the_products_for_random_signs
-        # reach the per-row test of beta_blocks
+        # reach the test of each S against the differences J - K in
+        # IdealPresentation.relations
         assert any(multi_element_differences(
             presentation_from_data(random_sign_document(2 + seed % 4, seed)))
             for seed in range(24))
@@ -285,6 +294,12 @@ class TestGradedQuotient:
         assert len(degree_basis(3, 1)) == 4  # a1, a2, a3, y
         assert len(degree_basis(3, 2)) == 7
         assert degree_basis(3, 1) == [(), (1,), (2,), (3,)]
+        # each degree's monomials are the first of the top degree's, so a
+        # subset has one column in every degree
+        for n in range(1, 9):
+            top = degree_basis(n, n)
+            for d in range(n + 1):
+                assert degree_basis(n, d) == top[:len(degree_basis(n, d))]
 
 
 class TestBettiByCounting:
@@ -370,6 +385,27 @@ class TestRowOrder:
     @pytest.mark.parametrize("seed", range(12))
     def test_random_signs(self, seed):
         self.assert_order_free(presentation_from_data(random_sign_document(1 + seed % 6, seed)))
+
+    @staticmethod
+    def assert_degrees_keep_the_order(pres):
+        # the rows of degree d appear among those of degree d + 1 in the
+        # order written there; rows are matched in turn, not by value, since
+        # on documents that are not model levels one value, the empty row,
+        # can repeat
+        for d in range(pres.n):
+            above = iter(relation_rows(pres, d + 1))
+            assert all(any(row == other for other in above) for row in relation_rows(pres, d)), d
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_degrees_keep_the_order_on_model_levels(self, n):
+        for c in half_integers(n):
+            self.assert_degrees_keep_the_order(model_presentation(n, c))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_degrees_keep_the_order_for_random_signs_and_weighted_cuts(self, seed):
+        n = 1 + seed % 7
+        for document in (random_sign_document, weighted_cut_document):
+            self.assert_degrees_keep_the_order(presentation_from_data(document(n, seed)))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_smith_normal_form_makes_no_column_pass_on_model_levels(self, n, monkeypatch):
