@@ -98,10 +98,12 @@ def smith_normal_form(rows: Iterable[Mapping[int, int]]) -> tuple[int, ...]:
     """Invariant factors, as a divisibility chain; their number is the rank.
 
     Rows are maps {column: entry} as echelon_basis takes them, read once;
-    column keys must be non-negative integers.  After the first echelon
-    pass, a basis whose pivots are all 1 is done: its minor on the pivot
-    columns is unitriangular, of determinant 1, so the gcd of its r x r
-    minors is 1, and so is every invariant factor.  Otherwise alternates
+    column keys must be non-negative integers.  Rows with unit pivots
+    (_unit_pivots) are done: their minor on the pivot columns is triangular
+    with diagonal +-1, of determinant +-1, so the gcd of their r x r minors
+    is 1, and so is every invariant factor.  The rows as given are tested
+    first, so an echelon basis whose pivots are all 1 is not eliminated
+    again, then the result of the first echelon pass.  Otherwise alternates
     echelon_basis on the rows and on the columns (each pass drops zero
     lines) until the matrix is diagonal, then sorts the diagonal into a
     divisibility chain by replacing pairs with their gcd and lcm.  This
@@ -110,8 +112,8 @@ def smith_normal_form(rows: Iterable[Mapping[int, int]]) -> tuple[int, ...]:
     divides its column and its row, both clear, and the same argument
     applies to the trailing block.
     """
-    rows = echelon_basis(rows)
-    if all(row[min(row)] == 1 for row in rows):
+    rows = list(rows)
+    if _unit_pivots(rows) or _unit_pivots(rows := echelon_basis(rows)):
         return (1,) * len(rows)
     # pivots increase from column 0 on, since keys are non-negative, so row
     # i has its pivot at column i or later: diagonal when its last column is i
@@ -127,6 +129,18 @@ def smith_normal_form(rows: Iterable[Mapping[int, int]]) -> tuple[int, ...]:
             a, b = factors[i], factors[j]
             factors[i], factors[j] = math.gcd(a, b), math.lcm(a, b)
     return tuple(factors)
+
+
+def _unit_pivots(rows: Sequence[Mapping[int, int]]) -> bool:
+    """Whether every row's pivot, its smallest column, holds +-1 and no two
+    rows share a pivot.  An empty row, or a stored zero at the smallest
+    column, fails the test."""
+    pivots = set()
+    for row in rows:
+        if not row or abs(row[c := min(row)]) != 1 or c in pivots:
+            return False
+        pivots.add(c)
+    return True
 
 
 def echelon_basis(rows: Iterable[Mapping[int, int]]) -> list[dict[int, int]]:

@@ -198,11 +198,13 @@ def hypercube_data(n: int, c: Fraction | None = None) -> FixedPointData:
     value |J| - c when an offset c is given and none otherwise.
 
     Tangent weight convention: -1 on sphere i when i is in J, +1 otherwise,
-    so the index of J is 2|J|.
+    so the index of J is 2|J|.  The moment value depends on |J| alone, so
+    the points of one size share it.
     """
+    moments = [None if c is None else k - c for k in range(n + 1)]
     return FixedPointData(n, tuple(
         FixedPoint(subset_id(J), tuple(-1 if i in J else 1 for i in range(1, n + 1)),
-                   None if c is None else len(J) - c)
+                   moments[len(J)])
         for J in all_subsets(n)
     ))
 

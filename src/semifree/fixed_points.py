@@ -27,6 +27,10 @@ class FixedPoint:
     id: str
     weights: tuple[int, ...]
     moment_value: Fraction | None = None
+    # number of negative weights, counted once the weights are checked; the
+    # Morse index is twice this.  It follows from the weights, so it takes
+    # no part in equality, hashing or repr.
+    negative_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # exact values only: int weights, and an int or Fraction moment value
@@ -39,11 +43,7 @@ class FixedPoint:
         elif not isinstance(self.moment_value, (Fraction, type(None))):
             raise TypeError(f"point {self.id!r}: the moment value must be an integer "
                             f"or Fraction, got {type(self.moment_value).__name__}")
-
-    @property
-    def negative_count(self) -> int:
-        """Number of negative weights; the Morse index is twice this."""
-        return sum(1 for w in self.weights if w < 0)
+        object.__setattr__(self, "negative_count", sum(1 for w in self.weights if w < 0))
 
     @property
     def index(self) -> int:

@@ -32,15 +32,16 @@ from .fixed_points import FixedPointData, require_binomial_counts, split_by_mome
 from .pipeline import run_pipeline
 
 # Largest n that require_reducible accepts.  On a 2-core Xeon (process wall
-# time and ru_maxrss, three runs per level): `reduce --n 10` takes 1.5-1.8 s
-# at its default level c = 11/2 and 1.3-1.6 s at c = 13/2, at 24 MB, and at
-# most 0.8 s at its other eight regular levels; `--n 9` takes at most 0.6 s.
-# `reduce FILE` takes 0.14-0.26 s at 19 MB on ten random-sign n = 10
-# documents and 0.8-2.2 s at 24-28 MB on six n = 10 documents cut by a
+# time and ru_maxrss, three runs per level in each of two sessions, whose
+# machine speed differed by up to 1.6x): `reduce --n 10` takes 0.8-1.3 s at
+# its default level c = 11/2 and 0.6-1.0 s at c = 13/2, at 23-24 MB, and at
+# most 0.6 s at its other eight regular levels; `--n 9` takes at most 0.4 s.
+# `reduce FILE` takes 0.10-0.20 s at 19 MB on ten random-sign n = 10
+# documents and 0.5-2.3 s at 23-28 MB on six n = 10 documents cut by a
 # moment map with weights 1-3 (random_sign_document and weighted_cut_document
 # in tests/test_reduction.py, seeds 8, 17, 26, 35, 100-105 and 0-5).  `--n 11`
-# would take 4.4-5.3 s at c = 11/2, 5.3-6.6 s at c = 13/2 (43 MB) and
-# 4.3-4.4 s at c = 15/2, and at most 2.1 s at its other eight levels.
+# would take 2.5-4.7 s at c = 11/2, 3.6-6.4 s at c = 13/2 (41 MB) and
+# 2.1-3.6 s at c = 15/2, and at most 1.5 s at its other eight levels.
 MAX_REDUCE_N = 10
 
 
@@ -92,29 +93,49 @@ class IdealPresentation:
         (J, S'), S' a proper subset of S, plus rows of K, all of the degree
         of (J, S).  So by induction on (position of J, |S|), with K before
         J, the rows written span every row beta_J a_S y^m in every degree.
+        S contains J - K exactly when J - S lies in K, so each S is tested
+        by one lookup of J - S among the subsets of the earlier maximal K.
 
-        Subsets are bitmasks (subset_mask), so each entry's column is found
-        from a sum of two masks, with no sorting.  The unit rows come first,
-        in column order, then each J in family order with its S by
+        Subsets are bitmasks (subset_mask) throughout, so each entry's
+        column is read at the sum of two masks, with no sorting.  Masks run
+        by size, so every subset of a mask comes before it: the alpha
+        columns are the up-closure of the positive J, and a run backwards
+        finds the proper subsets of the negative J, leaving the maximal
+        ones, each in one step per mask and element.  The unit rows come
+        first, in column order, then each J in family order with its S by
         increasing size; see relation_rows for why.  The rows are shared by
         every degree and every caller, so a caller that changes a row copies
         it first, as echelon_basis does.
         """
-        col = {subset_mask(S): i for i, S in enumerate(degree_basis(self.n, self.n))}
-        positive = [subset_mask(J) for J in self.positive]
-        alpha = {U for U in col if any(U & P == P for P in positive)}
-        rows = [(U.bit_count(), {i: 1}) for U, i in col.items() if U in alpha]
-        maximal = [J for J in self.negative if not any(J < K for K in self.negative)]
-        for i, J in enumerate(maximal):
-            differences = {subset_mask(J - K) for K in maximal[:i]}
-            comp = sorted(set(range(1, self.n + 1)) - J)
-            terms = [(subset_mask(T), (-1) ** t)
-                     for t in range(len(comp) + 1) for T in combinations(comp, t)]
-            for k in range(len(J) + 1):
-                for s in map(subset_mask, combinations(sorted(J), k)):
-                    if all(s & D != D for D in differences):
-                        rows.append((len(comp) + k, {col[u]: sign for t, sign in terms
-                                                     if (u := s + t) not in alpha}))
+        bits = [1 << i for i in range(1, self.n + 1)]
+        masks = [subset_mask(S) for S in degree_basis(self.n, self.n)]
+        alpha = {subset_mask(J) for J in self.positive}
+        column = [None] * (2 << self.n)  # column[U], None at the alpha columns
+        rows = []
+        for i, U in enumerate(masks):
+            if U in alpha:
+                alpha.update(U | b for b in bits)
+                rows.append((U.bit_count(), {i: 1}))
+            else:
+                column[U] = i
+        negative = [subset_mask(J) for J in self.negative]
+        below, negative_set = set(), set(negative)  # below: proper subsets of a negative J
+        for U in reversed(masks):
+            if U in negative_set or U in below:
+                below.update(U - b for b in bits if U & b)
+        maximal = [J for J in negative if J not in below]
+        earlier = set()  # the subsets of the maximal J before this one
+        for J in maximal:
+            inside = [b for b in bits if J & b]
+            outside = [b for b in bits if not J & b]
+            terms = [(sum(T), (-1) ** t)
+                     for t in range(len(outside) + 1) for T in combinations(outside, t)]
+            subsets = [sum(S) for k in range(len(inside) + 1) for S in combinations(inside, k)]
+            for s in subsets:
+                if J - s not in earlier:
+                    rows.append((len(outside) + s.bit_count(),
+                                 {c: sign for t, sign in terms if (c := column[s + t]) is not None}))
+            earlier.update(subsets)
         return tuple(rows)
 
 
@@ -187,8 +208,9 @@ def graded_quotient(pres: IdealPresentation, max_degree: int) -> GradedQuotient:
     relation_rows writes them, unit rows first, which is the order measured
     to eliminate them fastest; on the model levels measured (n <= 9) none
     of them reduces to zero, and on other documents some may.
-    Smith normal form then reads the torsion from that basis, at once when
-    every pivot is 1."""
+    Smith normal form then reads the torsion from that basis; it returns at
+    once, with no elimination, when every pivot is 1, and makes its own
+    passes only over a basis with a pivot above 1."""
     require_reducible(pres.n)
     ranks, torsion, bases = [], [], []
     for d in range(max_degree // 2 + 1):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semifree import algebra
 from semifree.algebra import Term, echelon_basis, reduce_mod_rows, smith_normal_form
 from semifree.localization import predict_counts
 
@@ -262,6 +263,34 @@ class TestSmithNormalForm:
             expected = tuple(abs(int(f)) for f in invariant_factors(sympy.Matrix(m)) if f)
             assert expected == (1,) * nrows
             assert smith_normal_form(map(sparse, m)) == expected
+
+    def test_distinct_unit_pivots_in_any_order_need_no_elimination(self, monkeypatch):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        passes = []
+        monkeypatch.setattr(algebra, "echelon_basis",
+                            lambda rows: passes.append(1) or echelon_basis(rows))
+        rng = random.Random(31)
+        for _ in range(60):
+            nrows = rng.randint(1, 6)
+            ncols = rng.randint(nrows, 8)
+            # each row's smallest column holds +-1, no two rows share it, and
+            # the rows come in no particular order
+            m = [{p: rng.choice((1, -1)),
+                  **{j: rng.randint(-9, 9) for j in range(p + 1, ncols) if rng.random() < 0.5}}
+                 for p in rng.sample(range(ncols), nrows)]
+            dense = [[row.get(j, 0) for j in range(ncols)] for row in m]
+            expected = tuple(abs(int(f)) for f in invariant_factors(sympy.Matrix(dense)) if f)
+            assert smith_normal_form(m) == expected == (1,) * nrows
+        assert passes == []
+        # a shared pivot, a pivot of 2, an empty row or a stored zero at the
+        # smallest column sends the rows through an echelon pass first
+        for rows, expected in (([{0: 1}, {0: 1, 1: 1}], (1, 1)), ([{0: 2, 1: 1}, {1: 1}], (1, 2)),
+                               ([{0: -1}, {}], (1,)), ([{0: 0, 1: 1}], (1,))):
+            passes.clear()
+            assert smith_normal_form(rows) == expected
+            assert passes, rows
 
 
 # --- echelon basis -----------------------------------------------------------

@@ -80,6 +80,36 @@ class TestFixedPointTypes:
         assert FixedPoint("a", (1,)).moment_value is None
 
 
+class TestNegativeCount:
+    def test_counts_weights_that_are_not_semifree(self):
+        p = FixedPoint("a", (2, -3, -1))
+        assert p.negative_count == 2 and p.index == 4
+        assert FixedPoint("b", ()).negative_count == 0
+        assert FixedPoint("c", [-5, -1, -7]).negative_count == 3
+
+    def test_a_non_integer_weight_is_refused_before_counting(self):
+        compared = []
+
+        class Weight:
+            def __lt__(self, other):
+                compared.append(other)
+                return False
+
+        with pytest.raises(TypeError) as caught:
+            FixedPoint("a", (-1, Weight()))
+        assert str(caught.value) == "point 'a': weights must be integers, got Weight"
+        assert compared == []
+
+    def test_takes_no_part_in_equality_hash_or_repr(self):
+        p = FixedPoint("a", (2, -3, -1), Fraction(1, 2))
+        assert repr(p) == "FixedPoint(id='a', weights=(2, -3, -1), moment_value=Fraction(1, 2))"
+        assert hash(p) == hash(("a", (2, -3, -1), Fraction(1, 2)))
+        assert p == FixedPoint("a", [2, -3, -1], Fraction(1, 2))
+        assert p != FixedPoint("a", (2, -3, 1), Fraction(1, 2))
+        with pytest.raises(TypeError):
+            FixedPoint("a", (1,), None, 0)  # the count is not an argument
+
+
 class TestCounts:
     def test_two_sphere(self):
         assert counts(SPHERE) == (1, 1)

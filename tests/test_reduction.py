@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -200,6 +201,33 @@ class TestGradedQuotient:
         assert len(q.bases) == 3
         assert q == GradedQuotient(3, (1, 4, 1), ((), (), ()))
 
+    @pytest.mark.parametrize("seed", (34, 160, 188, 209, 258))
+    def test_smith_normal_form_eliminates_only_where_a_pivot_is_above_one(self, seed,
+                                                                         monkeypatch):
+        # these weighted cuts have echelon bases with a pivot of 2 (seed 34
+        # in degrees 3 and 4); Smith normal form takes every other degree's
+        # basis, whose pivots are all 1, with no elimination pass
+        passes, calls = [], []
+        monkeypatch.setattr(algebra, "echelon_basis",
+                            lambda rows: passes.append(1) or echelon_basis(rows))
+
+        def spy(rows):
+            passes.clear()
+            factors = smith_normal_form(rows)
+            calls.append(len(passes))
+            return factors
+
+        monkeypatch.setattr(reduction, "smith_normal_form", spy)
+        q = graded_quotient(presentation_from_data(weighted_cut_document(7, seed)), 14)
+        above_one = [d for d, basis in enumerate(q.bases) if any(row[min(row)] > 1 for row in basis)]
+        assert above_one
+        if seed == 34:
+            assert above_one == [3, 4]
+        assert len(calls) == len(q.bases)
+        assert [d for d, made in enumerate(calls) if made] == above_one
+        for basis, torsion in zip(q.bases, q.torsion, strict=True):
+            assert torsion == tuple(f for f in smith_normal_form(basis) if f > 1)
+
     def test_size_guard(self):
         pres = IdealPresentation(MAX_REDUCE_N + 1, (), ())
         with pytest.raises(ReductionTooLarge):
@@ -350,6 +378,34 @@ class TestReducedChern:
         assert len(reduced_chern_series(graded_quotient(pres, 10))) == 3
 
 
+def relations_presentations(group):
+    """The presentations whose relations RELATIONS_DIGESTS freezes: every
+    regular level n <= 9, and documents of sizes 1..9 by seed."""
+    if group == "model levels":
+        return [model_presentation(n, c) for n in range(1, 10) for c in half_integers(n)]
+    document, seeds = {"random signs": (random_sign_document, 40),
+                       "weighted cuts": (weighted_cut_document, 12)}[group]
+    return [presentation_from_data(document(1 + seed % 9, seed)) for seed in range(seeds)]
+
+
+# sha256 over each presentation's relations as (degree, list(row.items()))
+# pairs: the rows, their order and the key order inside each row
+RELATIONS_DIGESTS = {
+    "model levels": "a5373275544c37dcdb20d16a3812d4384021c0ba50b06d7581b644208af541b2",
+    "random signs": "8b0854fe9eda0ed0eead1463a7a4408b217248c23232ca9bd75e9c90ad649864",
+    "weighted cuts": "3bbdd0304d1e8917fb18cd174c94483ee8cb5d362485ad1a303b3ba5f1c598c6",
+}
+
+
+@pytest.mark.parametrize("group", RELATIONS_DIGESTS)
+def test_relations_are_frozen(group):
+    digest = hashlib.sha256()
+    for pres in relations_presentations(group):
+        rows = [(degree, list(row.items())) for degree, row in pres.relations]
+        digest.update(repr(rows).encode())
+    assert digest.hexdigest() == RELATIONS_DIGESTS[group]
+
+
 def quotient_with_rows(pres, reorder):
     """Ranks, torsion and reduced Chern classes of pres in every degree up to
     n, with each degree's relation rows reordered before elimination."""
@@ -410,7 +466,7 @@ class TestRowOrder:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_smith_normal_form_makes_no_column_pass_on_model_levels(self, n, monkeypatch):
         # every pivot of a model level's echelon basis is 1, so Smith normal
-        # form stops after its first echelon pass over the rows
+        # form returns before any echelon pass, over the rows or the columns
         calls = []
         monkeypatch.setattr(algebra, "echelon_basis",
                             lambda rows: calls.append(1) or echelon_basis(rows))
@@ -420,7 +476,7 @@ class TestRowOrder:
                 basis = echelon_basis(relation_rows(pres, d))
                 calls.clear()
                 assert smith_normal_form(basis) == (1,) * len(basis)
-                assert len(calls) == 1, (n, c, d)
+                assert calls == [], (n, c, d)
         calls.clear()
         assert smith_normal_form([{0: 2, 1: 1}, {1: 1}]) == (1, 2)
         assert len(calls) > 1
