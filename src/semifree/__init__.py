@@ -32,11 +32,7 @@ from .localization import (
     search_candidates,
     verify_moment_equations,
 )
-from .pipeline import (
-    forced_level_sum,
-    run_pipeline,
-    solve_value_multiset,
-)
+from .pipeline import run_pipeline
 from .reduction import (
     GradedQuotient,
     IdealPresentation,

@@ -32,7 +32,7 @@ from .cube import (
 from .errors import (InputError, IntegralTooLarge, RingTooLarge, SemifreeError,
                      ZeroIsCritical)
 from .fixed_points import FixedPoint, FixedPointData
-from .pipeline import forced_level_sum, run_pipeline, solve_value_multiset
+from .pipeline import run_pipeline
 
 EXIT_OK = 0
 EXIT_CONSTRAINT = 1
@@ -207,9 +207,10 @@ def cmd_solve(args) -> int:
     row = [math.comb(n, k) for k in range(n + 1)]  # the counts just checked
     print(f"counts: {' '.join(map(str, row))}")
     for k, N_k in enumerate(row):
-        level_sum = forced_level_sum(n, k)
-        values = solve_value_multiset(int(level_sum.coeff), N_k)
-        print(f"level {k}: generator sum = {level_sum}, values = {list(values)}")
+        # forced by n (see semifree.pipeline): the k-subsets holding j
+        ones = math.comb(n - 1, k - 1) if k else 0
+        values = [1] * ones + [0] * (N_k - ones)
+        print(f"level {k}: generator sum = {Term(ones, 1)}, values = {values}")
     print("bijection certificate:")
     for pid, J in subsets.items():
         print(f"  {pid} -> {{{', '.join(str(i) for i in sorted(J))}}}")

@@ -58,10 +58,6 @@ class ReductionTooLarge(SemifreeError):
 
 
 # deduction pipeline
-class NoIntegerSolution(SemifreeError):
-    """No multiset of integers satisfies the sum / square-sum constraints."""
-
-
 class CountMismatch(SemifreeError):
     """Fixed point counts are not the binomial row the deduction needs."""
 

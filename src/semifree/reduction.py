@@ -39,7 +39,9 @@ from .pipeline import run_pipeline
 # `reduce FILE` takes 0.10-0.20 s at 19 MB on ten random-sign n = 10
 # documents and 0.5-2.3 s at 23-28 MB on six n = 10 documents cut by a
 # moment map with weights 1-3 (random_sign_document and weighted_cut_document
-# in tests/test_reduction.py, seeds 8, 17, 26, 35, 100-105 and 0-5).  `--n 11`
+# in tests/test_reduction.py, seeds 8, 17, 26, 35, 100-105 and 0-5); the
+# pipeline's pairing mislabels the families of such cuts, so these are
+# timings of mislabelled families, not of the manifolds.  `--n 11`
 # would take 2.5-4.7 s at c = 11/2, 3.6-6.4 s at c = 13/2 (41 MB) and
 # 2.1-3.6 s at c = 15/2, and at most 1.5 s at its other eight levels.
 MAX_REDUCE_N = 10
@@ -175,7 +177,11 @@ def presentation_from_data(data: FixedPointData) -> IdealPresentation:
     """Relations for semifree data with moment values: the deduction
     pipeline labels each point by a subset, and the point's moment sign puts
     the subset in one family.  The pipeline pairs the points, in their
-    (index, id) order, with all_subsets, so each family is in that order."""
+    (index, id) order, with all_subsets, so each family is in that order.
+    That pairing ignores the moment values, so the families are the
+    manifold's only where the moment depends on the index alone, as on
+    hypercube_data(n, c); elsewhere a point's sign may land on another
+    point's subset."""
     subsets = run_pipeline(data)
     plus, minus = split_by_moment_sign(data)
     return IdealPresentation(data.n, tuple(subsets[p.id] for p in plus),
@@ -192,10 +198,11 @@ def relation_rows(pres: IdealPresentation, d: int) -> list[dict[int, int]]:
     fastest on a 2-core Xeon, summed over the degrees of n = 10 documents:
     at the model level c = 13/2, where no row eliminates to zero, 0.77 s
     against 1.68 s for the reverse order; on six documents cut by a moment
-    map with weights 1-3, where up to 7 % of the rows eliminate to zero,
-    0.7-1.8 s against 2.9-629 s; on random-sign documents, where about half
-    the rows eliminate to zero but each has at most four entries, 5-15 ms
-    either way.  The lattice, and with it every rank, torsion factor and
+    map with weights 1-3, whose families the pipeline mislabels (these are
+    timings of mislabelled families), where up to 7 % of the rows
+    eliminate to zero, 0.7-1.8 s against 2.9-629 s; on random-sign
+    documents, where about half the rows eliminate to zero but each has at
+    most four entries, 5-15 ms either way.  The lattice, and with it every rank, torsion factor and
     reduced class, does not depend on the order.
     """
     return [row for degree, row in pres.relations if degree <= d]

@@ -26,7 +26,7 @@ from semifree.localization import (
     predict_counts,
     search_candidates,
 )
-from semifree.pipeline import forced_level_sum, run_pipeline
+from semifree.pipeline import run_pipeline
 from semifree.reduction import (
     betti_by_counting,
     graded_quotient,
@@ -118,9 +118,7 @@ def test_criterion_5_deduction_pipeline_matches_model():
                 level_sums[len(J)] += value
             for k in range(n + 1):
                 coeff = math.comb(n - 1, k - 1) if k else 0
-                ok &= level_sums[k] == forced_level_sum(n, k) == (
-                    Term(coeff, 1)
-                )
+                ok &= level_sums[k] == Term(coeff, 1)
     report("5 pipeline map matches the model's restrictions, n <= 6", ok)
 
 

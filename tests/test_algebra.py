@@ -156,7 +156,7 @@ def signed_row(n):
     return tuple((-1) ** k * c for k, c in enumerate(predict_counts(n, 1)))
 
 
-class TestVandermondeKernel:
+class TestPredictCountsAgainstNullspaceOracle:
     def test_small(self):
         assert signed_row(1) == (1, -1)
         assert signed_row(2) == (1, -2, 1)

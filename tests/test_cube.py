@@ -20,6 +20,7 @@ from semifree.cube import (
 )
 from semifree.errors import NotInModule, RingTooLarge, ZeroIsCritical
 from semifree.fixed_points import split_by_moment_sign
+from semifree.localization import rep_chern_classes
 
 
 def random_class(rng, n, max_terms=4, max_y=3):
@@ -171,6 +172,18 @@ class TestChernSeries:
                 series = new
             for i, cls in enumerate(classes, start=1):
                 assert restrict_class(cls, J) == series[i]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_restriction_is_the_signed_chern_class_of_the_weights(self, n):
+        # the model's c_k and the Chern classes of each point's weights agree
+        # up to (-1)^k at every point: the conjugate convention that ROADMAP
+        # item 3 would fix, pinned here so that the fix shows in this test
+        classes = equivariant_chern_series(n, n)
+        for p in hypercube_data(n).points:
+            J = {i for i, w in enumerate(p.weights, start=1) if w < 0}
+            rep = rep_chern_classes(p.weights, n)
+            for k in range(1, n + 1):
+                assert restrict_class(classes[k - 1], J) == (-1) ** k * rep[k - 1]
 
 
 class TestInjectivity:

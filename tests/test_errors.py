@@ -51,8 +51,19 @@ def code_names(source: str) -> set[str]:
     return names
 
 
-ERRORS = error_classes((PACKAGE / "errors.py").read_text())
-RAISED = set().union(*(raised_names(path.read_text()) for path in SOURCES))
+def unraised(errors_source: str, sources: list[str]) -> list[str]:
+    """Each class an errors module defines, SemifreeError aside and whatever
+    its base, that no `raise` statement in the sources names."""
+    raised = set().union(*map(raised_names, sources))
+    return [node.name for node in ast.parse(errors_source).body
+            if isinstance(node, ast.ClassDef)
+            and node.name != "SemifreeError" and node.name not in raised]
+
+
+ERRORS_SOURCE = (PACKAGE / "errors.py").read_text()
+SOURCE_TEXTS = [path.read_text() for path in SOURCES]
+ERRORS = error_classes(ERRORS_SOURCE)
+RAISED = set().union(*map(raised_names, SOURCE_TEXTS))
 TESTED = set().union(*(code_names(path.read_text()) for path in TESTS))
 
 
@@ -82,6 +93,21 @@ def test_detects_an_error_class_nothing_raises():
         "Raised",
         "Other",
     }
+
+
+def test_every_class_in_errors_is_raised():
+    assert unraised(ERRORS_SOURCE, SOURCE_TEXTS) == []
+
+
+def test_detects_a_constructed_error_class_nothing_raises():
+    # added to the package's own errors module and checked against its
+    # own sources; a class outside the SemifreeError tree counts too
+    source = ERRORS_SOURCE + (
+        "\n\nclass NeverRaised(CountMismatch):\n    pass\n"
+        "\n\nclass Plain(Exception):\n    pass\n"
+    )
+    assert unraised(source, SOURCE_TEXTS) == ["NeverRaised", "Plain"]
+    assert unraised(source, SOURCE_TEXTS + ["raise NeverRaised('x')"]) == ["Plain"]
 
 
 def test_string_mentions_are_not_names():

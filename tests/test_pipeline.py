@@ -1,69 +1,87 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from semifree.algebra import Term, X
 from semifree.cube import all_subsets, alpha_class, hypercube_data, restrict_class
-from semifree.errors import CountMismatch, NoIntegerSolution
+from semifree.cli import main
+from semifree.errors import CountMismatch
 from semifree.fixed_points import FixedPoint, FixedPointData
-from semifree.pipeline import forced_level_sum, run_pipeline, solve_value_multiset
+from semifree.pipeline import run_pipeline
 from semifree.reduction import betti_by_counting
 
 
+def solve_levels(n, tmp_path, capsys):
+    """(generator sum, values) of each level line `solve` prints for the
+    model's document in dimension 2n; the values come back as ints."""
+    path = tmp_path / f"cube{n}.txt"
+    path.write_text(f"n = {n}\n" + "".join(
+        f"point {p.id} weights {' '.join(map(str, p.weights))}\n"
+        for p in hypercube_data(n).points))
+    assert main(["solve", str(path)]) == 0
+    found = re.findall(r"^level (\d+): generator sum = (\S+), values = \[([01, ]*)\]$",
+                       capsys.readouterr().out, re.MULTILINE)
+    assert [int(k) for k, _, _ in found] == list(range(n + 1))
+    return [(total, [int(v) for v in values.split(", ")]) for _, total, values in found]
+
+
 class TestForcedLevelSums:
-    def test_examples(self):
-        assert forced_level_sum(3, 1) == X
-        assert forced_level_sum(3, 3) == X
-        assert forced_level_sum(3, 2) == Term(2, 1)
-        assert forced_level_sum(5, 0) == Term()
+    """The level sums `solve` prints, C(n-1, k-1) x, checked against what
+    forces them."""
+
+    def test_examples(self, tmp_path, capsys):
+        assert [total for total, _ in solve_levels(3, tmp_path, capsys)] == [
+            "0", "x", "2*x", "x"]
+        assert solve_levels(5, tmp_path, capsys)[0] == ("0", [0])
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
-    def test_total_over_levels(self, n):
-        # each generator restricts to x at exactly half the points; Term's +
-        # refuses two degrees, so every level sum is a multiple of x or 0
-        total = sum((forced_level_sum(n, k) for k in range(n + 1)), Term())
-        assert total == Term(2 ** (n - 1), 1)
+    def test_total_over_levels(self, n, tmp_path, capsys):
+        # each generator restricts to x at exactly half the points, and each
+        # printed sum is the sum of its printed values times x
+        levels = solve_levels(n, tmp_path, capsys)
+        assert all(total == str(Term(sum(values), 1)) for total, values in levels)
+        assert sum(sum(values) for _, values in levels) == 2 ** (n - 1)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_derivable_from_kernel_completion(self, n):
+    def test_derivable_from_kernel_completion(self, n, tmp_path, capsys):
         # D_k = (-1)^k (level-k sum coefficient) = (-1)^k C(n-1, k-1) with
         # D_0 = 0, D_1 = -1 is killed by the first n-1 rows of the moment
         # matrix, entry (l, k) = k^l with 0^0 = 1
-        d = [(-1) ** k * forced_level_sum(n, k).coeff for k in range(n + 1)]
+        d = [(-1) ** k * sum(values)
+             for k, (_, values) in enumerate(solve_levels(n, tmp_path, capsys))]
         assert d == [(-1) ** k * math.comb(n - 1, k - 1) if k else 0 for k in range(n + 1)]
         for l in range(n - 1):
             assert sum(k**l * d_k for k, d_k in enumerate(d)) == 0
 
 
 class TestSolveValueMultiset:
-    def test_forced_zero_one(self):
-        assert solve_value_multiset(2, 3) == (1, 1, 0)
+    """The 0/1 values `solve` prints at each level."""
 
-    def test_all_zero(self):
-        assert solve_value_multiset(0, 5) == (0,) * 5
+    def test_forced_zero_one(self, tmp_path, capsys):
+        assert solve_levels(3, tmp_path, capsys)[2] == ("2*x", [1, 1, 0])
 
-    def test_excess_sum(self):
-        with pytest.raises(NoIntegerSolution):
-            solve_value_multiset(4, 3)
+    def test_all_zero(self, tmp_path, capsys):
+        assert solve_levels(5, tmp_path, capsys)[0][1] == [0]
 
-    def test_brute_force_oracle(self):
+    def test_brute_force_oracle(self, tmp_path, capsys):
         # over all integer tuples with small entries, sum == square sum
-        # forces every entry into {0, 1}
+        # forces every entry into {0, 1}; solve writes such a tuple ones first
         from itertools import product
 
-        for tup in product(range(-3, 4), repeat=3):
-            if sum(tup) == sum(c * c for c in tup):
-                assert all(c in (0, 1) for c in tup)
-                s = sum(tup)
-                assert tuple(sorted(tup, reverse=True)) == solve_value_multiset(s, 3)
+        solutions = {tuple(sorted(tup, reverse=True)) for tup in product(range(-3, 4), repeat=3)
+                     if sum(tup) == sum(c * c for c in tup)}
+        assert solutions == {(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)}
+        printed = [tuple(values) for _, values in solve_levels(3, tmp_path, capsys)]
+        assert printed[1:3] == [(1, 0, 0), (1, 1, 0)]
 
-    def test_constraints_hold(self):
-        for count in range(1, 7):
-            for total in range(count + 1):
-                values = solve_value_multiset(total, count)
-                assert sum(values) == total
-                assert sum(v * v for v in values) == total
+    def test_constraints_hold(self, tmp_path, capsys):
+        for n in range(1, 7):
+            for k, (total, values) in enumerate(solve_levels(n, tmp_path, capsys)):
+                assert len(values) == math.comb(n, k)
+                assert sum(values) == sum(v * v for v in values)
+                assert total == str(Term(sum(values), 1))
 
 
 class TestRunPipeline:
@@ -83,17 +101,18 @@ class TestRunPipeline:
                     X if j in J else Term()
                 )
 
-    def test_level_sums_in_certificate(self):
+    def test_level_sums_in_certificate(self, tmp_path, capsys):
+        # the model's restrictions over the pipeline's map give the lines
+        # solve prints from n alone
         subsets = run_pipeline(hypercube_data(4))
+        printed = solve_levels(4, tmp_path, capsys)
         for j in range(1, 5):
             for k in range(5):
                 level = [restrict_class(alpha_class({j}), J)
                          for J in subsets.values() if len(J) == k]
-                assert sum(level, Term()) == forced_level_sum(4, k)
+                assert str(sum(level, Term())) == printed[k][0]
                 values = sorted((v.coeff for v in level), reverse=True)
-                assert tuple(values) == solve_value_multiset(
-                    math.comb(3, k - 1) if k else 0, math.comb(4, k)
-                )
+                assert values == printed[k][1]
 
     def test_count_mismatch(self):
         data = FixedPointData(

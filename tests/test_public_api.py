@@ -21,7 +21,6 @@ EXPORTED = [
     "equivariant_chern_series",
     "euler_class",
     "express_in_basis",
-    "forced_level_sum",
     "gamma_restrictions",
     "graded_quotient",
     "hypercube_data",
@@ -36,7 +35,6 @@ EXPORTED = [
     "run_pipeline",
     "search_candidates",
     "smith_normal_form",
-    "solve_value_multiset",
     "split_by_moment_sign",
     "verify_moment_equations",
 ]
