@@ -4,21 +4,23 @@ moment-constraint machinery for fixed-point data.
 The central operation sums restriction / Euler class over the fixed points,
 exactly.  Every restriction is one Term c*x^d and every Euler class the
 Term prod(w)*x^n, so the sum is one rational multiple of x^(d-n), and
-integrate returns that coefficient.  Count prediction needs no integral:
-the moment equations sum_k (-1)^k k^l N_k = 0, l < n, have a one-dimensional
-kernel, the binomial row up to sign, so predict_counts writes N0 * C(n, k).
+integrate returns that coefficient, summed as integers over one common
+denominator.  Count prediction needs no integral: the moment equations
+sum_k (-1)^k k^l N_k = 0, l < n, have a one-dimensional kernel, the
+binomial row up to sign, so predict_counts writes N0 * C(n, k).
 
 The consistency sieve integrates Chern monomials, and for those the sum has
 a closed form: at a point with weights w the monomial c_1^e1 ... c_n^en
 restricts to prod sigma_i(w)^e_i times a power of x.  monomial_numerators
 writes these values per point shape as integers over one common denominator
-(the lcm of the |prod w|), so an integral is a column sum of integers.
-consistency_check reports every column; search_candidates computes the
-columns below the middle degree once for all point shapes, looks up the
-last shape of each configuration by the degree-0 value that cancels the
-others' sum, sums the other columns below the middle for those alone, and
-only for the survivors asks that every integral from the middle degree on
-be an integer.
+(the lcm of the |prod w|), so an integral is a column sum of integers;
+monomial_integrals writes one row per distinct weight multiset and adds it
+times its multiplicity.  consistency_check reports every column;
+search_candidates computes the columns below the middle degree once for all
+point shapes, looks up the last shape of each configuration by the
+degree-0 value that cancels the others' sum, sums the other columns below
+the middle for those alone, and only for the survivors asks that every
+integral from the middle degree on be an integer.
 """
 
 from __future__ import annotations
@@ -88,9 +90,14 @@ def integrate(data: FixedPointData, alpha: RestrictionAssignment) -> Fraction:
     restriction c*x^d over the Euler class prod(w)*x^n is the scalar
     c/prod(w) times the one power x^(d - n).  A missing point raises
     KeyError.
+
+    The scalars are summed as integers over L, the lcm of the
+    c.denominator * |prod(w)|, and divided by L once.
     """
-    return sum((alpha[p.id].coeff / math.prod(p.weights) for p in data.points),
-               Fraction(0))
+    pairs = [(alpha[p.id].coeff, math.prod(p.weights)) for p in data.points]
+    denominator = math.lcm(*(c.denominator * w for c, w in pairs))
+    return Fraction(sum(c.numerator * (denominator // (c.denominator * w)) for c, w in pairs),
+                    denominator)
 
 
 def gamma_restrictions(data: FixedPointData) -> RestrictionAssignment:
@@ -248,14 +255,22 @@ def monomial_numerators(monomials: ChernMonomials, shapes):
 
 def monomial_integrals(monomials: ChernMonomials, shapes) -> tuple[int, list[int]]:
     """Integrals of every monomial over a multiset of point shapes: L and the
-    column sums of monomial_numerators, each shape's row added as it is made.
-    The monomial of degree d integrates to (sum / L) * x^(d - n)."""
-    denominator, rows = monomial_numerators(monomials, shapes)
-    # the first row becomes the running sum, added to in place
-    sums = next(rows, [0] * len(monomials.exponents))
-    for row in rows:
+    column sums of monomial_numerators.  The monomial of degree d integrates
+    to (sum / L) * x^(d - n).
+
+    sigma_i(w) and prod w do not depend on the order of the weights, so
+    shapes that hold the same weights have the same row: each distinct
+    weight multiset's row is made once and added times its multiplicity.
+    """
+    multiplicity: dict[tuple[int, ...], int] = {}
+    for w in shapes:
+        key = tuple(sorted(w))
+        multiplicity[key] = multiplicity.get(key, 0) + 1
+    denominator, rows = monomial_numerators(monomials, list(multiplicity))
+    sums = [0] * len(monomials.exponents)
+    for row, m in zip(rows, multiplicity.values()):
         for j, value in enumerate(row):
-            sums[j] += value
+            sums[j] += m * value
     return denominator, sums
 
 

@@ -26,7 +26,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .algebra import echelon_basis, reduce_mod_rows, smith_normal_form
-from .cube import chern_coefficient, degree_basis
+from .cube import chern_coefficient, degree_basis, subset_mask
 from .errors import NotSemifree, ReductionTooLarge
 from .fixed_points import FixedPointData, require_binomial_counts, split_by_moment_sign
 from .pipeline import run_pipeline
@@ -160,12 +160,6 @@ class GradedQuotient:
     @property
     def euler_characteristic(self) -> int:
         return sum(self.ranks)
-
-
-def subset_mask(S) -> int:
-    """A subset of {1..n} as the integer with bit i set for each i in it, so
-    the union of disjoint subsets is the sum of their masks."""
-    return sum(1 << i for i in S)
 
 
 def require_reducible(n: int) -> None:

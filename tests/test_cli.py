@@ -560,47 +560,6 @@ def seeded_check_document(seed: int) -> tuple[str, int]:
     return "\n".join(lines) + "\n", rng.choice([0, n - 1, n, n + 2])
 
 
-CHECK_DOCUMENTS = {
-    **{f"seed{s}": seeded_check_document(s) for s in range(10)},
-    "remark-3": (REMARK_PAIR, 3),
-    "remark-6": (REMARK_PAIR, 6),
-    "bad-pair-3": (BAD_PAIR, 3),
-    "cube-2": (HYPERCUBE_3, 2),
-    "cube-5": (HYPERCUBE_3, 5),
-}
-
-# (exit code, sha256 of stdout) of `check FILE --max-degree D` for each
-# document above, frozen from the sieve that summed one Fraction per point
-# per monomial.
-CHECK_DIGESTS = {
-    "seed0": (1, "6444180561ffdf6264880dfad2b96de4baab3b36d10b7d698f2d807135bc9d1e"),
-    "seed1": (1, "93d3f4689c7b1b575132899ec84600c49b21038b063080f8ec2ba26a99d2bfd8"),
-    "seed2": (1, "0d6e81ad6336e7f2a7d21a50375bfd9fc5e277c211105fe3e991eec64dee5825"),
-    "seed3": (1, "6ff553026e849946a68647594b6fea432d8b0dd20a6365f036bd5d4c68bf2108"),
-    "seed4": (1, "2dddf6f35483f6ae1681a1e1f62c10bb81a7650735d928e6867024edb2d3279a"),
-    "seed5": (1, "e373a726746652d3d9036ba8bc9ebce56bc2953aa1ec8d5ef8f526b557336386"),
-    "seed6": (1, "ffb6fb3582081b655d6bfd28463783db43509b8b998148b03ee23b869899e0ed"),
-    "seed7": (1, "e6fd6c4bcf39ed4a9167ceebe567eae94938f3141073b8c33f32f2a69688eebe"),
-    "seed8": (1, "b671edb8b1da3cdeeb812c971ba59a4b4e9999a51564c0e227bbe4c91f869358"),
-    "seed9": (1, "cc7df5d71d9810cb751baf962806d9e3d7fc4da8a5d7c100b8c31b9cb7c4e275"),
-    "remark-3": (0, "6a784d4c69eed656f9ac0ae3d491488bf97b98214e9a6a46cbe9eed7c0fd4f3c"),
-    "remark-6": (0, "4081330ba6ab9d0ac1b3fc591669e2f4fe4b9cbe87e0dca99d32caa9293df85b"),
-    "bad-pair-3": (1, "87c8ec713500a26cd4c036b8cbbb3e843f1152aaba92be1d86b0407bb2470efd"),
-    "cube-2": (0, "1e1431db004065afa5cbf89a836b9d5b622968be7396e73048596d9ab7819932"),
-    "cube-5": (0, "b517b1aa73fc7758e93976b5dadacbb463443043b92525d26c02e4db185f8fa7"),
-}
-
-
-@pytest.mark.parametrize("name", CHECK_DIGESTS)
-def test_check_output_is_frozen(name, tmp_path, capsys):
-    text, max_degree = CHECK_DOCUMENTS[name]
-    path = tmp_path / "doc.txt"
-    path.write_text(text)
-    rc = main(["check", str(path), "--max-degree", str(max_degree)])
-    out = capsys.readouterr().out
-    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == CHECK_DIGESTS[name]
-
-
 def seeded_cube_document(n: int, seed: int, random_signs: bool = False,
                          level: Fraction | None = None) -> str:
     """The model datum in dimension 2n under random point ids, in shuffled
@@ -625,6 +584,52 @@ def seeded_cube_document(n: int, seed: int, random_signs: bool = False,
         lines.append(f"point {pid} weights {weights} moment {moment}")
     rng.shuffle(lines)
     return f"n = {n}\n" + "\n".join(lines) + "\n"
+
+
+CHECK_DOCUMENTS = {
+    **{f"seed{s}": seeded_check_document(s) for s in range(10)},
+    "remark-3": (REMARK_PAIR, 3),
+    "remark-6": (REMARK_PAIR, 6),
+    "bad-pair-3": (BAD_PAIR, 3),
+    "cube-2": (HYPERCUBE_3, 2),
+    "cube-5": (HYPERCUBE_3, 5),
+    **{f"hypercube{n}": (seeded_cube_document(n, 600 + n), n) for n in (6, 7, 8)},
+}
+
+# (exit code, sha256 of stdout) of `check FILE --max-degree D` for each
+# document above, frozen from the sieve that summed one Fraction per point
+# per monomial; the hypercube entries from the sieve that made one integer
+# row per point, before points of one weight multiset shared a row.
+CHECK_DIGESTS = {
+    "seed0": (1, "6444180561ffdf6264880dfad2b96de4baab3b36d10b7d698f2d807135bc9d1e"),
+    "seed1": (1, "93d3f4689c7b1b575132899ec84600c49b21038b063080f8ec2ba26a99d2bfd8"),
+    "seed2": (1, "0d6e81ad6336e7f2a7d21a50375bfd9fc5e277c211105fe3e991eec64dee5825"),
+    "seed3": (1, "6ff553026e849946a68647594b6fea432d8b0dd20a6365f036bd5d4c68bf2108"),
+    "seed4": (1, "2dddf6f35483f6ae1681a1e1f62c10bb81a7650735d928e6867024edb2d3279a"),
+    "seed5": (1, "e373a726746652d3d9036ba8bc9ebce56bc2953aa1ec8d5ef8f526b557336386"),
+    "seed6": (1, "ffb6fb3582081b655d6bfd28463783db43509b8b998148b03ee23b869899e0ed"),
+    "seed7": (1, "e6fd6c4bcf39ed4a9167ceebe567eae94938f3141073b8c33f32f2a69688eebe"),
+    "seed8": (1, "b671edb8b1da3cdeeb812c971ba59a4b4e9999a51564c0e227bbe4c91f869358"),
+    "seed9": (1, "cc7df5d71d9810cb751baf962806d9e3d7fc4da8a5d7c100b8c31b9cb7c4e275"),
+    "remark-3": (0, "6a784d4c69eed656f9ac0ae3d491488bf97b98214e9a6a46cbe9eed7c0fd4f3c"),
+    "remark-6": (0, "4081330ba6ab9d0ac1b3fc591669e2f4fe4b9cbe87e0dca99d32caa9293df85b"),
+    "bad-pair-3": (1, "87c8ec713500a26cd4c036b8cbbb3e843f1152aaba92be1d86b0407bb2470efd"),
+    "cube-2": (0, "1e1431db004065afa5cbf89a836b9d5b622968be7396e73048596d9ab7819932"),
+    "cube-5": (0, "b517b1aa73fc7758e93976b5dadacbb463443043b92525d26c02e4db185f8fa7"),
+    "hypercube6": (0, "23c7b1b65fd033034861c9d48058edfdcd953951de74efd282e5ac587afbbd5c"),
+    "hypercube7": (0, "fc1d77e48820137893bff69984dc6dbc3ae7b5a5943eecd12ecfaf09b6d39d94"),
+    "hypercube8": (0, "eafe2d217b254301419a21e2e6f5497e2ba67c2cd9d1bbbbb625f3f0fa0a1f84"),
+}
+
+
+@pytest.mark.parametrize("name", CHECK_DIGESTS)
+def test_check_output_is_frozen(name, tmp_path, capsys):
+    text, max_degree = CHECK_DOCUMENTS[name]
+    path = tmp_path / "doc.txt"
+    path.write_text(text)
+    rc = main(["check", str(path), "--max-degree", str(max_degree)])
+    out = capsys.readouterr().out
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == CHECK_DIGESTS[name]
 
 
 PIPELINE_DOCUMENTS = {

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from semifree import cube
 from semifree.algebra import Term, X, echelon_basis
 from semifree.cube import (
     CubeClass,
@@ -17,6 +18,8 @@ from semifree.cube import (
     injectivity_rank_check,
     restrict_class,
     subset_id,
+    subset_mask,
+    superset_columns,
 )
 from semifree.errors import NotInModule, RingTooLarge, ZeroIsCritical
 from semifree.fixed_points import split_by_moment_sign
@@ -219,6 +222,49 @@ class TestInjectivity:
             rows = ({k: 1 for k, Jp in enumerate(subsets) if J <= Jp} for J in basis)
             entries.append(RankCheckEntry(d, len(basis), len(echelon_basis(rows))))
         assert injectivity_rank_check(n) == RankCheckReport(tuple(entries))
+
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_a_passing_check_eliminates_once(self, n, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cube, "echelon_basis",
+                            lambda rows: calls.append(1) or echelon_basis(rows))
+        assert injectivity_rank_check(n).passed
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_rank_deficient_rows_are_ranked_degree_by_degree(self, n, monkeypatch):
+        # the row of each J of size n - 1 is replaced by the row of the empty
+        # set, so every degree from n - 1 on falls short: each prefix is
+        # ranked on its own, as the per-degree rebuild ranks it
+        subsets = all_subsets(n)
+        table = [[k for k, Jp in enumerate(subsets) if (set() if len(J) == n - 1 else J) <= Jp]
+                 for J in subsets]
+        monkeypatch.setattr(cube, "superset_columns", lambda m: table)
+        entries = []
+        for d in range(n + 1):
+            basis = [k for k, J in enumerate(subsets) if len(J) <= d]
+            rows = ({c: 1 for c in table[k]} for k in basis)
+            entries.append(RankCheckEntry(d, len(basis), len(echelon_basis(rows))))
+        report = injectivity_rank_check(n)
+        assert report == RankCheckReport(tuple(entries))
+        assert [e.ok for e in report.entries] == [d < n - 1 for d in range(n + 1)]
+
+
+class TestSupersetColumns:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_the_subset_tests(self, n):
+        subsets = all_subsets(n)
+        assert [sorted(columns) for columns in superset_columns(n)] == [
+            [k for k, Jp in enumerate(subsets) if J <= Jp] for J in subsets]
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_has_3_to_the_n_entries(self, n):
+        assert sum(map(len, superset_columns(n))) == 3**n
+
+    def test_subset_mask(self):
+        assert subset_mask(()) == 0
+        assert subset_mask((1, 3)) == 0b1010
+        assert subset_mask(frozenset({2})) + subset_mask((1, 3)) == subset_mask((1, 2, 3))
 
 
 class TestExpressInBasis:

@@ -263,6 +263,37 @@ class TestIntegrateAgainstPointSum:
         }
         assert kinds == {Fraction, DuplicateId, WrongWeightCount, ZeroWeight, KeyError}
 
+    def test_faultless_documents_cover_the_integer_sum(self):
+        # integrate sums c.numerator * (L // (c.denominator * prod w)) over
+        # L, the lcm of the c.denominator * |prod w|; test_random_documents
+        # compares it with the reference sum on documents whose faultless
+        # ones hold Fraction coefficients, zero Terms, products of size
+        # above 1 and negative products
+        seen = set()
+        for seed in range(30):
+            for n, points, coeffs, _ in self.documents(seed):
+                if not isinstance(self.expected(n, points, coeffs), Fraction):
+                    continue
+                for p in points:
+                    c, prod = Fraction(coeffs[p.id]), math.prod(p.weights)
+                    seen |= {("fraction", c.denominator > 1), ("zero", c == 0),
+                             ("large", abs(prod) > 1), ("negative", prod < 0)}
+        assert {(kind, True) for kind in ("fraction", "zero", "large", "negative")} <= seen
+
+    def test_common_denominator_shares_factors_with_the_weights(self):
+        # 1/6 / 6 + 5/4 / (-2) + 1/9 / 3: L = lcm(36, 8, 27) = 216
+        data = FixedPointData(2, (FixedPoint("a", (2, 3)), FixedPoint("b", (-1, 2)),
+                                  FixedPoint("c", (3, 1))))
+        alpha = RestrictionAssignment({"a": Term(Fraction(1, 6), 2),
+                                       "b": Term(Fraction(5, 4), 2),
+                                       "c": Term(Fraction(1, 9), 2)})
+        value = integrate(data, alpha)
+        assert value == Fraction(1, 36) - Fraction(5, 8) + Fraction(1, 27)
+        assert value == Fraction(6 - 135 + 8, 216)
+        # an integral that is an integer comes back as one
+        alpha = RestrictionAssignment({"a": Term(6, 0), "b": Term(-2, 0), "c": Term(3, 0)})
+        assert integrate(data, alpha) == 3 and integrate(data, alpha).denominator == 1
+
     @pytest.mark.parametrize("seed", range(5))
     def test_zero_assignment(self, seed):
         n, points, coeffs, _ = self.random_document(random.Random(seed))
@@ -460,6 +491,22 @@ class TestConsistencyCheckIsExact:
         assert got == self.expected_entries(data, max_degree)
         assert all(isinstance(e.value, Fraction) for e in report.entries)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_permuted_repeats_of_one_shape(self, seed):
+        # one or two weight multisets, each point in its own weight order
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        values = [w for w in range(-3, 4) if w]
+        kinds = [tuple(rng.choice(values) for _ in range(n)) for _ in range(rng.randint(1, 2))]
+        data = FixedPointData(n, tuple(
+            FixedPoint(f"p{i}", tuple(rng.sample(w, n)))
+            for i, w in enumerate(rng.choices(kinds, k=rng.randint(2, 6)))
+        ))
+        max_degree = rng.choice([data.n - 1, data.n, data.n + 2])
+        report = consistency_check(data, max_degree)
+        got = [(e.exponents, e.degree, e.value, e.ok) for e in report.entries]
+        assert got == self.expected_entries(data, max_degree)
+
     def test_documents_cover_both_outcomes(self):
         outcomes = set()
         for seed in range(60):
@@ -532,6 +579,33 @@ class TestMonomialNumerators:
             denominator, rows = monomial_numerators(monomials, shapes)
             sums = [sum(column) for column in zip(*rows)]
             assert monomial_integrals(monomials, shapes) == (denominator, sums)
+
+
+    def test_permuted_repeats_sum_as_the_points(self):
+        # points that repeat a weight multiset in other orders: grouped by
+        # multiset, the integrals are still the column sums of one row per
+        # point
+        rng = random.Random(12)
+        values = [w for w in range(-4, 5) if w]
+        for _ in range(100):
+            n = rng.randint(1, 4)
+            monomials = chern_monomials(n, rng.randint(0, n + 3))
+            kinds = [tuple(rng.choice(values) for _ in range(n))
+                     for _ in range(rng.randint(1, 3))]
+            shapes = [tuple(rng.sample(w, n)) for w in rng.choices(kinds, k=rng.randint(1, 8))]
+            denominator, rows = monomial_numerators(monomials, shapes)
+            sums = [sum(column) for column in zip(*rows)]
+            assert monomial_integrals(monomials, shapes) == (denominator, sums)
+
+    def test_one_row_per_weight_multiset(self, monkeypatch):
+        # the 256 points of the 8-cube hold 9 weight multisets, by the
+        # number of weights -1
+        calls = []
+        monkeypatch.setattr(localization, "elementary_symmetric",
+                            lambda values, up_to: calls.append(1)
+                            or elementary_symmetric(values, up_to))
+        assert consistency_check(hypercube_data(8), 8).passed
+        assert len(calls) == 9
 
 
 @lru_cache(maxsize=None)
