@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     CountMismatch,
@@ -72,8 +73,9 @@ class FixedPointData:
             if any(w == 0 for w in p.weights):
                 raise ZeroWeight(f"point {p.id!r} has a zero weight")
 
-    @property
+    @cached_property
     def semifree(self) -> bool:
+        # read once: the cached value is no field, so == and hash ignore it
         return all(abs(w) == 1 for p in self.points for w in p.weights)
 
     def point(self, pid: str) -> FixedPoint:

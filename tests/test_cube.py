@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from semifree import cube
+from semifree import algebra, cube
 from semifree.algebra import Term, X, echelon_basis
 from semifree.cube import (
     CubeClass,
@@ -203,6 +203,11 @@ class TestInjectivity:
     def test_full_rank_all_degrees(self, n):
         assert injectivity_rank_check(n).passed
 
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_ranks_are_integers(self, n):
+        # a count of bools starts at True, which equals 1 but prints otherwise
+        assert all(type(e.rank) is int for e in injectivity_rank_check(n).entries)
+
     def test_above_the_bound_is_rejected(self):
         with pytest.raises(RingTooLarge, match="n=13 exceeds the bound 12"):
             injectivity_rank_check(13)
@@ -224,18 +229,27 @@ class TestInjectivity:
         assert injectivity_rank_check(n) == RankCheckReport(tuple(entries))
 
     @pytest.mark.parametrize("n", [1, 4, 8])
-    def test_a_passing_check_eliminates_once(self, n, monkeypatch):
+    def test_a_passing_check_reads_the_table_once_and_eliminates_nothing(self, n,
+                                                                         monkeypatch):
         calls = []
-        monkeypatch.setattr(cube, "echelon_basis",
-                            lambda rows: calls.append(1) or echelon_basis(rows))
+        monkeypatch.setattr(cube, "superset_columns",
+                            lambda m: calls.append(m) or superset_columns(m))
+
+        def refuse(*args):
+            raise AssertionError("the check eliminated")
+
+        for name in ("echelon_basis", "smith_normal_form", "reduce_mod_rows"):
+            monkeypatch.setattr(algebra, name, refuse)
         assert injectivity_rank_check(n).passed
-        assert len(calls) == 1
+        assert calls == [n]
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_rank_deficient_rows_are_ranked_degree_by_degree(self, n, monkeypatch):
         # the row of each J of size n - 1 is replaced by the row of the empty
-        # set, so every degree from n - 1 on falls short: each prefix is
-        # ranked on its own, as the per-degree rebuild ranks it
+        # set, whose smallest column is not its own position, so those rows
+        # are not counted and every degree from n - 1 on falls short; they
+        # repeat the first row, so the count is the rank the per-degree
+        # rebuild finds
         subsets = all_subsets(n)
         table = [[k for k, Jp in enumerate(subsets) if (set() if len(J) == n - 1 else J) <= Jp]
                  for J in subsets]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,41 @@ class TestCounts:
         assert data.semifree
         for p in data.points:
             assert p.index == 2 * sum(1 for w in p.weights if w == -1)
+
+
+def unit_or_scaled_document(n, seed, scaled):
+    """The hypercube's points under shuffled ids; when `scaled`, one weight
+    of one random point is multiplied by 2..5, so the action is not
+    semifree there."""
+    rng = random.Random(seed)
+    points = list(hypercube_data(n).points)
+    rng.shuffle(points)
+    if scaled:
+        k, i = rng.randrange(len(points)), rng.randrange(n)
+        weights = list(points[k].weights)
+        weights[i] *= rng.randint(2, 5)
+        points[k] = FixedPoint(points[k].id, tuple(weights))
+    return FixedPointData(n, tuple(FixedPoint(f"q{i}", p.weights) for i, p in enumerate(points)))
+
+
+class TestSemifree:
+    def test_reading_it_keeps_equality_and_hash(self):
+        a, b = hypercube_data(4), hypercube_data(4)
+        assert "semifree" not in vars(a)
+        assert a.semifree
+        assert vars(a)["semifree"] is True  # kept on the document after one read
+        assert "semifree" not in vars(b)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert b.semifree and a == b and hash(a) == hash(b)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_matches_the_weight_walk(self, seed, scaled):
+        data = unit_or_scaled_document(1 + seed % 5, seed, scaled)
+        walk = all(abs(w) == 1 for p in data.points for w in p.weights)
+        assert walk is not scaled
+        assert data.semifree is walk
+        assert data.semifree is walk  # the second read gives the same value
 
 
 class TestSplitByMomentSign:

@@ -295,6 +295,15 @@ class TestGradedQuotient:
                 rows = relation_rows(pres, d)
                 assert len(echelon_basis(rows)) == len(rows), (n, c, d)
 
+    def test_model_levels_write_one_row_per_fixed_point(self):
+        # measured, not proved (ROADMAP item 2): every regular level n <= 10
+        # writes a unit row for each point above it and a beta row for each
+        # point below it, and nothing more
+        levels = [(n, c) for n in range(1, 11) for c in half_integers(n)]
+        assert len(levels) == 55
+        for n, c in levels:
+            assert len(model_presentation(n, c).relations) == 2**n, (n, c)
+
     def test_two_element_difference(self):
         # J = {3, 4} and the earlier K = {1, 2} differ in two elements, so the
         # row of S = J is left out and the rows of its elements are kept
@@ -590,15 +599,24 @@ class TestUnequalAreas:
     cohomology, and the deduction pipeline's pairing, which reads no
     moments, does not yet."""
 
-    def test_families_from_the_moment_signs(self):
+    @staticmethod
+    def true_families():
         subsets = all_subsets(4)
-        pres = IdealPresentation(4, tuple(J for J in subsets if area_moment(J) > 0),
+        return IdealPresentation(4, tuple(J for J in subsets if area_moment(J) > 0),
                                  tuple(J for J in subsets if area_moment(J) < 0))
-        q = graded_quotient(pres, 6)
+
+    def test_families_from_the_moment_signs(self):
+        q = graded_quotient(self.true_families(), 6)
         assert q.ranks == (1, 4, 4, 1)
         assert q.torsion == ((), (), (), ())
         assert poincare_check(q)
         assert q.ranks == betti_by_counting(parse_document(UNEQUAL_AREAS))
+
+    def test_true_families_write_one_unit_pivot_row_per_fixed_point(self):
+        pres = self.true_families()
+        assert len(pres.relations) == 16
+        for d in range(pres.n + 1):
+            assert algebra._unit_pivots(echelon_basis(relation_rows(pres, d))), d
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: run_pipeline pairs points "
                        "with subsets by index and id, not by moment; today `reduce` "

@@ -76,6 +76,50 @@ def test_detects_a_forbidden_import():
     assert forbidden_imports("cli", source) == []
 
 
+# The names a module may import from a package module, where its row of
+# ALLOWED admits that module: the model reads injectivity off the alpha_J
+# table's own pivots, so it takes Term from algebra and no elimination.
+ALLOWED_NAMES = {
+    "cube": {"algebra": {"Term"}},
+}
+
+
+def imported_names(source: str) -> dict[str, set[str]]:
+    """The names a source imports from each package module by relative
+    import; importing the module itself, or *, gives every name, '*'."""
+    names: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                names.setdefault(node.module.split(".")[0], set()).update(
+                    alias.name for alias in node.names)
+            else:
+                for alias in node.names:
+                    names.setdefault(alias.name, set()).add("*")
+    return names
+
+
+def forbidden_names(module: str, source: str) -> list[str]:
+    """module.name for each name a module imports outside ALLOWED_NAMES."""
+    imported = imported_names(source)
+    return sorted(f"{other}.{name}" for other, allowed in ALLOWED_NAMES.get(module, {}).items()
+                  for name in imported.get(other, set()) - allowed)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_name_only_the_allowed_names(path):
+    assert forbidden_names(path.stem, path.read_text()) == []
+
+
+def test_detects_a_forbidden_name():
+    source = "from .algebra import Term, echelon_basis\nfrom .errors import NotInModule\n"
+    assert forbidden_names("cube", source) == ["algebra.echelon_basis"]
+    assert forbidden_names("cube", "from . import algebra, errors\n") == ["algebra.*"]
+    assert forbidden_names("cube", "from .algebra import *\n") == ["algebra.*"]
+    assert forbidden_names("cube", "from .algebra import Term\n") == []
+    assert forbidden_names("reduction", source) == []
+
+
 def test_detects_a_third_party_import():
     assert foreign_imports("import sympy\nfrom numpy.linalg import det\n") == [
         "sympy",
