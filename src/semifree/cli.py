@@ -15,11 +15,11 @@ input.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from . import localization, reduction
 from .algebra import Term
@@ -40,9 +40,10 @@ EXIT_CONSTRAINT = 1
 EXIT_INPUT = 2
 
 # Largest n for `ring`: its restriction table has 4^n entries, 3^n of them
-# nonzero (superset_columns).  On a 2-core Xeon `ring --n 10` takes 0.2 s
-# (text) to 0.6 s and 113 MB (structured), most of it the text or JSON of
-# the table; n = 11 would need four times as much.
+# nonzero (superset_columns).  On a 2-core Xeon `ring --n 10` takes 0.14 s
+# and 26 MB as text, and 0.26 s and 66 MB structured (process wall time and
+# peak RSS), most of it writing the table; n = 11 would need four times as
+# much.
 MAX_RING_N = 10
 
 # Smallest value each numeric option accepts, by argparse destination.
@@ -58,22 +59,31 @@ def check_ranges(args) -> None:
 
 
 def parse_rational(text: str) -> Fraction:
+    """text as Fraction(text) reads it, or InputError where Fraction fails.
+    A token [+-]p or [+-]p/q of ASCII digits is read by int, about twice as
+    fast as Fraction's own parse; every other token is left to Fraction."""
+    numerator, slash, denominator = text.partition("/")
+    digits = numerator[1:] if numerator.startswith(("+", "-")) else numerator
     try:
+        if (digits.isascii() and digits.isdigit()
+                and (not slash or denominator.isascii() and denominator.isdigit())):
+            return Fraction(int(numerator), int(denominator) if slash else 1)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"bad rational {text!r}") from e
 
 
 def parse_document(text: str) -> FixedPointData:
-    """Parse the fixed-point data document format described above."""
+    """Parse the fixed-point data document format described above, naming
+    the first malformed line.  Weights are read by int and moment values by
+    parse_rational, so a moment value follows Fraction's grammar."""
     n = None
     points = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = raw.partition("#")[0]
         tokens = line.split()
-        name, _, value = line.partition("=")
+        if not tokens:
+            continue
         if tokens[0] == "point":
             if n is None:
                 raise InputError(f"line {lineno}: 'n = ...' must come first")
@@ -81,7 +91,6 @@ def parse_document(text: str) -> FixedPointData:
                 raise InputError(
                     f"line {lineno}: expected 'point <id> weights w1 ... [moment p/q]'"
                 )
-            pid = tokens[1]
             rest = tokens[3:]
             moment = None
             if "moment" in rest:
@@ -91,13 +100,16 @@ def parse_document(text: str) -> FixedPointData:
                 moment = parse_rational(rest[i + 1])
                 rest = rest[:i]
             try:
-                weights = tuple(int(w) for w in rest)
+                weights = tuple(map(int, rest))
             except ValueError:
                 raise InputError(f"line {lineno}: weights must be integers")
             if not weights:
                 raise InputError(f"line {lineno}: no weights given")
-            points.append(FixedPoint(pid, weights, moment))
-        elif tokens[0] == "n" or name.strip() == "n":
+            points.append(FixedPoint(tokens[1], weights, moment))
+            continue
+        line = line.strip()
+        name, _, value = line.partition("=")
+        if tokens[0] == "n" or name.strip() == "n":
             if n is not None:
                 raise InputError(f"line {lineno}: a second 'n = <int>' line")
             if name.strip() != "n" or len(value.split()) != 1:
@@ -190,10 +202,48 @@ def _ring_tables(n: int):
     }
 
 
+def structured_text(value, newline: str = "\n") -> str:
+    """value as json.dumps(value, indent=2) writes it, for trees of dicts
+    with string keys, lists, strings and ints; any other type, bool
+    included, raises TypeError.  Strings are escaped by json's own C
+    encoder and each list is joined once, where json.dumps with an indent
+    runs its pure-Python encoder item by item.  newline is the line break
+    and indent of the enclosing level."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    if not isinstance(value, (list, dict)):
+        raise TypeError(f"cannot write {type(value).__name__} as structured output")
+    ends = "[]" if isinstance(value, list) else "{}"
+    if not value:
+        return ends
+    inner = newline + "  "
+    comma = "," + inner
+    if isinstance(value, dict):
+        body = comma.join([f"{encode_basestring_ascii(k)}: {structured_text(v, inner)}"
+                           for k, v in value.items()])
+    else:
+        try:
+            joined = "".join(value)  # strings alone join
+        except TypeError:
+            if set(map(type, value)) == {int}:
+                body = comma.join(map(int.__repr__, value))
+            else:
+                body = comma.join([structured_text(v, inner) for v in value])
+        else:
+            if len(encode_basestring_ascii(joined)) == len(joined) + 2:
+                # no string needs an escape, so each is written as it is
+                body = '"' + f'"{comma}"'.join(value) + '"'
+            else:
+                body = comma.join(map(encode_basestring_ascii, value))
+    return ends[0] + inner + body + newline + ends[1]
+
+
 def cmd_ring(args) -> int:
     tables = _ring_tables(args.n)
     if args.format == "structured":
-        print(json.dumps(tables, indent=2))
+        print(structured_text(tables))
         return EXIT_OK
     print(f"model ring for n={args.n}: Z[a1..a{args.n}, y]/(ai*y - ai^2)")
     print("points:", " ".join(tables["points"]))
@@ -218,7 +268,7 @@ def cmd_solve(args) -> int:
         print(f"level {k}: generator sum = {Term(ones, 1)}, values = {values}")
     print("bijection certificate:")
     for pid, J in subsets.items():
-        print(f"  {pid} -> {{{', '.join(str(i) for i in sorted(J))}}}")
+        print(f"  {pid} -> {{{', '.join(map(str, sorted(J)))}}}")
     print("restriction data is isomorphic to the model's")
     return EXIT_OK
 

@@ -126,13 +126,19 @@ class CubeClass:
         return result
 
     def __str__(self) -> str:
-        parts = []
+        # each term is [sign] [|c|*] a_i*...*y^m, the factors written once
+        d = self.degree
+        powers = ["", "*y", *[f"*y^{m}" for m in range(2, d + 1)]]
+        text = []
         for S, c in sorted(self.terms.items()):
-            m = self.degree - len(S)
-            factors = [f"a{i}" for i in S] + (["y"] if m == 1 else [f"y^{m}"] if m else [])
-            head = {1: "", -1: "-"}.get(c, f"{c}*")
-            parts.append(head + "*".join(factors) if factors else str(c))
-        return " + ".join(parts).replace("+ -", "- ") or "0"
+            factors = "a" + "*a".join(map(str, S)) + powers[d - len(S)] if S else powers[d][1:]
+            size = -c if c < 0 else c
+            text.append(" - " if c < 0 else " + ")
+            text.append((factors if size == 1 else f"{size}*{factors}") if factors else str(size))
+        if not text:
+            return "0"
+        text[0] = "-" if text[0] == " - " else ""
+        return "".join(text)
 
     def __repr__(self) -> str:
         return f"CubeClass({self.terms!r}, {self.degree})"
@@ -219,7 +225,7 @@ def subset_id(J) -> str:
     below 10, then '_' and each element from 10 up, e.g. 'p135' or
     'p2_10_12'; 'p' for the empty set.  Sorting puts the single digits
     first, so no two subsets share an id."""
-    return "p" + "".join(str(i) if i < 10 else f"_{i}" for i in sorted(J))
+    return "p" + "".join([str(i) if i < 10 else f"_{i}" for i in sorted(J)])
 
 
 def hypercube_data(n: int, c: Fraction | None = None) -> FixedPointData:
@@ -231,11 +237,13 @@ def hypercube_data(n: int, c: Fraction | None = None) -> FixedPointData:
     the points of one size share it.
     """
     moments = [None if c is None else k - c for k in range(n + 1)]
-    return FixedPointData(n, tuple(
-        FixedPoint(subset_id(J), tuple(-1 if i in J else 1 for i in range(1, n + 1)),
-                   moments[len(J)])
-        for J in all_subsets(n)
-    ))
+    points = []
+    for J in degree_basis(n, n):
+        weights = [1] * n
+        for i in J:
+            weights[i - 1] = -1
+        points.append(FixedPoint(subset_id(J), tuple(weights), moments[len(J)]))
+    return FixedPointData(n, tuple(points))
 
 
 @dataclass(frozen=True)

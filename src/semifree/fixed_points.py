@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from itertools import repeat
+from operator import attrgetter, contains
 
 from .errors import (
     CountMismatch,
@@ -34,17 +35,20 @@ class FixedPoint:
     negative_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # exact values only: int weights, and an int or Fraction moment value
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if bad := [w for w in self.weights if not isinstance(w, int)]:
+        # exact values only: int weights, and an int or Fraction moment value.
+        # On a point's few weights a list comprehension is faster than map.
+        weights = tuple(self.weights)
+        object.__setattr__(self, "weights", weights)
+        if bad := [w for w in weights if not isinstance(w, int)]:
             raise TypeError(f"point {self.id!r}: weights must be integers, "
                             f"got {type(bad[0]).__name__}")
-        if isinstance(self.moment_value, int):
-            object.__setattr__(self, "moment_value", Fraction(self.moment_value))
-        elif not isinstance(self.moment_value, (Fraction, type(None))):
+        moment = self.moment_value
+        if isinstance(moment, int):
+            object.__setattr__(self, "moment_value", Fraction(moment))
+        elif moment is not None and not isinstance(moment, Fraction):
             raise TypeError(f"point {self.id!r}: the moment value must be an integer "
-                            f"or Fraction, got {type(self.moment_value).__name__}")
-        object.__setattr__(self, "negative_count", sum(1 for w in self.weights if w < 0))
+                            f"or Fraction, got {type(moment).__name__}")
+        object.__setattr__(self, "negative_count", len([w for w in weights if w < 0]))
 
     @property
     def index(self) -> int:
@@ -58,9 +62,16 @@ class FixedPointData:
 
     def __post_init__(self):
         """Order the points by (index, id), then raise naming the first
-        point, in that order, with a repeated id or a wrong or zero weight."""
-        ordered = tuple(sorted(self.points, key=lambda p: (p.index, p.id)))
+        point, in that order, with a repeated id or a wrong or zero weight.
+        The checks run over all points at once; only a document that fails
+        one is walked point by point to find the first fault."""
+        ordered = tuple(sorted(self.points, key=attrgetter("negative_count", "id")))
         object.__setattr__(self, "points", ordered)
+        weights = list(map(attrgetter("weights"), ordered))
+        if (len(set(map(attrgetter("id"), ordered))) == len(ordered)
+                and set(map(len, weights)) <= {self.n}
+                and not any(map(contains, weights, repeat(0)))):
+            return
         seen = set()
         for p in ordered:
             if p.id in seen:
@@ -70,13 +81,19 @@ class FixedPointData:
                 raise WrongWeightCount(
                     f"point {p.id!r} has {len(p.weights)} weights, expected {self.n}"
                 )
-            if any(w == 0 for w in p.weights):
+            if 0 in p.weights:
                 raise ZeroWeight(f"point {p.id!r} has a zero weight")
 
-    @cached_property
+    @property
     def semifree(self) -> bool:
-        # read once: the cached value is no field, so == and hash ignore it
-        return all(abs(w) == 1 for p in self.points for w in p.weights)
+        # worked out on the first read and kept in the instance dict, outside
+        # the fields, so == and hash ignore it; unlike cached_property on
+        # Python 3.11 the first read takes no lock
+        known = self.__dict__.get("semifree")
+        if known is None:
+            weights = set().union(*map(attrgetter("weights"), self.points))
+            known = self.__dict__["semifree"] = weights <= {-1, 1}
+        return known
 
     def point(self, pid: str) -> FixedPoint:
         for p in self.points:

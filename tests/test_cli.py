@@ -13,10 +13,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import semifree
 from semifree import cli
-from semifree.cli import MAX_RING_N, main, parse_document
+from semifree.cli import MAX_RING_N, main, parse_document, parse_rational, structured_text
 from semifree.cube import CubeClass, all_subsets, alpha_class, restrict_class
 from semifree.errors import InputError, RingTooLarge
 from semifree.localization import (
@@ -83,6 +85,62 @@ class TestParser:
     def test_bad_rational(self):
         with pytest.raises(InputError):
             parse_document("n = 1\npoint A weights 1 moment 1/0\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("n = 2\npoint A weights 1 x\npoint B weights 1 -1 moment 1/0\n",
+         "line 2: weights must be integers"),
+        ("n = 2\npoint A weights 1 -1 moment 1/0\npoint B weights 1 x\n",
+         "bad rational '1/0'"),
+        ("n = 2\n\n# two faults\npoint A weights 1 -1 moment 1 2\nnonsense\n",
+         "line 4: moment takes one value"),
+        ("n = 2\npoint A weights\npoint B weights 1.5 -1\n", "line 2: no weights given"),
+    ])
+    def test_a_document_with_two_bad_lines_names_the_first(self, text, message):
+        with pytest.raises(InputError) as caught:
+            parse_document(text)
+        assert str(caught.value) == message
+
+
+# tokens at the edges of Fraction's grammar, each read by parse_rational's
+# integer route or left to Fraction itself
+RATIONAL_EDGES = [
+    "1/-2", "+3/4", "/2", "2/", "1/0", "0/7", "1.5", "1e3", "-", "+", "", "007", "-0",
+    "1_000", "1__0", "_1", "1/2_0", "\u0661\u0662", "1/\u0663", "\u00b2", " 1/2 ", "1 /2",
+    "--1", "+-1", "1/+2", "1//2", "0x10", "inf", "nan", "-1/3", "10/4", "9" * 5000,
+    "1/" + "9" * 5000,
+]
+
+
+def assert_reads_as_fraction(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(InputError) as caught:
+            parse_rational(text)
+        assert str(caught.value) == f"bad rational {text!r}"
+    else:
+        got = parse_rational(text)
+        assert type(got) is Fraction and got == expected
+
+
+class TestParseRational:
+    """parse_rational reads a token as Fraction(text) does, or raises
+    InputError where Fraction fails."""
+
+    @pytest.mark.parametrize("text", RATIONAL_EDGES)
+    def test_edges(self, text):
+        assert_reads_as_fraction(text)
+
+    @given(st.text(alphabet="0123456789+-/_.e \u0661\u00b2", max_size=8))
+    @settings(max_examples=400, deadline=None)
+    def test_generated_tokens(self, text):
+        assert_reads_as_fraction(text)
+
+    @given(st.sampled_from(["", "+", "-"]), st.integers(0, 10**40),
+           st.one_of(st.none(), st.integers(0, 10**40)))
+    @settings(deadline=None)
+    def test_integer_tokens(self, sign, p, q):
+        assert_reads_as_fraction(f"{sign}{p}" + ("" if q is None else f"/{q}"))
 
 
 class TestExitCodes:
@@ -750,3 +808,73 @@ def test_ring_and_reduce_need_no_class_arithmetic(tmp_path, capsys, monkeypatch)
         rc = main(argv)
         out = capsys.readouterr().out
         assert (rc, hashlib.sha256(out.encode()).hexdigest()) == expected
+
+
+# trees of dicts with string keys, lists, strings and ints: what
+# structured_text writes.  The strings mix plain ASCII with each kind of
+# character json escapes: quotes, backslashes, control characters,
+# non-ASCII text, characters outside the BMP and lone surrogates.
+TRICKY_TEXT = st.text(st.sampled_from(
+    ["a", "Z", "0", " ", "/", '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9",
+     "\u20ac", "\u2028", "\ud800", "\U0001f600"]), max_size=8)
+INTEGERS = st.one_of(st.integers(), st.integers(-10**40, 10**40))
+TREES = st.recursive(
+    st.one_of(TRICKY_TEXT, INTEGERS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=6), st.dictionaries(TRICKY_TEXT, children, max_size=6)),
+    max_leaves=20,
+)
+
+
+class TestStructuredText:
+    """structured_text writes the bytes of json.dumps(value, indent=2),
+    which serves here as a test-only oracle."""
+
+    @given(TREES)
+    @settings(max_examples=200, deadline=None)
+    @example([])
+    @example({})
+    @example([[], {}, [[]], {"": {}}])
+    @example(["plain", "needs \"escape\"", 7, -7])
+    @example([10**100, -(10**100), 0])
+    @example({"\u00e9": ["\x00", "\\", "\ud800"]})
+    def test_matches_json_dumps(self, value):
+        assert structured_text(value) == json.dumps(value, indent=2)
+
+    @given(st.lists(st.text(max_size=6), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_lists_of_any_text(self, strings):
+        assert structured_text(strings) == json.dumps(strings, indent=2)
+
+    @pytest.mark.parametrize("bad", [True, False, 1.5, None, (1, 2), {1, 2}, b"x"])
+    @pytest.mark.parametrize("wrap", [
+        lambda v: v, lambda v: [v], lambda v: ["a", v], lambda v: [1, v], lambda v: {"k": v},
+        lambda v: {"k": ["s", [v]]}])
+    def test_other_types_raise(self, bad, wrap):
+        with pytest.raises(TypeError):
+            structured_text(wrap(bad))
+
+    @pytest.mark.parametrize("key", [1, True, None, 1.5])
+    def test_keys_other_than_strings_raise(self, key):
+        with pytest.raises(TypeError):
+            structured_text({key: 1})
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_ring_above_the_frozen_digests(self, n, capsys):
+        # RING_DIGESTS stop at n = 8
+        assert main(["ring", "--n", str(n), "--format", "structured"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(cli._ring_tables(n), indent=2) + "\n"
+
+    def test_ring_never_reaches_the_pure_python_encoder(self, capsys, monkeypatch):
+        # json.dumps with an indent builds its encoder by _make_iterencode
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pure-Python JSON encoder ran")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        with pytest.raises(AssertionError):
+            json.dumps([1], indent=2)
+        for n in range(1, 5):
+            rc = main(["ring", "--n", str(n), "--format", "structured"])
+            out = capsys.readouterr().out
+            assert (rc, hashlib.sha256(out.encode()).hexdigest()) == RING_DIGESTS[(n, "structured")]

@@ -131,6 +131,41 @@ def chern_product(n: int) -> list[CubeClass]:
     return coeffs
 
 
+def written_out(cls: CubeClass) -> str:
+    """A class as text, term by term: the reference for CubeClass.__str__."""
+    parts = []
+    for S, c in sorted(cls.terms.items()):
+        m = cls.degree - len(S)
+        factors = [f"a{i}" for i in S] + (["y"] if m == 1 else [f"y^{m}"] if m else [])
+        head = {1: "", -1: "-"}.get(c, f"{c}*")
+        parts.append(head + "*".join(factors) if factors else str(c))
+    return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
+class TestStr:
+    def test_examples(self):
+        a1, a2, y = CubeClass.gen_a(1), CubeClass.gen_a(2), CubeClass.gen_y()
+        assert str(CubeClass()) == "0"
+        assert str(CubeClass({(): -3})) == "-3"
+        assert str(a1 * a2 - y * y * 2) == "-2*y^2 + a1*a2"
+        assert str(-(a1 * y) + a2 * 3 * y - y * y) == "-y^2 - a1*y + 3*a2*y"
+        assert str(CubeClass({(12, 3): -1, (): 5}, 4)) == "5*y^4 - a3*a12*y^2"
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_term_by_term_text(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            cls = random_class(rng, rng.randint(1, 12))
+            scaled = cls * rng.choice([-1, 2, -(10**30)])
+            assert str(cls) == written_out(cls)
+            assert str(scaled) == written_out(scaled)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_chern_series(self, n):
+        for c in equivariant_chern_series(n, n):
+            assert str(c) == written_out(c)
+
+
 class TestChernSeries:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_the_multiplied_out_product(self, n):
@@ -516,3 +551,15 @@ class TestHypercubeData:
         # {12} and {1, 2} once shared 'p12'
         ids = [subset_id(J) for J in all_subsets(14)]
         assert len(set(ids)) == len(ids)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 12])
+    def test_points_are_the_subsets_in_index_order(self, n):
+        # one point per subset J: weight -1 on sphere i exactly when i is
+        # in J, the id subset_id(J), and the points in (index, id) order
+        expected = sorted(
+            ((len(J), subset_id(J)), tuple(-1 if i in J else 1 for i in range(1, n + 1)))
+            for J in all_subsets(n))
+        data = hypercube_data(n, Fraction(1, 2))
+        assert [((p.negative_count, p.id), p.weights) for p in data.points] == expected
+        assert [p.moment_value for p in data.points] == [k - Fraction(1, 2)
+                                                          for (k, _), _ in expected]
