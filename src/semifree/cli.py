@@ -330,8 +330,8 @@ def cmd_search(args) -> int:
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every
-    main call: parse_args leaves it as it is and copies each subcommand's
-    func and every option default into a fresh Namespace."""
+    main call: parse_args leaves it as it is and copies every option
+    default into a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="semifree",
         description="Exact localization computations for circle actions "
@@ -342,36 +342,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="validate data and run all integral constraints")
     p.add_argument("file")
     p.add_argument("--max-degree", type=int, default=None)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("count", help="fixed-point counts forced by the moment equations")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--N0", type=int, default=1)
-    p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("ring", help="model ring basis, restriction table, Chern series")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("text", "structured"), default="text")
-    p.set_defaults(func=cmd_ring)
 
     p = sub.add_parser("solve", help="check the binomial counts and label each point "
                        "by a subset; the level lines depend on n alone")
     p.add_argument("file")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("reduce", help="cohomology of the reduction at level zero")
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--c", default=None)
     p.add_argument("--max-degree", type=int, default=None)
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("search", help="enumerate weight data passing the sieve")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(func=cmd_search)
     return parser
 
 
@@ -381,7 +375,7 @@ def main(argv=None) -> int:
     try:
         check_ranges(args)
         # by name, so a cmd_* rebound after the parser was cached is the one run
-        return globals()[args.func.__name__](args)
+        return globals()["cmd_" + args.command](args)
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
-from operator import attrgetter, contains
+from operator import attrgetter
 
 from .errors import (
     CountMismatch,
@@ -57,21 +56,18 @@ class FixedPoint:
 
 @dataclass(frozen=True)
 class FixedPointData:
+    """The fixed points of an action on a 2n-manifold, ordered by (index,
+    id).  Building one raises naming the first point, in that order, with
+    a repeated id, a wrong weight count or a zero weight."""
     n: int
     points: tuple[FixedPoint, ...] = field(default_factory=tuple)
+    # every weight is +-1, the case the paper's theorem covers.  It follows
+    # from the points, so it takes no part in equality, hashing or repr.
+    semifree: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Order the points by (index, id), then raise naming the first
-        point, in that order, with a repeated id or a wrong or zero weight.
-        The checks run over all points at once; only a document that fails
-        one is walked point by point to find the first fault."""
         ordered = tuple(sorted(self.points, key=attrgetter("negative_count", "id")))
         object.__setattr__(self, "points", ordered)
-        weights = list(map(attrgetter("weights"), ordered))
-        if (len(set(map(attrgetter("id"), ordered))) == len(ordered)
-                and set(map(len, weights)) <= {self.n}
-                and not any(map(contains, weights, repeat(0)))):
-            return
         seen = set()
         for p in ordered:
             if p.id in seen:
@@ -83,17 +79,8 @@ class FixedPointData:
                 )
             if 0 in p.weights:
                 raise ZeroWeight(f"point {p.id!r} has a zero weight")
-
-    @property
-    def semifree(self) -> bool:
-        # worked out on the first read and kept in the instance dict, outside
-        # the fields, so == and hash ignore it; unlike cached_property on
-        # Python 3.11 the first read takes no lock
-        known = self.__dict__.get("semifree")
-        if known is None:
-            weights = set().union(*map(attrgetter("weights"), self.points))
-            known = self.__dict__["semifree"] = weights <= {-1, 1}
-        return known
+        weights = set().union(*map(attrgetter("weights"), ordered))
+        object.__setattr__(self, "semifree", weights <= {-1, 1})
 
     def point(self, pid: str) -> FixedPoint:
         for p in self.points:

@@ -17,7 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semifree
-from semifree import cli
+from semifree import cli, reduction
+from semifree.algebra import smith_normal_form
 from semifree.cli import MAX_RING_N, main, parse_document, parse_rational, structured_text
 from semifree.cube import CubeClass, all_subsets, alpha_class, restrict_class
 from semifree.errors import InputError, RingTooLarge
@@ -193,6 +194,31 @@ class TestExitCodes:
         assert main(["solve", str(f)]) == 2
         assert capsys.readouterr().err == f"input error: {message}\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ("n = 1\npoint A\n", "line 2: expected 'point <id> weights w1 ... [moment p/q]'"),
+        ("n = 1\npoint A wieghts 1\n",
+         "line 2: expected 'point <id> weights w1 ... [moment p/q]'"),
+        ("n = x\npoint A weights 1\n", "line 1: bad n 'x'"),
+        ("n = 1.0\npoint A weights 1\n", "line 1: bad n '1.0'"),
+        ("", "missing 'n = <int>' line"),
+        ("# only a comment\n\n", "missing 'n = <int>' line"),
+        ("n = 2\n# no points\n", "no points given"),
+    ], ids=["point_alone", "misspelled_weights", "n_not_a_number", "n_decimal",
+            "empty", "comment_only", "no_points"])
+    def test_malformed_document(self, tmp_path, capsys, text, message):
+        with pytest.raises(InputError) as caught:
+            parse_document(text)
+        assert str(caught.value) == message
+        f = tmp_path / "doc.txt"
+        f.write_text(text)
+        assert main(["check", str(f)]) == 2
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+    def test_reduce_without_file_or_n(self, capsys):
+        assert main(["reduce"]) == 2
+        assert capsys.readouterr() == (
+            "", "input error: reduce needs --n (with optional --c) or a file\n")
+
     @pytest.mark.parametrize("line", ["n = 1", "n=1", "n =1", "  n= 1  # comment"])
     def test_n_line_spacing(self, tmp_path, line):
         f = tmp_path / "doc.txt"
@@ -254,6 +280,31 @@ class TestParserReuse:
         # an option given on one call is not the default of the next
         run(reduce_argv + ["--max-degree", "2"])
         assert run(reduce_argv) == first
+
+    @pytest.mark.parametrize("argv,command", [
+        (["check", "cube"], cli.cmd_check),
+        (["count", "--n", "2"], cli.cmd_count),
+        (["ring", "--n", "2"], cli.cmd_ring),
+        (["solve", "cube"], cli.cmd_solve),
+        (["reduce", "--n", "2"], cli.cmd_reduce),
+        (["search", "--n", "1", "--points", "2", "--bound", "1", "--degree", "1"],
+         cli.cmd_search),
+    ], ids=lambda value: value[0] if isinstance(value, list) else None)
+    def test_each_subcommand_runs_its_cmd_by_name(self, argv, command, cube_file,
+                                                  capsys, monkeypatch):
+        # a profiler wraps the cmd_* functions on the module once the
+        # parser is built; main must run the wrapper
+        argv = [cube_file if a == "cube" else a for a in argv]
+        alone = command(cli.build_parser().parse_args(argv)), capsys.readouterr().out
+        ran = []
+
+        def wrapped(args):
+            ran.append(args.command)
+            return command(args)
+
+        monkeypatch.setattr(cli, command.__name__, wrapped)
+        assert (main(argv), capsys.readouterr().out) == alone
+        assert ran == [argv[0]] and command.__name__ == "cmd_" + argv[0]
 
     def test_a_command_rebound_after_the_first_call_is_run(self, monkeypatch):
         main(["count", "--n", "2"])
@@ -594,6 +645,19 @@ def test_reduce_output_is_frozen(n, c, capsys):
     assert main(["reduce", "--n", str(n), "--c", c]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == REDUCE_DIGESTS[(n, c)]
+
+
+def test_reduce_reports_torsion(capsys, monkeypatch):
+    # no document tried has torsion, so Smith normal form is made to find a 2
+    assert main(["reduce", "--n", "3"]) == 0
+    clean = capsys.readouterr().out.splitlines()
+    monkeypatch.setattr(reduction, "smith_normal_form",
+                        lambda rows: (*smith_normal_form(rows), 2))
+    assert main(["reduce", "--n", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert clean[1] == "poincare duality: ok"
+    assert lines == [clean[0], "torsion: ((2,), (2,), (2,))  FAIL",
+                     "poincare duality: FAIL", *clean[2:]]
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -443,6 +443,14 @@ class TestRingProperties:
             J = frozenset(rng.sample(range(1, n + 1), rng.randint(0, n)))
             assert restrict_class(f * g, J) == restrict_class(f, J) * restrict_class(g, J)
 
+    @pytest.mark.parametrize("name", ["terms", "degree", "other"])
+    def test_assigning_an_attribute_is_refused(self, name):
+        a = CubeClass.gen_a(1)
+        with pytest.raises(AttributeError) as caught:
+            setattr(a, name, 0)
+        assert str(caught.value) == "CubeClass is immutable"
+        assert a == CubeClass.gen_a(1)
+
     def test_adding_different_degrees_is_refused(self):
         with pytest.raises(ValueError, match="degrees differ"):
             CubeClass.gen_a(1) + CubeClass.unit()

@@ -156,10 +156,7 @@ def unit_or_scaled_document(n, seed, scaled):
 class TestSemifree:
     def test_reading_it_keeps_equality_and_hash(self):
         a, b = hypercube_data(4), hypercube_data(4)
-        assert "semifree" not in vars(a)
         assert a.semifree
-        assert vars(a)["semifree"] is True  # kept on the document after one read
-        assert "semifree" not in vars(b)
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert b.semifree and a == b and hash(a) == hash(b)
 
@@ -171,6 +168,79 @@ class TestSemifree:
         assert walk is not scaled
         assert data.semifree is walk
         assert data.semifree is walk  # the second read gives the same value
+
+
+def reference_walk(n, points):
+    """(error type, message) for the first faulty point in (index, id)
+    order, or (ordered points, semifree) when there is none."""
+    ordered = sorted(points, key=lambda p: (sum(w < 0 for w in p.weights), p.id))
+    seen = set()
+    for p in ordered:
+        if p.id in seen:
+            return DuplicateId, f"duplicate point id {p.id!r}"
+        seen.add(p.id)
+        if len(p.weights) != n:
+            return WrongWeightCount, f"point {p.id!r} has {len(p.weights)} weights, expected {n}"
+        if 0 in p.weights:
+            return ZeroWeight, f"point {p.id!r} has a zero weight"
+    return tuple(ordered), all(w in (-1, 1) for p in ordered for w in p.weights)
+
+
+def generated_points(rng, n):
+    """0-12 points over a few ids, mostly n weights each, mostly +-1, with
+    repeated ids, wrong weight counts, zero and non-unit weights mixed in."""
+    weight_menu = [-1, 1] * 8 + [0, 2, -2, 3, -5]
+    points = []
+    for _ in range(rng.randint(0, 12)):
+        count = n if rng.random() < 0.9 else rng.choice([n - 1, n + 1])
+        weights = [rng.choice(weight_menu) for _ in range(count)]
+        points.append(FixedPoint(rng.choice("abcdefghijklmnopqrst"), weights))
+    return points
+
+
+class TestOneWalk:
+    """Building FixedPointData gives what a walk over the sorted points
+    gives: the first fault, or the order and semifree."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_reference_walk(self, seed):
+        rng = random.Random(seed)
+        outcomes = set()
+        for _ in range(500):
+            n = rng.randint(1, 5)
+            points = generated_points(rng, n)
+            expected = reference_walk(n, points)
+            try:
+                data = FixedPointData(n, tuple(points))
+            except InputError as e:
+                assert (type(e), str(e)) == expected
+                outcomes.add(type(e))
+                continue
+            ordered, semifree = expected
+            assert data.points == ordered and data.semifree is semifree
+            outcomes.add(semifree)
+            assert repr(data) == f"FixedPointData(n={n}, points={ordered!r})"
+            assert hash(data) == hash((n, ordered))
+            shuffled = FixedPointData(n, ordered[::-1])
+            assert shuffled == data and hash(shuffled) == hash(data)
+            # semifree takes no part in equality, hashing or repr
+            object.__setattr__(shuffled, "semifree", not semifree)
+            assert shuffled == data and hash(shuffled) == hash(data)
+            assert repr(shuffled) == repr(data)
+        assert outcomes == {DuplicateId, WrongWeightCount, ZeroWeight, True, False}
+
+    def test_semifree_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            FixedPointData(1, (), True)
+        with pytest.raises(TypeError):
+            FixedPointData(1, semifree=True)
+
+
+class TestPoint:
+    def test_an_unknown_id_is_a_key_error(self):
+        with pytest.raises(KeyError) as caught:
+            SPHERE.point("m")
+        assert caught.value.args == ("m",)
 
 
 class TestSplitByMomentSign:

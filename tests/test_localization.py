@@ -342,6 +342,12 @@ class TestMomentEquations:
         report = verify_moment_equations(SPHERE)
         assert report.sums == ((0, Fraction(0)),)
 
+    def test_rejects_non_semifree(self):
+        with pytest.raises(NotSemifree) as caught:
+            verify_moment_equations(REMARK_PAIR)
+        assert str(caught.value) == (
+            "moment equations hold in this form only for semifree data")
+
     def test_bad_counts_fail_at_l0(self):
         data = FixedPointData(
             2,
@@ -375,6 +381,12 @@ class TestPredictCounts:
     def test_above_the_size_bound_is_refused(self):
         with pytest.raises(CountTooLarge):
             predict_counts(MAX_COUNT_N + 1, 1)
+
+    @pytest.mark.parametrize("n,N0", [(0, 1), (1, 0), (-3, 2), (2, -1)])
+    def test_below_one_is_refused(self, n, N0):
+        with pytest.raises(ValueError) as caught:
+            predict_counts(n, N0)
+        assert str(caught.value) == "n and N0 must be at least 1"
 
 
 class TestConsistencyCheck:
@@ -413,6 +425,13 @@ class TestSearch:
 
     def test_two_sphere(self):
         assert search_candidates(1, 2, 1, 1) == [((-1,), (1,))]
+
+    @pytest.mark.parametrize("args", [(0, 2, 1, 1), (1, 0, 1, 1), (1, 2, 0, 1),
+                                      (1, 2, 1, 0), (-1, 2, 1, 1)])
+    def test_a_parameter_below_one_is_refused(self, args):
+        with pytest.raises(ValueError) as caught:
+            search_candidates(*args)
+        assert str(caught.value) == "all search parameters must be at least 1"
 
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(localization, "MAX_SEARCH_CONFIGS", 10)

@@ -14,7 +14,8 @@ from semifree.cube import (
     beta_class,
     hypercube_data,
 )
-from semifree.errors import MissingMomentValue, ReductionTooLarge, ZeroIsCritical
+from semifree.errors import (MissingMomentValue, NotSemifree, ReductionTooLarge,
+                             ZeroIsCritical)
 from semifree.fixed_points import FixedPoint, FixedPointData
 from semifree.reduction import (
     GradedQuotient,
@@ -349,6 +350,13 @@ class TestBettiByCounting:
     def test_n3_balanced(self, i, expected):
         data = hypercube_data(3, Fraction(3, 2))
         assert betti_by_counting(data)[i] == expected
+
+    def test_rejects_non_semifree(self):
+        data = FixedPointData(3, (FixedPoint("a", (1, 1, -2), Fraction(-1)),
+                                  FixedPoint("b", (-1, -1, 2), Fraction(1))))
+        with pytest.raises(NotSemifree) as caught:
+            betti_by_counting(data)
+        assert str(caught.value) == "counting formula requires semifree data"
 
     def test_requires_moment_values(self):
         with pytest.raises(MissingMomentValue):
