@@ -143,7 +143,8 @@ def _unit_pivots(rows: Sequence[Mapping[int, int]]) -> bool:
     return True
 
 
-def echelon_basis(rows: Iterable[Mapping[int, int]]) -> list[dict[int, int]]:
+def echelon_basis(rows: Iterable[Mapping[int, int]],
+                  kept: dict[int, dict[int, int]] | None = None) -> list[dict[int, int]]:
     """Row echelon basis of the integer row lattice, sorted by pivot column.
 
     A row is a sparse map {column: entry}; zero entries are dropped on the
@@ -153,8 +154,16 @@ def echelon_basis(rows: Iterable[Mapping[int, int]]) -> list[dict[int, int]]:
     nonzero remainder at the pivot makes the two rows swap roles, so this
     is Euclid on rows and the kept pivot only shrinks.  Zero rows are
     dropped and pivots are positive, so the length of the basis is the rank.
+
+    `kept`, a map {pivot: row} of an echelon basis, is extended in place by
+    `rows`, so a caller can add rows batch by batch and keep the basis of
+    each batch so far.  Those bases share their rows, so a kept row that a
+    Euclid swap displaces is copied before it is reduced; a call without
+    `kept` starts from an empty basis and copies nothing.
     """
-    kept: dict[int, dict[int, int]] = {}
+    shared = kept is not None
+    if not shared:
+        kept = {}
     for row in rows:
         r = {j: e for j, e in row.items() if e}
         while r:
@@ -170,7 +179,7 @@ def echelon_basis(rows: Iterable[Mapping[int, int]]) -> list[dict[int, int]]:
                 else:
                     r.pop(j, None)
             if c in r:
-                kept[c], r = r, p
+                kept[c], r = r, dict(p) if shared else p
     return [kept[c] for c in sorted(kept)]
 
 

@@ -14,9 +14,13 @@ is the same in every degree that holds it: a presentation writes each row
 once, on first use, tagged with its degree, and leaves out every row
 beta_J a_S y^m that is already a combination of earlier rows.  On the
 model levels measured (n <= 9), that leaves exactly as many rows in each
-degree as the lattice has rank.  One integer echelon basis per degree gives
-the free rank (its length), the torsion (Smith normal form of that basis
-alone) and the canonical images of the Chern classes.
+degree as the lattice has rank.  Where every negative subset is smaller
+than every positive one, as on every model level, the rows tagged with a
+degree extend the echelon basis of the degree below, so each row is
+eliminated once; elsewhere each degree's rows are eliminated afresh.  One
+integer echelon basis per degree gives the free rank (its length), the
+torsion (Smith normal form of that basis alone) and the canonical images of
+the Chern classes.
 """
 
 from __future__ import annotations
@@ -32,18 +36,18 @@ from .fixed_points import FixedPointData, require_binomial_counts, split_by_mome
 from .pipeline import run_pipeline
 
 # Largest n that require_reducible accepts.  On a 2-core Xeon (process wall
-# time and ru_maxrss, three runs per level in each of two sessions, whose
-# machine speed differed by up to 1.6x): `reduce --n 10` takes 0.8-1.3 s at
-# its default level c = 11/2 and 0.6-1.0 s at c = 13/2, at 23-24 MB, and at
-# most 0.6 s at its other eight regular levels; `--n 9` takes at most 0.4 s.
-# `reduce FILE` takes 0.10-0.20 s at 19 MB on ten random-sign n = 10
-# documents and 0.5-2.3 s at 23-28 MB on six n = 10 documents cut by a
+# time and ru_maxrss, three runs per level): `reduce --n 10` takes 0.7-0.8 s
+# at its default level c = 11/2 and 0.5-0.7 s at c = 13/2, at 20 MB, and at
+# most 0.5 s at its other eight regular levels; `--n 9` takes at most 0.25 s.
+# `reduce FILE` takes 0.12-0.19 s at 19 MB on ten random-sign n = 10
+# documents and 0.6-2.2 s at 23-31 MB on six n = 10 documents cut by a
 # moment map with weights 1-3 (random_sign_document and weighted_cut_document
-# in tests/test_reduction.py, seeds 8, 17, 26, 35, 100-105 and 0-5); the
-# pipeline's pairing mislabels the families of such cuts, so these are
-# timings of mislabelled families, not of the manifolds.  `--n 11`
-# would take 2.5-4.7 s at c = 11/2, 3.6-6.4 s at c = 13/2 (41 MB) and
-# 2.1-3.6 s at c = 15/2, and at most 1.5 s at its other eight levels.
+# in tests/test_reduction.py, seeds 8, 17, 26, 35, 100-105 and 0-5), both
+# eliminated degree by degree afresh; the pipeline's pairing mislabels the
+# families of such cuts, so these are timings of mislabelled families, not
+# of the manifolds.  `--n 11` would take 2.4-2.8 s at c = 11/2, 2.9-3.5 s at
+# c = 13/2 (27 MB) and 1.6-2.0 s at c = 15/2, and at most 1.1 s at its other
+# eight levels.
 MAX_REDUCE_N = 10
 
 
@@ -62,6 +66,16 @@ class IdealPresentation:
     n: int
     positive: tuple[frozenset, ...]  # J of alpha_J, mu(J) > 0
     negative: tuple[frozenset, ...]  # J of beta_J, mu(J) < 0
+
+    @property
+    def cut_by_size(self) -> bool:
+        """Whether every negative J is smaller than every positive one, an
+        empty family allowed: true of every model level, and of every
+        document whose moment depends on the index alone and rises with
+        it.  graded_quotient extends one echelon basis across degrees only
+        on such a presentation."""
+        return (max((len(J) for J in self.negative), default=-1)
+                < min((len(J) for J in self.positive), default=self.n + 1))
 
     @cached_property
     def relations(self) -> tuple[tuple[int, dict[int, int]], ...]:
@@ -82,9 +96,10 @@ class IdealPresentation:
         |J^c| + |S|.  The unit rows make every alpha column zero in the
         quotient, so beta rows are written modulo them, without those
         columns.  A beta row keeps its column S unless S contains a
-        positive J: on a model level every positive J is larger than every
-        negative one, so no row is empty, and elsewhere echelon_basis drops
-        an empty row.
+        positive J: on a presentation cut by size, every model level among
+        them, every positive J is larger than every negative one, so no row
+        is empty and each has a pivot to sort by, and elsewhere
+        echelon_basis drops an empty row.
 
         Of the beta rows, only those of the S that contain no difference
         J - K, K a maximal negative before J, are written.  For maximal
@@ -147,7 +162,9 @@ class GradedQuotient:
 
     `bases` holds each degree's echelon basis of the relation lattice, as
     sparse rows over degree_basis, for reducing classes into the quotient;
-    it takes no part in equality.
+    it takes no part in equality.  On a presentation cut by size each basis
+    is a snapshot of one basis extended degree by degree, so the bases
+    share rows: a caller that changes a row copies it first.
     """
 
     n: int
@@ -187,17 +204,21 @@ def relation_rows(pres: IdealPresentation, d: int) -> list[dict[int, int]]:
     slice of the ideal: the rows of pres.relations of degree d or lower, in
     the order written there.
 
-    That order, the unit rows first, then each J in family order with its S
-    by increasing size, is the one echelon_basis was measured to take
-    fastest on a 2-core Xeon, summed over the degrees of n = 10 documents:
-    at the model level c = 13/2, where no row eliminates to zero, 0.77 s
+    graded_quotient eliminates these rows only on a presentation that is
+    not cut by size (IdealPresentation.cut_by_size); one that is feeds
+    echelon_basis the rows tagged d alone, by pivot, largest first.  For
+    the per-degree route, the order written, the unit rows first, then each
+    J in family order with its S by increasing size, is the one
+    echelon_basis was measured to take fastest on a 2-core Xeon, summed
+    over the degrees of n = 10 documents: at the model level c = 13/2,
+    eliminated degree by degree, where no row eliminates to zero, 0.77 s
     against 1.68 s for the reverse order; on six documents cut by a moment
     map with weights 1-3, whose families the pipeline mislabels (these are
     timings of mislabelled families), where up to 7 % of the rows
     eliminate to zero, 0.7-1.8 s against 2.9-629 s; on random-sign
     documents, where about half the rows eliminate to zero but each has at
-    most four entries, 5-15 ms either way.  The lattice, and with it every rank, torsion factor and
-    reduced class, does not depend on the order.
+    most four entries, 5-15 ms either way.  The lattice, and with it every
+    rank, torsion factor and reduced class, does not depend on the order.
     """
     return [row for degree, row in pres.relations if degree <= d]
 
@@ -205,22 +226,39 @@ def relation_rows(pres: IdealPresentation, d: int) -> list[dict[int, int]]:
 def graded_quotient(pres: IdealPresentation, max_degree: int) -> GradedQuotient:
     """Quotient ring data in cohomological degrees 0, 2, ..., max_degree.
 
-    Each degree's relation rows go to echelon_basis in the order
-    relation_rows writes them, unit rows first, which is the order measured
-    to eliminate them fastest; on the model levels measured (n <= 9) none
-    of them reduces to zero, and on other documents some may.
-    Smith normal form then reads the torsion from that basis; it returns at
-    once, with no elimination, when every pivot is 1, and makes its own
-    passes only over a basis with a pivot above 1."""
+    The rows of degree d are those of degree d - 1 plus the rows tagged d,
+    over the same columns.  On a presentation cut by size (cut_by_size),
+    which every model level is, one echelon basis is extended degree by
+    degree: echelon_basis takes only the rows tagged d, sorted stably by
+    pivot, largest first, and each degree's basis is a snapshot of the
+    basis so far, so each row is eliminated once and the bases share rows.
+    In that order no model level n <= 10 makes a Euclid swap, and the
+    largest basis entry at n = 10 is 8.  Every other presentation (today
+    the pipeline's mislabelled families and hand-built ones) has each
+    degree's rows eliminated afresh, in the order relation_rows writes
+    them: on weighted-cut n = 10 documents an extended basis took from
+    1.4 s to over five minutes, and grew entries of 60,000 digits, where
+    this takes 0.7-1.8 s.  The lattice, and with it
+    every rank, torsion factor and reduced class, does not depend on the
+    route.  Smith normal form reads the torsion from each basis; it
+    returns at once, with no elimination, when every pivot is 1, and makes
+    its own passes only over a basis with a pivot above 1."""
     require_reducible(pres.n)
-    ranks, torsion, bases = [], [], []
-    for d in range(max_degree // 2 + 1):
-        basis = echelon_basis(relation_rows(pres, d))
-        factors = smith_normal_form(basis)
+    top = max_degree // 2
+    if pres.cut_by_size:
+        tagged = [[] for _ in range(top + 1)]
+        for degree, row in pres.relations:
+            if degree <= top:
+                tagged[degree].append(row)
+        kept = {}
+        bases = [echelon_basis(sorted(rows, key=min, reverse=True), kept) for rows in tagged]
+    else:
+        bases = [echelon_basis(relation_rows(pres, d)) for d in range(top + 1)]
+    ranks, torsion = [], []
+    for d, basis in enumerate(bases):
         ranks.append(len(degree_basis(pres.n, d)) - len(basis))
-        torsion.append(tuple(f for f in factors if f > 1))
-        bases.append(tuple(basis))
-    return GradedQuotient(pres.n, tuple(ranks), tuple(torsion), tuple(bases))
+        torsion.append(tuple(f for f in smith_normal_form(basis) if f > 1))
+    return GradedQuotient(pres.n, tuple(ranks), tuple(torsion), tuple(map(tuple, bases)))
 
 
 def betti_by_counting(data: FixedPointData) -> tuple[int, ...]:
