@@ -57,6 +57,11 @@ class ReductionTooLarge(SemifreeError):
     """The graded quotient is asked for at an n above the supported bound."""
 
 
+class MomentMismatch(SemifreeError):
+    """The moment values are not additive: no lambda_i > 0 makes each level's
+    moments the sums mu(p_0) + sum_{i in J} lambda_i over its subsets J."""
+
+
 # deduction pipeline
 class CountMismatch(SemifreeError):
     """Fixed point counts are not the binomial row the deduction needs."""

@@ -11,9 +11,8 @@ the counts are checked.  The pipeline checks the counts and pairs the
 points in (index, id) order with the subsets in (size, lexicographic)
 order, so the C(n, k) points of index 2k meet the C(n, k) subsets of size
 k; the point -> subset dict it returns is a bijection respecting the
-index.  The pairing reads no moment values: the families built from it
-are right only where the moment depends on the index alone, as on
-hypercube_data(n, c).
+index.  The pairing reads no moment values, so the reduction does not use
+it: presentation_from_data labels the points by their moment sums.
 """
 
 from __future__ import annotations

@@ -2,25 +2,24 @@
 
 The kernel of the surjection onto the reduced space's cohomology is spanned
 by the upward classes at points above the level and the downward classes at
-points below it.  The relations are read from fixed-point data alone, by
-presentation_from_data; a model level (n, c) is the document
-hypercube_data(n, c), whose n a caller bounds with require_reducible before
-its 2^n points are listed.  Each graded piece of the quotient is a finite
-integer linear-algebra problem: square-free monomials times powers of y
-form a basis of the ambient degree slice, and the relations in it are
-written in closed form from the generators' subsets.  Each degree's
-monomials are the first monomials of the top degree's, so a relation's row
-is the same in every degree that holds it: a presentation writes each row
-once, on first use, tagged with its degree, and leaves out every row
-beta_J a_S y^m that is already a combination of earlier rows.  On the
-model levels measured (n <= 9), that leaves exactly as many rows in each
-degree as the lattice has rank.  Where every negative subset is smaller
-than every positive one, as on every model level, the rows tagged with a
-degree extend the echelon basis of the degree below, so each row is
-eliminated once; elsewhere each degree's rows are eliminated afresh.  One
-integer echelon basis per degree gives the free rank (its length), the
-torsion (Smith normal form of that basis alone) and the canonical images of
-the Chern classes.
+points below it.  The moment is additive, mu(J) = mu(empty) + sum of
+lambda_i over i in J with every lambda_i > 0, so presentation_from_data
+reads both families from the moment values alone; a model level (n, c) is
+the document hypercube_data(n, c), whose n a caller bounds with
+require_reducible before its 2^n points are listed.  Each graded piece of
+the quotient is a finite integer linear-algebra problem: square-free
+monomials times powers of y form a basis of the ambient degree slice, and
+the relations in it are written in closed form from the generators'
+subsets.  Each degree's monomials are the first monomials of the top
+degree's, so a relation's row is the same in every degree that holds it: a
+presentation writes each row once, on first use, tagged with its degree,
+and leaves out every row beta_J a_S y^m that is already a combination of
+earlier rows.  On the model levels measured (n <= 9), that leaves exactly
+as many rows in each degree as the lattice has rank.  The rows tagged with
+a degree extend the echelon basis of the degree below, so each row is
+eliminated once.  One integer echelon basis per degree gives the free rank
+(its length), the torsion (Smith normal form of that basis alone) and the
+canonical images of the Chern classes.
 """
 
 from __future__ import annotations
@@ -28,26 +27,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 
 from .algebra import echelon_basis, reduce_mod_rows, smith_normal_form
-from .cube import chern_coefficient, degree_basis, subset_mask
-from .errors import NotSemifree, ReductionTooLarge
+from .cube import all_subsets, chern_coefficient, degree_basis, subset_mask
+from .errors import MomentMismatch, NotSemifree, ReductionTooLarge
 from .fixed_points import FixedPointData, require_binomial_counts, split_by_moment_sign
-from .pipeline import run_pipeline
 
 # Largest n that require_reducible accepts.  On a 2-core Xeon (process wall
 # time and ru_maxrss, three runs per level): `reduce --n 10` takes 0.7-0.8 s
 # at its default level c = 11/2 and 0.5-0.7 s at c = 13/2, at 20 MB, and at
 # most 0.5 s at its other eight regular levels; `--n 9` takes at most 0.25 s.
-# `reduce FILE` takes 0.12-0.19 s at 19 MB on ten random-sign n = 10
-# documents and 0.6-2.2 s at 23-31 MB on six n = 10 documents cut by a
-# moment map with weights 1-3 (random_sign_document and weighted_cut_document
-# in tests/test_reduction.py, seeds 8, 17, 26, 35, 100-105 and 0-5), both
-# eliminated degree by degree afresh; the pipeline's pairing mislabels the
-# families of such cuts, so these are timings of mislabelled families, not
-# of the manifolds.  `--n 11` would take 2.4-2.8 s at c = 11/2, 2.9-3.5 s at
-# c = 13/2 (27 MB) and 1.6-2.0 s at c = 15/2, and at most 1.1 s at its other
-# eight levels.
+# `reduce FILE` takes 0.3-0.8 s at 24 MB on six n = 10 documents cut by a
+# moment map with weights 1-3 (weighted_cut_document in
+# tests/test_reduction.py, seeds 0-5).  `--n 11` would take 2.4-2.8 s at
+# c = 11/2, 2.9-3.5 s at c = 13/2 (27 MB) and 1.6-2.0 s at c = 15/2, and at
+# most 1.1 s at its other eight levels.
 MAX_REDUCE_N = 10
 
 
@@ -66,16 +61,6 @@ class IdealPresentation:
     n: int
     positive: tuple[frozenset, ...]  # J of alpha_J, mu(J) > 0
     negative: tuple[frozenset, ...]  # J of beta_J, mu(J) < 0
-
-    @property
-    def cut_by_size(self) -> bool:
-        """Whether every negative J is smaller than every positive one, an
-        empty family allowed: true of every model level, and of every
-        document whose moment depends on the index alone and rises with
-        it.  graded_quotient extends one echelon basis across degrees only
-        on such a presentation."""
-        return (max((len(J) for J in self.negative), default=-1)
-                < min((len(J) for J in self.positive), default=self.n + 1))
 
     @cached_property
     def relations(self) -> tuple[tuple[int, dict[int, int]], ...]:
@@ -96,10 +81,9 @@ class IdealPresentation:
         |J^c| + |S|.  The unit rows make every alpha column zero in the
         quotient, so beta rows are written modulo them, without those
         columns.  A beta row keeps its column S unless S contains a
-        positive J: on a presentation cut by size, every model level among
-        them, every positive J is larger than every negative one, so no row
-        is empty and each has a pivot to sort by, and elsewhere
-        echelon_basis drops an empty row.
+        positive J.  On families read from a moment map the negative J are
+        closed under subsets, so no row is empty; a hand-built presentation
+        can write empty rows, which graded_quotient drops.
 
         Of the beta rows, only those of the S that contain no difference
         J - K, K a maximal negative before J, are written.  For maximal
@@ -120,9 +104,10 @@ class IdealPresentation:
         finds the proper subsets of the negative J, leaving the maximal
         ones, each in one step per mask and element.  The unit rows come
         first, in column order, then each J in family order with its S by
-        increasing size; see relation_rows for why.  The rows are shared by
-        every degree and every caller, so a caller that changes a row copies
-        it first, as echelon_basis does.
+        increasing size, the order graded_quotient keeps among rows of one
+        degree and pivot.  The rows are shared by every degree and every
+        caller, so a caller that changes a row copies it first, as
+        echelon_basis does.
         """
         bits = [1 << i for i in range(1, self.n + 1)]
         masks = [subset_mask(S) for S in degree_basis(self.n, self.n)]
@@ -162,9 +147,9 @@ class GradedQuotient:
 
     `bases` holds each degree's echelon basis of the relation lattice, as
     sparse rows over degree_basis, for reducing classes into the quotient;
-    it takes no part in equality.  On a presentation cut by size each basis
-    is a snapshot of one basis extended degree by degree, so the bases
-    share rows: a caller that changes a row copies it first.
+    it takes no part in equality.  Each basis is a snapshot of one basis
+    extended degree by degree, so the bases share rows: a caller that
+    changes a row copies it first.
     """
 
     n: int
@@ -185,41 +170,54 @@ def require_reducible(n: int) -> None:
 
 
 def presentation_from_data(data: FixedPointData) -> IdealPresentation:
-    """Relations for semifree data with moment values: the deduction
-    pipeline labels each point by a subset, and the point's moment sign puts
-    the subset in one family.  The pipeline pairs the points, in their
-    (index, id) order, with all_subsets, so each family is in that order.
-    That pairing ignores the moment values, so the families are the
-    manifold's only where the moment depends on the index alone, as on
-    hypercube_data(n, c); elsewhere a point's sign may land on another
-    point's subset."""
-    subsets = run_pipeline(data)
-    plus, minus = split_by_moment_sign(data)
-    return IdealPresentation(data.n, tuple(subsets[p.id] for p in plus),
-                             tuple(subsets[p.id] for p in minus))
+    """Relations for semifree data with binomial counts and moment values.
+
+    The point labelled J has moment mu(J) = mu(p_0) + sum of lambda_i over
+    i in J, so the index-2 points p_1..p_n, in (index, id) order, give
+    lambda_i = mu(p_i) - mu(p_0), each of which must be positive, and the
+    families are the J with mu(J) > 0 and with mu(J) < 0, in all_subsets
+    order.  Over the lcm of their denominators the moments are integers,
+    and the sums are listed by doubling, one lambda_i at a time, each level
+    in all_subsets order; each level's points must carry its subsets' sums
+    as a multiset, or MomentMismatch names the first level that differs."""
+    if not data.semifree:
+        raise NotSemifree("the deduction applies to semifree data only")
+    require_binomial_counts(data)
+    n, points = data.n, data.points
+    if not all(p.moment_value for p in points):
+        split_by_moment_sign(data)  # raises, naming the first missing or zero moment
+    scale = lcm(*(p.moment_value.denominator for p in points))
+    moments = [p.moment_value.numerator * (scale // p.moment_value.denominator) for p in points]
+    steps = [moment - moments[0] for moment in moments[1:n + 1]]
+    for p, step in zip(points[1:n + 1], steps):
+        if step <= 0:
+            raise MomentMismatch(f"index-2 point {p.id!r} has moment value {p.moment_value}, "
+                                 f"not above {points[0].moment_value} at {points[0].id!r}")
+    # levels[k]: mu of the k-subsets of {i..n}, lexicographic, for i = n..1:
+    # those that hold i, then those that do not
+    levels = [[moments[0]]]
+    for step in reversed(steps):
+        levels = [levels[0]] + [[s + step for s in below] + same
+                                for below, same in zip(levels, levels[1:] + [[]])]
+    start = 0
+    for k, sums in enumerate(levels):
+        end = start + len(sums)
+        if sorted(moments[start:end]) != sorted(sums):
+            raise MomentMismatch(f"level {k} moment values are not mu(J) = mu({points[0].id}) "
+                                 f"+ sum of lambda_i over i in J, |J| = {k}")
+        start = end
+    subsets, mu = all_subsets(n), [m for sums in levels for m in sums]
+    return IdealPresentation(n, tuple(J for J, m in zip(subsets, mu) if m > 0),
+                             tuple(J for J, m in zip(subsets, mu) if m < 0))
 
 
 def relation_rows(pres: IdealPresentation, d: int) -> list[dict[int, int]]:
     """Sparse rows {column: +-1} over degree_basis spanning the degree-d
     slice of the ideal: the rows of pres.relations of degree d or lower, in
-    the order written there.
-
-    graded_quotient eliminates these rows only on a presentation that is
-    not cut by size (IdealPresentation.cut_by_size); one that is feeds
-    echelon_basis the rows tagged d alone, by pivot, largest first.  For
-    the per-degree route, the order written, the unit rows first, then each
-    J in family order with its S by increasing size, is the one
-    echelon_basis was measured to take fastest on a 2-core Xeon, summed
-    over the degrees of n = 10 documents: at the model level c = 13/2,
-    eliminated degree by degree, where no row eliminates to zero, 0.77 s
-    against 1.68 s for the reverse order; on six documents cut by a moment
-    map with weights 1-3, whose families the pipeline mislabels (these are
-    timings of mislabelled families), where up to 7 % of the rows
-    eliminate to zero, 0.7-1.8 s against 2.9-629 s; on random-sign
-    documents, where about half the rows eliminate to zero but each has at
-    most four entries, 5-15 ms either way.  The lattice, and with it every
-    rank, torsion factor and reduced class, does not depend on the order.
-    """
+    the order written there.  graded_quotient does not call it; it is the
+    per-degree reference that a caller eliminates afresh in each degree.
+    The lattice, and with it every rank, torsion factor and reduced class,
+    does not depend on the order of the rows."""
     return [row for degree, row in pres.relations if degree <= d]
 
 
@@ -227,33 +225,23 @@ def graded_quotient(pres: IdealPresentation, max_degree: int) -> GradedQuotient:
     """Quotient ring data in cohomological degrees 0, 2, ..., max_degree.
 
     The rows of degree d are those of degree d - 1 plus the rows tagged d,
-    over the same columns.  On a presentation cut by size (cut_by_size),
-    which every model level is, one echelon basis is extended degree by
-    degree: echelon_basis takes only the rows tagged d, sorted stably by
-    pivot, largest first, and each degree's basis is a snapshot of the
-    basis so far, so each row is eliminated once and the bases share rows.
-    In that order no model level n <= 10 makes a Euclid swap, and the
-    largest basis entry at n = 10 is 8.  Every other presentation (today
-    the pipeline's mislabelled families and hand-built ones) has each
-    degree's rows eliminated afresh, in the order relation_rows writes
-    them: on weighted-cut n = 10 documents an extended basis took from
-    1.4 s to over five minutes, and grew entries of 60,000 digits, where
-    this takes 0.7-1.8 s.  The lattice, and with it
-    every rank, torsion factor and reduced class, does not depend on the
-    route.  Smith normal form reads the torsion from each basis; it
-    returns at once, with no elimination, when every pivot is 1, and makes
-    its own passes only over a basis with a pivot above 1."""
+    over the same columns, so one echelon basis is extended degree by
+    degree: echelon_basis takes only the nonempty rows tagged d, sorted
+    stably by pivot, largest first, and each degree's basis is a snapshot
+    of the basis so far, so each row is eliminated once and the bases share
+    rows.  In that order no model level n <= 10 makes a Euclid swap, and the
+    largest basis entry at n = 10 is 8.  Smith normal form reads the torsion
+    from each basis; it returns at once, with no elimination, when every
+    pivot is 1, and makes its own passes only over a basis with a pivot
+    above 1."""
     require_reducible(pres.n)
     top = max_degree // 2
-    if pres.cut_by_size:
-        tagged = [[] for _ in range(top + 1)]
-        for degree, row in pres.relations:
-            if degree <= top:
-                tagged[degree].append(row)
-        kept = {}
-        bases = [echelon_basis(sorted(rows, key=min, reverse=True), kept) for rows in tagged]
-    else:
-        bases = [echelon_basis(relation_rows(pres, d)) for d in range(top + 1)]
+    tagged = [[] for _ in range(top + 1)]
+    for degree, row in pres.relations:
+        if degree <= top and row:
+            tagged[degree].append(row)
+    kept = {}
+    bases = [echelon_basis(sorted(rows, key=min, reverse=True), kept) for rows in tagged]
     ranks, torsion = [], []
     for d, basis in enumerate(bases):
         ranks.append(len(degree_basis(pres.n, d)) - len(basis))
@@ -270,7 +258,7 @@ def betti_by_counting(data: FixedPointData) -> tuple[int, ...]:
     minus those whose co-index already does.  The binomial-row check and
     the moment split are repeated here on purpose, even where the
     presentation of the same data has just run them: this route reads the
-    document alone, not the pipeline's point -> subset map, so it
+    points' signs alone, not the subset sums that label them, so it
     cross-checks the quotient ranks independently.
     """
     if not data.semifree:

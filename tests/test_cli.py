@@ -21,7 +21,7 @@ from semifree import cli, reduction
 from semifree.algebra import smith_normal_form
 from semifree.cli import MAX_RING_N, main, parse_document, parse_rational, structured_text
 from semifree.cube import CubeClass, all_subsets, alpha_class, restrict_class
-from semifree.errors import InputError, RingTooLarge
+from semifree.errors import InputError, MomentMismatch, RingTooLarge
 from semifree.localization import (
     MAX_CHERN_MONOMIALS,
     MAX_COUNT_DIGITS,
@@ -785,10 +785,11 @@ REDUCE_FILE_DIGESTS = {
     "cube4": (0, "6e2e81c5755354ea6eb945688ac5e841d069efd211b6fde0b49ecadbc6090ba8"),
     "cube5": (0, "3c3e82525bb691a0ea381f597eea861e0ee044ac270050ec37620ec8cfd4d2c8"),
     "cube6": (0, "5f4f23d1e99e92be3451d37d28400e7a6cfe67486cb70bb6dad11456ce25891c"),
-    "signs0": (1, "960b069f7c6085662fd53c8bfcdcc46bfe15e3f752bd087b759ed57f5f701e7e"),
-    "signs1": (1, "f64d59accfcbba07459aa84f3835db9699a72addf63792cb93a6f2cc5b85242d"),
-    "signs2": (1, "3061a6e082a7c4a0cc1df408496220355438dfa45cbeedcc73525a24dfc1c089"),
-    "signs3": (0, "f939cba0487aea5f29d314fe120238b6714923966c2d63b8bf279b1cf545848e"),
+    # random signs are no additive moment: refused, with nothing on stdout
+    "signs0": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "signs1": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "signs2": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "signs3": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "pair": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
@@ -809,6 +810,43 @@ def test_reduce_file_output_is_frozen(name, tmp_path, capsys):
     rc = main(["reduce", str(path)])
     out = capsys.readouterr().out
     assert (rc, hashlib.sha256(out.encode()).hexdigest()) == REDUCE_FILE_DIGESTS[name]
+
+
+def refusal(text):
+    """The stderr line of `reduce` on a document whose moments are not
+    additive, from the MomentMismatch the library raises."""
+    with pytest.raises(MomentMismatch) as caught:
+        reduction.presentation_from_data(parse_document(text))
+    return f"error: {caught.value}\n"
+
+
+def with_moments(text, moment):
+    """The document with each point's moment m replaced by moment(weights, m)."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("point "):
+            head, _, m = line.rpartition(" moment ")
+            weights = tuple(map(int, head.split(" weights ")[1].split()))
+            lines[i] = f"{head} moment {moment(weights, Fraction(m))}"
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", ["shifted", "negated", "signs0", "signs1", "signs2", "signs3"])
+def test_reduce_file_refuses_moments_that_are_not_subset_sums(name, tmp_path, capsys):
+    # one moment of a uniform level shifted by 1 breaks its level's sums;
+    # every moment negated makes each lambda_i negative; random signs are
+    # no sums at all
+    cube = PIPELINE_DOCUMENTS["cube4"]
+    text = {"shifted": with_moments(cube, lambda w, m: m + (w == (1, -1, -1, 1))),
+            "negated": with_moments(cube, lambda w, m: -m)}.get(name) or PIPELINE_DOCUMENTS[name]
+    path = tmp_path / "doc.txt"
+    path.write_text(text)
+    assert main(["reduce", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", refusal(text))
+    expected = {"shifted": "error: level 2 moment values are not ",
+                "negated": "error: index-2 point "}.get(name, "error: ")
+    assert err.startswith(expected)
 
 
 @pytest.mark.parametrize("n,c", [(n, c) for n, c in REDUCE_DIGESTS if n <= 6])

@@ -16,9 +16,10 @@ from semifree.cube import (
     beta_class,
     hypercube_data,
 )
-from semifree.errors import (MissingMomentValue, NotSemifree, ReductionTooLarge,
-                             ZeroIsCritical)
-from semifree.fixed_points import FixedPoint, FixedPointData
+from semifree.errors import (MissingMomentValue, MomentMismatch, NotSemifree,
+                             ReductionTooLarge, ZeroIsCritical)
+from semifree.fixed_points import FixedPoint, FixedPointData, split_by_moment_sign
+from semifree.pipeline import run_pipeline
 from semifree.reduction import (
     GradedQuotient,
     IdealPresentation,
@@ -97,13 +98,11 @@ def random_sign_document(n, seed):
 def weighted_cut_document(n, seed):
     """The hypercube's points under shuffled ids, with moment value the sum
     of random weights w_i in {1, 2, 3} over the coordinates where the
-    point's weight is negative, less a half-integer c near the middle.
-    The moment does not depend on the index alone, and the deduction
-    pipeline pairs points with subsets ignoring it, so the families that
-    presentation_from_data reads are not cut by a wall: they are
-    mislabelled, and on 14 of seeds 0-39 at n = 5 (1, 3, 4, 6, 7, 18, 21,
-    23, 26, 28, 32, 33, 34, 39) counting or duality fails (ROADMAP item 1).
-    Their minimal differences J - K can have two or more elements."""
+    point's weight is negative, less a half-integer c near the middle: an
+    additive moment with lambda_i = w_i that does not depend on the index
+    alone.  Under the (index, id) pairing (pairing_presentation) its points
+    get hand-built families whose minimal differences J - K can have two or
+    more elements."""
     rng = random.Random(seed)
     w = [rng.choice((1, 2, 3)) for _ in range(n)]
     c = Fraction(2 * (sum(w) // 2) + 1, 2)
@@ -113,6 +112,44 @@ def weighted_cut_document(n, seed):
         FixedPoint(f"z{i}", p.weights, sum(x for x, e in zip(w, p.weights) if e < 0) - c)
         for i, p in enumerate(points)
     ))
+
+
+def scaled_cube_document(n, seed):
+    """A regular level of the hypercube under shuffled ids, its moments
+    |J| - c scaled by a positive rational."""
+    rng = random.Random(seed)
+    c = Fraction(2 * rng.randrange(n) + 1, 2)
+    scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    points = list(hypercube_data(n, c).points)
+    rng.shuffle(points)
+    return FixedPointData(n, tuple(FixedPoint(f"z{i}", p.weights, scale * p.moment_value)
+                                   for i, p in enumerate(points)))
+
+
+def renamed_families(data):
+    """The families of a document of the hypercube's points, each point
+    labelled by the spheres where its weight is negative, sphere k renamed
+    i where the i-th index-2 point, in (index, id) order, is negative: the
+    labelling presentation_from_data reads from an additive moment."""
+    n = data.n
+    sphere = [p.weights.index(-1) for p in data.points[1:n + 1]]
+    moment = {tuple(w < 0 for w in p.weights): p.moment_value for p in data.points}
+    subsets = all_subsets(n)
+    mu = [moment[tuple(any(sphere[i - 1] == k for i in J) for k in range(n))] for J in subsets]
+    return IdealPresentation(n, tuple(J for J, m in zip(subsets, mu) if m > 0),
+                             tuple(J for J, m in zip(subsets, mu) if m < 0))
+
+
+def pairing_presentation(data):
+    """The families of the (index, id) pairing of run_pipeline: the point
+    paired with J puts J in the family of its moment sign.  On
+    random_sign_document and weighted_cut_document these are hand-built
+    families, not the manifold's, kept where a test exercises the rows and
+    their elimination rather than the labelling."""
+    subsets = run_pipeline(data)
+    plus, minus = split_by_moment_sign(data)
+    return IdealPresentation(data.n, tuple(subsets[p.id] for p in plus),
+                             tuple(subsets[p.id] for p in minus))
 
 
 def y_minus_a(I):
@@ -226,7 +263,7 @@ class TestGradedQuotient:
             return factors
 
         monkeypatch.setattr(reduction, "smith_normal_form", spy)
-        q = graded_quotient(presentation_from_data(weighted_cut_document(7, seed)), 14)
+        q = graded_quotient(pairing_presentation(weighted_cut_document(7, seed)), 14)
         above_one = [d for d, basis in enumerate(q.bases) if any(row[min(row)] > 1 for row in basis)]
         assert above_one
         if seed == 34:
@@ -252,7 +289,7 @@ class TestGradedQuotient:
     @pytest.mark.parametrize("seed", range(24))
     def test_beta_rows_avoid_the_alpha_columns_for_random_signs(self, seed):
         n = 2 + seed % 4
-        pres = presentation_from_data(random_sign_document(n, seed))
+        pres = pairing_presentation(random_sign_document(n, seed))
         for d in range(n + 1):
             assert_only_unit_rows_meet_alpha_columns(pres, d)
 
@@ -276,16 +313,17 @@ class TestGradedQuotient:
     @pytest.mark.parametrize("seed", range(24))
     def test_relation_rows_span_the_products_for_random_signs(self, seed):
         n = 2 + seed % 4
-        pres = presentation_from_data(random_sign_document(n, seed))
+        pres = pairing_presentation(random_sign_document(n, seed))
         for d in range(n + 1):
             assert_same_lattice(pres, d)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_relation_rows_span_the_products_for_weighted_cuts(self, seed):
         n = 2 + seed % 4
-        pres = presentation_from_data(weighted_cut_document(n, seed))
-        for d in range(n + 1):
-            assert_same_lattice(pres, d)
+        data = weighted_cut_document(n, seed)
+        for pres in (pairing_presentation(data), presentation_from_data(data)):
+            for d in range(n + 1):
+                assert_same_lattice(pres, d)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_model_levels_write_no_redundant_row(self, n):
@@ -331,7 +369,7 @@ class TestGradedQuotient:
         # reach the test of each S against the differences J - K in
         # IdealPresentation.relations
         assert any(multi_element_differences(
-            presentation_from_data(random_sign_document(2 + seed % 4, seed)))
+            pairing_presentation(random_sign_document(2 + seed % 4, seed)))
             for seed in range(24))
 
     def test_degree_basis_sizes(self):
@@ -404,12 +442,13 @@ class TestReducedChern:
 
 def relations_presentations(group):
     """The presentations whose relations RELATIONS_DIGESTS freezes: every
-    regular level n <= 9, and documents of sizes 1..9 by seed."""
+    regular level n <= 9, and the (index, id) pairing's families of
+    documents of sizes 1..9 by seed."""
     if group == "model levels":
         return [model_presentation(n, c) for n in range(1, 10) for c in half_integers(n)]
     document, seeds = {"random signs": (random_sign_document, 40),
                        "weighted cuts": (weighted_cut_document, 12)}[group]
-    return [presentation_from_data(document(1 + seed % 9, seed)) for seed in range(seeds)]
+    return [pairing_presentation(document(1 + seed % 9, seed)) for seed in range(seeds)]
 
 
 # sha256 over each presentation's relations as (degree, list(row.items()))
@@ -432,23 +471,14 @@ def test_relations_are_frozen(group):
 
 def quotient_with_rows(pres, reorder):
     """Ranks, torsion and reduced Chern classes of pres in every degree up to
-    n, with each degree's relation rows reordered before elimination.  A
-    presentation cut by size extends one basis from the rows tagged with
-    each degree and never calls relation_rows, so here every presentation
-    takes the per-degree route."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(IdealPresentation, "cut_by_size", property(lambda self: False))
-        patch.setattr(reduction, "relation_rows", lambda p, d: reorder(relation_rows(p, d)))
-        q = graded_quotient(pres, 2 * pres.n)
+    n, each degree's relation_rows reordered and eliminated afresh."""
+    q = per_degree_reference(pres, 2 * pres.n, reorder)
     return q.ranks, q.torsion, reduced_chern_series(q)
 
 
 # relation_rows writes the unit rows first, then each maximal negative J in
-# family order with its S by increasing size, which echelon_basis was
-# measured to take fastest (at n = 10: 0.8 s at c = 13/2 against 1.7 s
-# reversed, and 0.7-1.8 s against 2.9-629 s on weighted_cut_document seeds
-# 0-5, timings of mislabelled families); the lattice, and with it every
-# result, is the same in either order and in any other
+# family order with its S by increasing size; the lattice, and with it every
+# result, is the same in that order, reversed and shuffled
 ROW_ORDERS = {
     "written": lambda rows: rows,
     "reversed": lambda rows: rows[::-1],
@@ -470,7 +500,7 @@ class TestRowOrder:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_signs(self, seed):
-        self.assert_order_free(presentation_from_data(random_sign_document(1 + seed % 6, seed)))
+        self.assert_order_free(pairing_presentation(random_sign_document(1 + seed % 6, seed)))
 
     @staticmethod
     def assert_degrees_keep_the_order(pres):
@@ -491,7 +521,7 @@ class TestRowOrder:
     def test_degrees_keep_the_order_for_random_signs_and_weighted_cuts(self, seed):
         n = 1 + seed % 7
         for document in (random_sign_document, weighted_cut_document):
-            self.assert_degrees_keep_the_order(presentation_from_data(document(n, seed)))
+            self.assert_degrees_keep_the_order(pairing_presentation(document(n, seed)))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_smith_normal_form_makes_no_column_pass_on_model_levels(self, n, monkeypatch):
@@ -512,10 +542,10 @@ class TestRowOrder:
         assert len(calls) > 1
 
 
-def per_degree_reference(pres, max_degree):
+def per_degree_reference(pres, max_degree, reorder=lambda rows: rows):
     """Each degree's rows eliminated afresh, written here from echelon_basis
-    and relation_rows alone, as a GradedQuotient."""
-    bases = [echelon_basis(relation_rows(pres, d)) for d in range(max_degree // 2 + 1)]
+    and relation_rows alone, reordered by reorder, as a GradedQuotient."""
+    bases = [echelon_basis(reorder(relation_rows(pres, d))) for d in range(max_degree // 2 + 1)]
     return GradedQuotient(
         pres.n,
         tuple(len(degree_basis(pres.n, d)) - len(basis) for d, basis in enumerate(bases)),
@@ -572,16 +602,15 @@ def top_quotient(n, c):
 
 
 class TestExtendedBasis:
-    """A presentation cut by size extends one echelon basis degree by
-    degree, feeding each relation row once; every other presentation has
-    each degree's rows eliminated afresh."""
+    """graded_quotient extends one echelon basis degree by degree, feeding
+    each nonempty relation row once, and gives what eliminating each
+    degree's rows afresh gives."""
 
     @pytest.mark.parametrize("n,c", [(n, c) for n in range(1, 10) for c in half_integers(n)]
                              + [(10, Fraction(11, 2))])
     def test_matches_the_per_degree_reference(self, n, c):
         q = top_quotient(n, c)
         pres = model_presentation(n, c)
-        assert pres.cut_by_size
         reference = per_degree_reference(pres, 2 * (n - 1))
         assert q.ranks == reference.ranks
         assert q.torsion == reference.torsion
@@ -612,34 +641,27 @@ class TestExtendedBasis:
                     assert [id(row) for row in rows] == [
                         id(row) for row in sorted(tagged, key=min, reverse=True)], d
 
-    @pytest.mark.parametrize("document", (weighted_cut_document, random_sign_document))
+    @pytest.mark.parametrize("group", ("random signs", "weighted cuts"))
+    def test_hand_built_families_match_the_per_degree_reference(self, group):
+        # the (index, id) pairing's families write empty rows (3824 over the
+        # random-sign presentations), which have no pivot to sort by
+        presentations = relations_presentations(group)
+        if group == "random signs":
+            assert sum(not row for pres in presentations for _, row in pres.relations) == 3824
+        for pres in presentations:
+            q = graded_quotient(pres, 2 * pres.n)
+            reference = per_degree_reference(pres, 2 * pres.n)
+            assert q == reference
+            for basis, other in zip(q.bases, reference.bases, strict=True):
+                assert_same_row_lattice(basis, other)
+
+    @pytest.mark.parametrize("document", (weighted_cut_document, scaled_cube_document))
     @pytest.mark.parametrize("n", (4, 6, 8))
-    def test_other_documents_take_the_per_degree_route(self, document, n, monkeypatch):
-        calls = spy_on_elimination(monkeypatch)
+    def test_moment_families_match_the_per_degree_reference(self, document, n):
         for seed in range(4):
             pres = presentation_from_data(document(n, seed))
-            assert not pres.cut_by_size
-            calls.clear()
             q = graded_quotient(pres, 2 * (n - 1))
-            assert [kept for kept, _ in calls] == [None] * n
-            for d, (_, rows) in enumerate(calls):
-                assert [id(row) for row in rows] == [id(row) for row in relation_rows(pres, d)]
             assert q == per_degree_reference(pres, 2 * (n - 1))
-
-    def test_cut_by_size(self):
-        def cut(positive, negative):
-            return IdealPresentation(3, tuple(map(frozenset, positive)),
-                                     tuple(map(frozenset, negative))).cut_by_size
-
-        assert cut([{1, 2}], [{1}, {2}])
-        assert cut([], [{1, 2, 3}]) and cut([()], []) and cut([], [])
-        assert not cut([{1, 2}], [{2, 3}])
-        assert not cut([{1}], [{2, 3}])
-        for n in range(1, 11):
-            for c in half_integers(n):
-                subsets = all_subsets(n)
-                assert IdealPresentation(n, tuple(J for J in subsets if len(J) > c),
-                                         tuple(J for J in subsets if len(J) < c)).cut_by_size
 
     def test_a_euclid_swap_leaves_earlier_bases_unchanged(self):
         # no model level makes a Euclid swap, so these rows are crafted: the
@@ -647,7 +669,6 @@ class TestExtendedBasis:
         # kept degree-1 row {0: 2, 1: 1}, which is displaced and reduced
         # further while the degree-1 basis still holds it
         pres = IdealPresentation(2, (frozenset({1, 2}),), (frozenset(),))
-        assert pres.cut_by_size
         vars(pres)["relations"] = ((1, {0: 2, 1: 1}), (2, {0: 3, 3: 1}))
         q = graded_quotient(pres, 4)
         assert q.bases == ((), ({0: 2, 1: 1},), ({0: 1, 1: -1, 3: 1}, {1: 3, 3: -2}))
@@ -734,6 +755,57 @@ class TestPresentationFromData:
             assert model_presentation(n, c) == expected
             assert presentation_from_data(relabelled) == expected
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_weighted_cuts_pass_counting_and_duality(self, seed):
+        data = weighted_cut_document(5, seed)
+        q = graded_quotient(presentation_from_data(data), 8)
+        assert q.ranks == betti_by_counting(data)
+        assert q.torsion == ((),) * 5
+        assert poincare_check(q)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_weighted_cut_families_are_the_points_own_up_to_renaming(self, seed):
+        data = weighted_cut_document(2 + seed % 5, seed)
+        assert presentation_from_data(data) == renamed_families(data)
+
+    def test_names_the_first_missing_or_zero_moment(self):
+        # in (index, id) order, whichever fault comes first
+        base = hypercube_data(2, Fraction(1, 2))
+        for first, second, error in ((0, None, ZeroIsCritical), (None, 0, MissingMomentValue)):
+            moments = {"p1": first, "p2": second}
+            data = FixedPointData(2, tuple(FixedPoint(p.id, p.weights, moments.get(p.id, p.moment_value))
+                                           for p in base.points))
+            with pytest.raises(error, match="point 'p1' has"):
+                presentation_from_data(data)
+        with pytest.raises(MissingMomentValue, match="point 'p' has no moment value"):
+            presentation_from_data(hypercube_data(2))
+
+    def test_refuses_a_shifted_moment(self):
+        base = hypercube_data(4, Fraction(3, 2))
+        shifted = FixedPointData(4, tuple(
+            FixedPoint(p.id, p.weights, p.moment_value + (p.id == "p12")) for p in base.points))
+        with pytest.raises(MomentMismatch, match=r"^level 2 moment values are not "):
+            presentation_from_data(shifted)
+
+    def test_refuses_a_step_that_is_not_positive(self):
+        # lambda_1 = 0: p1 at the moment of p, every sum still matched
+        base = hypercube_data(3, Fraction(3, 2))
+        flat = FixedPointData(3, tuple(
+            FixedPoint(p.id, p.weights, p.moment_value - (p.id == "p1")) for p in base.points))
+        with pytest.raises(MomentMismatch, match="'p1' has moment value -3/2, not above -3/2"):
+            presentation_from_data(flat)
+        negated = FixedPointData(3, tuple(
+            FixedPoint(p.id, p.weights, -p.moment_value) for p in base.points))
+        with pytest.raises(MomentMismatch) as caught:
+            presentation_from_data(negated)
+        assert str(caught.value) == "index-2 point 'p1' has moment value 1/2, not above 3/2 at 'p'"
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_refuses_random_signs(self, n):
+        for seed in range(40):
+            with pytest.raises(MomentMismatch):
+                presentation_from_data(random_sign_document(n, seed))
+
     def test_relabeled_points(self):
         base = hypercube_data(2, Fraction(3, 2))
         renamed = FixedPointData(
@@ -765,10 +837,8 @@ UNEQUAL_AREAS = "n = 4\n" + "".join(
 
 
 class TestUnequalAreas:
-    """A reduction whose moment is not a function of the index (ROADMAP
-    item 1): the families read from the moment signs give the manifold's
-    cohomology, and the deduction pipeline's pairing, which reads no
-    moments, does not yet."""
+    """A reduction whose moment is not a function of the index: the
+    families read from the moment sums give the manifold's cohomology."""
 
     @staticmethod
     def true_families():
@@ -789,9 +859,14 @@ class TestUnequalAreas:
         for d in range(pres.n + 1):
             assert algebra._unit_pivots(echelon_basis(relation_rows(pres, d))), d
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: run_pipeline pairs points "
-                       "with subsets by index and id, not by moment; today `reduce` "
-                       "prints betti: 1 4 3 0 and exits 1")
+    def test_presentation_reads_the_true_families_up_to_renaming(self):
+        # the index-2 points in id order are e, r, t, w, negative on the
+        # spheres of areas 2, 3, 5 and 1
+        data = parse_document(UNEQUAL_AREAS)
+        pres = presentation_from_data(data)
+        assert pres == renamed_families(data)
+        assert graded_quotient(pres, 6) == graded_quotient(self.true_families(), 6)
+
     def test_reduce_file(self, tmp_path, capsys):
         path = tmp_path / "areas.txt"
         path.write_text(UNEQUAL_AREAS)
