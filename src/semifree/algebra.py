@@ -157,12 +157,11 @@ def echelon_basis(rows: Iterable[Mapping[int, int]],
 
     `kept`, a map {pivot: row} of an echelon basis, is extended in place by
     `rows`, so a caller can add rows batch by batch and keep the basis of
-    each batch so far.  Those bases share their rows, so a kept row that a
-    Euclid swap displaces is copied before it is reduced; a call without
-    `kept` starts from an empty basis and copies nothing.
+    each batch so far.  No row is changed once kept: a kept row that a
+    Euclid swap displaces is copied before it is reduced further, so the
+    bases of earlier batches, which share their rows, stay as they were.
     """
-    shared = kept is not None
-    if not shared:
+    if kept is None:
         kept = {}
     for row in rows:
         r = {j: e for j, e in row.items() if e}
@@ -179,7 +178,7 @@ def echelon_basis(rows: Iterable[Mapping[int, int]],
                 else:
                     r.pop(j, None)
             if c in r:
-                kept[c], r = r, dict(p) if shared else p
+                kept[c], r = r, dict(p)
     return [kept[c] for c in sorted(kept)]
 
 

@@ -358,7 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="cohomology of the reduction at level zero")
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--c", default=None)
+    p.add_argument("--c", default=None, help="level offset: the point of J has moment |J| - c "
+                   "(default n//2 + 1/2); write a negative one as --c=-1/2, since after a "
+                   "space -1/2 reads as an option")
     p.add_argument("--max-degree", type=int, default=None)
 
     p = sub.add_parser("search", help="enumerate weight data passing the sieve")

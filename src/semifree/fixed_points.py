@@ -115,13 +115,15 @@ def split_by_moment_sign(
     """Partition points into (positive moment, negative moment).
 
     Every point must carry a nonzero moment value: zero would make the
-    reduction level critical.
+    reduction level critical.  The first point, in (index, id) order, with
+    none or with 0 is named.  A Fraction's sign is its numerator's, so the
+    sign is read from that integer.
     """
     plus, minus = [], []
     for p in data.points:
-        if p.moment_value is None:
+        if (m := p.moment_value) is None:
             raise MissingMomentValue(f"point {p.id!r} has no moment value")
-        if p.moment_value == 0:
+        if not m:
             raise ZeroIsCritical(f"point {p.id!r} has moment value 0")
-        (plus if p.moment_value > 0 else minus).append(p)
+        (plus if m.numerator > 0 else minus).append(p)
     return plus, minus

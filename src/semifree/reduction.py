@@ -14,12 +14,13 @@ subsets.  Each degree's monomials are the first monomials of the top
 degree's, so a relation's row is the same in every degree that holds it: a
 presentation writes each row once, on first use, tagged with its degree,
 and leaves out every row beta_J a_S y^m that is already a combination of
-earlier rows.  On the model levels measured (n <= 9), that leaves exactly
-as many rows in each degree as the lattice has rank.  The rows tagged with
-a degree extend the echelon basis of the degree below, so each row is
-eliminated once.  One integer echelon basis per degree gives the free rank
-(its length), the torsion (Smith normal form of that basis alone) and the
-canonical images of the Chern classes.
+earlier rows.  On families read from moments that leaves 2^n rows, one per
+fixed point: an invariant the tests pin, on every regular model level
+n <= 10 and on documents cut by weighted moments, that no code here proves
+or checks.  The rows tagged with a degree extend the echelon basis of the
+degree below, so each row is eliminated once.  One integer echelon basis
+per degree gives the free rank (its length), the torsion (Smith normal form
+of that basis alone) and the canonical images of the Chern classes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 from .algebra import echelon_basis, reduce_mod_rows, smith_normal_form
 from .cube import all_subsets, chern_coefficient, degree_basis, subset_mask
@@ -177,36 +178,31 @@ def presentation_from_data(data: FixedPointData) -> IdealPresentation:
     lambda_i = mu(p_i) - mu(p_0), each of which must be positive, and the
     families are the J with mu(J) > 0 and with mu(J) < 0, in all_subsets
     order.  Over the lcm of their denominators the moments are integers,
-    and the sums are listed by doubling, one lambda_i at a time, each level
-    in all_subsets order; each level's points must carry its subsets' sums
-    as a multiset, or MomentMismatch names the first level that differs."""
+    and mu(J) is summed for each J of all_subsets(n), whose k-subsets form
+    one slice of C(n, k), as the points of index 2k do; each level's points
+    must carry the sums of its slice as a multiset, or MomentMismatch names
+    the first level that differs."""
     if not data.semifree:
         raise NotSemifree("the deduction applies to semifree data only")
     require_binomial_counts(data)
+    split_by_moment_sign(data)  # raises, naming the first missing or zero moment
     n, points = data.n, data.points
-    if not all(p.moment_value for p in points):
-        split_by_moment_sign(data)  # raises, naming the first missing or zero moment
     scale = lcm(*(p.moment_value.denominator for p in points))
     moments = [p.moment_value.numerator * (scale // p.moment_value.denominator) for p in points]
-    steps = [moment - moments[0] for moment in moments[1:n + 1]]
-    for p, step in zip(points[1:n + 1], steps):
+    lam = [0] + [moment - moments[0] for moment in moments[1:n + 1]]  # lam[i] = lambda_i
+    for p, step in zip(points[1:n + 1], lam[1:]):
         if step <= 0:
             raise MomentMismatch(f"index-2 point {p.id!r} has moment value {p.moment_value}, "
                                  f"not above {points[0].moment_value} at {points[0].id!r}")
-    # levels[k]: mu of the k-subsets of {i..n}, lexicographic, for i = n..1:
-    # those that hold i, then those that do not
-    levels = [[moments[0]]]
-    for step in reversed(steps):
-        levels = [levels[0]] + [[s + step for s in below] + same
-                                for below, same in zip(levels, levels[1:] + [[]])]
+    subsets = all_subsets(n)
+    mu = [moments[0] + sum(map(lam.__getitem__, J)) for J in subsets]
     start = 0
-    for k, sums in enumerate(levels):
-        end = start + len(sums)
-        if sorted(moments[start:end]) != sorted(sums):
+    for k in range(n + 1):
+        end = start + comb(n, k)
+        if sorted(moments[start:end]) != sorted(mu[start:end]):
             raise MomentMismatch(f"level {k} moment values are not mu(J) = mu({points[0].id}) "
                                  f"+ sum of lambda_i over i in J, |J| = {k}")
         start = end
-    subsets, mu = all_subsets(n), [m for sums in levels for m in sums]
     return IdealPresentation(n, tuple(J for J, m in zip(subsets, mu) if m > 0),
                              tuple(J for J, m in zip(subsets, mu) if m < 0))
 
@@ -229,11 +225,15 @@ def graded_quotient(pres: IdealPresentation, max_degree: int) -> GradedQuotient:
     degree: echelon_basis takes only the nonempty rows tagged d, sorted
     stably by pivot, largest first, and each degree's basis is a snapshot
     of the basis so far, so each row is eliminated once and the bases share
-    rows.  In that order no model level n <= 10 makes a Euclid swap, and the
-    largest basis entry at n = 10 is 8.  Smith normal form reads the torsion
-    from each basis; it returns at once, with no elimination, when every
-    pivot is 1, and makes its own passes only over a basis with a pivot
-    above 1."""
+    rows.  In that order none of the 55 regular model levels n <= 10 makes
+    a Euclid swap, and the largest basis entry at n = 10 is 8.  Documents
+    cut by weighted moments do: 27 of the 280 weighted_cut_document(n, s)
+    of tests/test_reduction.py, n = 2..8 and s < 40, make 1-6 swaps each,
+    all at n >= 6, and n = 10, s = 0..5, make 45 in all.  echelon_basis
+    copies a row that a swap displaces, so no snapshot changes after it is
+    taken.  Smith normal form reads the torsion from each basis; it returns
+    at once, with no elimination, when every pivot is 1, and makes its own
+    passes only over a basis with a pivot above 1."""
     require_reducible(pres.n)
     top = max_degree // 2
     tagged = [[] for _ in range(top + 1)]

@@ -339,6 +339,19 @@ class TestEchelonBasis:
         # nor may a Euclid step leave one where it cancels an entry
         assert echelon_basis([{0: 1, 1: 1}, {0: 1, 1: 1, 2: -1}]) == [{0: 1, 1: 1}, {2: 1}]
 
+    def test_a_euclid_swap_changes_no_kept_row(self):
+        # {0: 3, 3: 1} leaves remainder 1 at column 0 against the kept row
+        # {0: 2, 1: 1}, which the swap displaces and reduces further: a copy
+        # of it, so the basis returned before and the rows given stay as
+        # they were
+        rows = [{0: 2, 1: 1}, {0: 3, 3: 1}]
+        kept = {}
+        first = echelon_basis(rows[:1], kept)
+        assert echelon_basis(rows[1:], kept) == [{0: 1, 1: -1, 3: 1}, {1: 3, 3: -2}]
+        assert echelon_basis(rows) == [{0: 1, 1: -1, 3: 1}, {1: 3, 3: -2}]
+        assert first == [{0: 2, 1: 1}]
+        assert rows == [{0: 2, 1: 1}, {0: 3, 3: 1}]
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.integers(min_value=1, max_value=5).flatmap(

@@ -400,6 +400,16 @@ class TestCommands:
         assert main(["reduce", "--n", "3", "--c", ""]) == 2
         assert capsys.readouterr() == ("", "input error: bad rational ''\n")
 
+    def test_reduce_takes_a_negative_offset_after_an_equals_sign(self, capsys):
+        # every point of (S^2)^2 lies above the level -1/2: the empty space
+        assert main(["reduce", "--n", "2", "--c=-1/2"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "betti: 0 0"
+        # after a space, argparse reads -1/2 as an option, so --c has no value
+        with pytest.raises(SystemExit) as bad:
+            main(["reduce", "--n", "2", "--c", "-1/2"])
+        assert bad.value.code == 2
+        assert "argument --c: expected one argument" in capsys.readouterr().err
+
     def test_search(self, capsys):
         assert main(
             ["search", "--n", "3", "--points", "2", "--bound", "2", "--degree", "3"]

@@ -5,11 +5,14 @@ import ast
 import contextlib
 import io
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from semifree.cli import main
+from semifree.cube import hypercube_data
+from semifree.reduction import presentation_from_data
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -42,11 +45,19 @@ def command_line_comments() -> dict[str, str]:
 @pytest.mark.parametrize("command,first_line", [
     ("semifree count --n 3", "1 3 3 1"),
     ("semifree reduce --n 3 --c 3/2", "betti: 1 4 1"),
+    ("semifree reduce --n 2 --c=-1/2", "betti: 0 0"),
 ])
 def test_command_line_block_prints_its_commented_outputs(command, first_line, capsys):
     assert command_line_comments()[command] == first_line
     assert main(command.split()[1:]) == 0
     assert capsys.readouterr().out.splitlines()[0] == first_line
+
+
+def test_stated_row_count_is_the_presentations():
+    text = " ".join(README.read_text().split())
+    stated = re.search(r"`reduce --n 10 --c 13/2` writes (\d+) rows", text).group(1)
+    pres = presentation_from_data(hypercube_data(10, Fraction(13, 2)))
+    assert int(stated) == len(pres.relations) == 2**10
 
 
 # Called in the README but defined outside the package: the builtin, the

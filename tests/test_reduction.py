@@ -345,6 +345,12 @@ class TestGradedQuotient:
         for n, c in levels:
             assert len(model_presentation(n, c).relations) == 2**n, (n, c)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_moment_families_write_one_row_per_fixed_point(self, n):
+        # measured, not proved, as on the model levels above
+        for seed in range(10):
+            assert len(presentation_from_data(weighted_cut_document(n, seed)).relations) == 2**n
+
     def test_two_element_difference(self):
         # J = {3, 4} and the earlier K = {1, 2} differ in two elements, so the
         # row of S = J is left out and the rows of its elements are kept
@@ -595,6 +601,16 @@ def spy_on_elimination(monkeypatch):
     return calls
 
 
+class KeptRows(dict):
+    """A basis {pivot: row} for echelon_basis to extend that counts the rows
+    replaced in it, one per Euclid swap."""
+    replaced = 0
+
+    def __setitem__(self, pivot, row):
+        self.replaced += pivot in self
+        super().__setitem__(pivot, row)
+
+
 @functools.cache
 def top_quotient(n, c):
     """graded_quotient of the model level (n, c) up to its top degree 2(n-1)."""
@@ -664,9 +680,12 @@ class TestExtendedBasis:
             assert q == per_degree_reference(pres, 2 * (n - 1))
 
     def test_a_euclid_swap_leaves_earlier_bases_unchanged(self):
-        # no model level makes a Euclid swap, so these rows are crafted: the
-        # degree-2 row {0: 3, 3: 1} leaves remainder 1 at column 0 against the
-        # kept degree-1 row {0: 2, 1: 1}, which is displaced and reduced
+        # no regular model level n <= 10 makes a Euclid swap, and each swap
+        # of the documents cut by weighted moments that make one (27 of
+        # weighted_cut_document(n, s), n = 2..8, s < 40, all at n >= 6)
+        # displaces a row kept in the same degree, so these rows are crafted:
+        # the degree-2 row {0: 3, 3: 1} leaves remainder 1 at column 0 against
+        # the kept degree-1 row {0: 2, 1: 1}, which is displaced and reduced
         # further while the degree-1 basis still holds it
         pres = IdealPresentation(2, (frozenset({1, 2}),), (frozenset(),))
         vars(pres)["relations"] = ((1, {0: 2, 1: 1}), (2, {0: 3, 3: 1}))
@@ -677,6 +696,20 @@ class TestExtendedBasis:
         for basis, other in zip(q.bases, reference.bases, strict=True):
             assert_same_row_lattice(basis, other)
         assert vars(pres)["relations"] == ((1, {0: 2, 1: 1}), (2, {0: 3, 3: 1}))
+
+    @pytest.mark.parametrize("n,seed", [(6, 8), (8, 1)])
+    def test_snapshots_after_a_euclid_swap_on_moment_families(self, n, seed, monkeypatch):
+        # reduce accepts these documents, and each makes one Euclid swap
+        kept = KeptRows()
+        monkeypatch.setattr(reduction, "echelon_basis", lambda rows, _: echelon_basis(rows, kept))
+        pres = presentation_from_data(weighted_cut_document(n, seed))
+        q = graded_quotient(pres, 2 * (n - 1))
+        assert kept.replaced == 1
+        reference = per_degree_reference(pres, 2 * (n - 1))
+        assert q == reference
+        for basis, other in zip(q.bases, reference.bases, strict=True):
+            assert_same_row_lattice(basis, other)
+        assert reduced_chern_series(q) == reduced_chern_series(reference)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_entries_stay_small_on_model_levels(self, n):
