@@ -40,8 +40,7 @@ print("counts forced for ANY semifree datum:", predict_counts(n, 1))
 
 # Below the middle degree, every power of the canonical degree-two class
 # integrates to zero; these are the moment equations.
-report = verify_moment_equations(cube)
-for l, value in report.sums:
+for l, value in verify_moment_equations(cube):
     print(f"  moment equation l={l}: {value}")
 
 # At the top power, the integral is exact and nonzero.

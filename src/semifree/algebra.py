@@ -61,6 +61,8 @@ class Term:
     def __add__(self, other) -> "Term":
         if isinstance(other, (int, Fraction)):
             other = Term(other)
+        elif not isinstance(other, Term):
+            return NotImplemented
         if not other:
             return self
         if self and self.degree != other.degree:
@@ -72,6 +74,8 @@ class Term:
     def __mul__(self, other) -> "Term":
         if isinstance(other, (int, Fraction)):
             return Term(self.coeff * other, self.degree)
+        if not isinstance(other, Term):
+            return NotImplemented
         return Term(self.coeff * other.coeff, self.degree + other.degree)
 
     __rmul__ = __mul__

@@ -17,6 +17,7 @@ from .errors import (
     CountMismatch,
     DuplicateId,
     MissingMomentValue,
+    NotSemifree,
     WrongWeightCount,
     ZeroIsCritical,
     ZeroWeight,
@@ -98,9 +99,12 @@ def counts(data: FixedPointData) -> tuple[int, ...]:
 
 
 def require_binomial_counts(data: FixedPointData) -> tuple[int, ...]:
-    """The counts of data, raising CountMismatch at the first level k with
+    """The counts of data, checked as the deduction's input: NotSemifree
+    unless every weight is +-1, then CountMismatch at the first level k with
     N_k != C(n, k).  Every lower level matched, so C(n, k) is at most n
     times the number of points and the message stays short."""
+    if not data.semifree:
+        raise NotSemifree("the deduction applies to semifree data only")
     N = counts(data)
     for k, N_k in enumerate(N):
         if N_k != (c := math.comb(data.n, k)):

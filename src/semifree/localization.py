@@ -141,23 +141,14 @@ def predict_counts(n: int, N0: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-@dataclass(frozen=True)
-class MomentEquationReport:
-    sums: tuple[tuple[int, int], ...]  # (exponent l, alternating sum)
-
-    @property
-    def passed(self) -> bool:
-        return all(s == 0 for _, s in self.sums)
-
-
-def verify_moment_equations(data: FixedPointData) -> MomentEquationReport:
-    """Check the alternating moment sums sum_k N_k k^l (-1)^k = 0, l < n."""
+def verify_moment_equations(data: FixedPointData) -> tuple[tuple[int, int], ...]:
+    """The pairs (l, sum_k N_k k^l (-1)^k), l < n: the moment equations
+    hold when every sum is 0."""
     if not data.semifree:
         raise NotSemifree("moment equations hold in this form only for semifree data")
     N = counts(data)
     levels = range(data.n + 1)
-    return MomentEquationReport(tuple(
-        (l, sum(N[k] * k**l * (-1) ** k for k in levels)) for l in range(data.n)))
+    return tuple((l, sum(N[k] * k**l * (-1) ** k for k in levels)) for l in range(data.n))
 
 
 # Most Chern monomials that chern_monomials lists, and most exponents they

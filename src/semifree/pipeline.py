@@ -18,7 +18,6 @@ it: presentation_from_data labels the points by their moment sums.
 from __future__ import annotations
 
 from .cube import all_subsets
-from .errors import NotSemifree
 from .fixed_points import FixedPointData, require_binomial_counts
 
 
@@ -27,8 +26,6 @@ def run_pipeline(data: FixedPointData) -> dict[str, frozenset]:
     to be semifree with binomial counts, which force it.  The points of
     one index, in id order, are paired with the subsets of that size in
     lexicographic order, whatever their moment values."""
-    if not data.semifree:
-        raise NotSemifree("the deduction applies to semifree data only")
     require_binomial_counts(data)
     # with N_k = C(n, k) each point of index 2k gets its own k-subset and
     # every subset is used: generator j restricts to x there iff j is in it

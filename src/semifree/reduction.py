@@ -28,22 +28,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from math import comb, lcm
+from math import lcm
 
 from .algebra import echelon_basis, reduce_mod_rows, smith_normal_form
 from .cube import all_subsets, chern_coefficient, degree_basis, subset_mask
-from .errors import MomentMismatch, NotSemifree, ReductionTooLarge
+from .errors import MomentMismatch, ReductionTooLarge
 from .fixed_points import FixedPointData, require_binomial_counts, split_by_moment_sign
 
-# Largest n that require_reducible accepts.  On a 2-core Xeon (process wall
-# time and ru_maxrss, three runs per level): `reduce --n 10` takes 0.7-0.8 s
-# at its default level c = 11/2 and 0.5-0.7 s at c = 13/2, at 20 MB, and at
-# most 0.5 s at its other eight regular levels; `--n 9` takes at most 0.25 s.
-# `reduce FILE` takes 0.3-0.8 s at 24 MB on six n = 10 documents cut by a
-# moment map with weights 1-3 (weighted_cut_document in
-# tests/test_reduction.py, seeds 0-5).  `--n 11` would take 2.4-2.8 s at
-# c = 11/2, 2.9-3.5 s at c = 13/2 (27 MB) and 1.6-2.0 s at c = 15/2, and at
-# most 1.1 s at its other eight levels.
+# Largest n that require_reducible accepts.  On a 2-core Xeon (wall time of
+# the child process, interpreter start included, and its ru_maxrss, three
+# runs per level): `reduce --n 10` takes 0.49-0.50 s at its default level
+# c = 11/2 and 0.39-0.43 s at c = 13/2, at 20 MB, and at most 0.30 s at its
+# other eight regular levels, at 18-19 MB; `--n 9` takes at most 0.17 s.
+# `reduce FILE` takes 0.23-0.45 s at 19-20 MB on six n = 10 documents cut by
+# a moment map with weights 1-3 (weighted_cut_document in
+# tests/test_reduction.py, seeds 0-5).  `--n 11` would take 1.9-2.2 s at
+# c = 11/2, 2.3-2.8 s at c = 13/2 (27 MB) and 1.2-1.3 s at c = 15/2, and at
+# most 0.7 s at its other eight levels.
 MAX_REDUCE_N = 10
 
 
@@ -182,9 +183,7 @@ def presentation_from_data(data: FixedPointData) -> IdealPresentation:
     one slice of C(n, k), as the points of index 2k do; each level's points
     must carry the sums of its slice as a multiset, or MomentMismatch names
     the first level that differs."""
-    if not data.semifree:
-        raise NotSemifree("the deduction applies to semifree data only")
-    require_binomial_counts(data)
+    N = require_binomial_counts(data)
     split_by_moment_sign(data)  # raises, naming the first missing or zero moment
     n, points = data.n, data.points
     scale = lcm(*(p.moment_value.denominator for p in points))
@@ -197,8 +196,8 @@ def presentation_from_data(data: FixedPointData) -> IdealPresentation:
     subsets = all_subsets(n)
     mu = [moments[0] + sum(map(lam.__getitem__, J)) for J in subsets]
     start = 0
-    for k in range(n + 1):
-        end = start + comb(n, k)
+    for k, N_k in enumerate(N):
+        end = start + N_k
         if sorted(moments[start:end]) != sorted(mu[start:end]):
             raise MomentMismatch(f"level {k} moment values are not mu(J) = mu({points[0].id}) "
                                  f"+ sum of lambda_i over i in J, |J| = {k}")
@@ -255,14 +254,12 @@ def betti_by_counting(data: FixedPointData) -> tuple[int, ...]:
 
     Rank 2i counts the downward-class basis elements that survive in degree
     2i: points below the level whose index allows an upward contribution
-    minus those whose co-index already does.  The binomial-row check and
-    the moment split are repeated here on purpose, even where the
-    presentation of the same data has just run them: this route reads the
-    points' signs alone, not the subset sums that label them, so it
-    cross-checks the quotient ranks independently.
+    minus those whose co-index already does.  It calls the deduction's one
+    input check, require_binomial_counts, and the moment split on purpose,
+    even where the presentation of the same data has just run them: this
+    route reads the points' signs alone, not the subset sums that label
+    them, so it cross-checks the quotient ranks independently.
     """
-    if not data.semifree:
-        raise NotSemifree("counting formula requires semifree data")
     n = data.n
     require_binomial_counts(data)
     _, minus = split_by_moment_sign(data)

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from semifree import algebra
 from semifree.algebra import Term, echelon_basis, reduce_mod_rows, smith_normal_form
+from semifree.cube import CubeClass
 from semifree.localization import predict_counts
 
 
@@ -98,6 +100,17 @@ class TestTerm:
         assert x + 0 == 0 + x == x
         assert sum([x, Term(2, 1), x], Term()) == Term(4, 1)
         assert Term(2) + 3 == 3 + Term(2) == 5
+
+    # Python turns the NotImplemented of both operands into TypeError, as
+    # CubeClass raises it itself
+    @pytest.mark.parametrize("other", ["a", 1.5, None, CubeClass.gen_y()],
+                             ids=["str", "float", "None", "CubeClass"])
+    @pytest.mark.parametrize("op", [operator.add, operator.mul], ids=["add", "mul"])
+    def test_other_operands_raise_type_error(self, op, other):
+        with pytest.raises(TypeError):
+            op(Term(1, 1), other)
+        with pytest.raises(TypeError):
+            op(other, Term(1, 1))
 
     @pytest.mark.parametrize("a, b", [
         (Term(1, 1), Term(1, 2)),

@@ -158,6 +158,19 @@ class TestExitCodes:
         f.write_text(BAD_PAIR)
         assert main(["check", str(f)]) == 1
 
+    def test_check_fails_on_the_moment_equations_alone(self, tmp_path, capsys):
+        # the degree-0 integral vanishes, so only the moment equations fail
+        f = tmp_path / "bad.txt"
+        f.write_text(BAD_PAIR)
+        assert main(["check", str(f), "--max-degree", "0"]) == 1
+        assert capsys.readouterr().out == (
+            "moment equation l=0: sum = 0\n"
+            "moment equation l=1: sum = 1  FAIL\n"
+            "moment equation l=2: sum = 3  FAIL\n"
+            "integral of 1 (degree 0): 0 * x^-3  ok\n"
+            "check: FAIL\n"
+        )
+
     def test_malformed_file(self, tmp_path):
         f = tmp_path / "junk.txt"
         f.write_text("nonsense\n")

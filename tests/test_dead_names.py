@@ -366,7 +366,7 @@ def properties(tree: ast.Module) -> list[str]:
 def test_every_property_is_read():
     read = fields_read(TREES)
     found = [p for key in MODULES for p in properties(TREES[key])]
-    assert len(found) >= 7
+    assert len(found) >= 6
     assert [p for p in found if p not in read] == []
 
 

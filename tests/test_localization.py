@@ -332,15 +332,20 @@ class TestGammaRestrictions:
             gamma_restrictions(REMARK_PAIR)
 
 
+def gamma_power_integrals(data):
+    """(l, integral of gamma^l), l < n, by the localization formula."""
+    g = gamma_restrictions(data)
+    return tuple((l, integrate(data, RestrictionAssignment({p.id: g[p.id] ** l
+                                                            for p in data.points})))
+                 for l in range(data.n))
+
+
 class TestMomentEquations:
     def test_hypercube_all_vanish(self):
-        report = verify_moment_equations(hypercube_data(3))
-        assert report.passed
-        assert [s for _, s in report.sums] == [0, 0, 0]
+        assert verify_moment_equations(hypercube_data(3)) == ((0, 0), (1, 0), (2, 0))
 
     def test_sphere(self):
-        report = verify_moment_equations(SPHERE)
-        assert report.sums == ((0, Fraction(0)),)
+        assert verify_moment_equations(SPHERE) == ((0, Fraction(0)),)
 
     def test_rejects_non_semifree(self):
         with pytest.raises(NotSemifree) as caught:
@@ -357,9 +362,29 @@ class TestMomentEquations:
                 FixedPoint("c", (-1, -1)),
             ),
         )
-        report = verify_moment_equations(data)
-        assert not report.passed
-        assert report.sums[0] == (0, Fraction(1))
+        assert verify_moment_equations(data)[0] == (0, Fraction(1))
+
+    def test_sums_are_integrals_of_gamma_powers_on_random_counts(self):
+        # an independent route: gamma restricts to k x at a point of index
+        # 2k, whose Euler class is (-1)^k x^n, so integrating gamma^l over
+        # the points gives sum_k N_k k^l (-1)^k
+        rng = random.Random(34)
+        nonzero = 0
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            data = FixedPointData(n, tuple(
+                FixedPoint(f"q{i}", tuple(rng.choice((1, -1)) for _ in range(n)))
+                for i in range(rng.randint(1, 3 * n))))
+            sums = verify_moment_equations(data)
+            assert sums == gamma_power_integrals(data)
+            nonzero += any(s for _, s in sums)
+        assert nonzero > 150  # arbitrary counts rarely satisfy the equations
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_model_sums_are_integrals_of_gamma_powers(self, n):
+        data = hypercube_data(n)
+        assert verify_moment_equations(data) == gamma_power_integrals(data)
+        assert gamma_power_integrals(data) == tuple((l, 0) for l in range(n))
 
 
 class TestPredictCounts:

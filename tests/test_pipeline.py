@@ -7,10 +7,10 @@ import pytest
 from semifree.algebra import Term, X
 from semifree.cube import all_subsets, alpha_class, hypercube_data, restrict_class
 from semifree.cli import main
-from semifree.errors import CountMismatch
+from semifree.errors import CountMismatch, NotSemifree
 from semifree.fixed_points import FixedPoint, FixedPointData
 from semifree.pipeline import run_pipeline
-from semifree.reduction import betti_by_counting
+from semifree.reduction import betti_by_counting, presentation_from_data
 
 
 def solve_levels(n, tmp_path, capsys):
@@ -136,6 +136,23 @@ class TestRunPipeline:
             with pytest.raises(CountMismatch) as excinfo:
                 run(data)
             assert str(excinfo.value) == message
+
+    def test_non_semifree_data_gives_one_message(self, tmp_path, capsys):
+        # the deduction's one input check refuses a weight other than +-1
+        # before it counts, so the library and the command line say the same
+        data = FixedPointData(3, (FixedPoint("A", (1, 1, -2), Fraction(-1)),
+                                  FixedPoint("B", (-1, -1, 2), Fraction(1))))
+        message = "the deduction applies to semifree data only"
+        for run in (run_pipeline, presentation_from_data, betti_by_counting):
+            with pytest.raises(NotSemifree) as excinfo:
+                run(data)
+            assert str(excinfo.value) == message
+        path = tmp_path / "pair.txt"
+        path.write_text("n = 3\npoint A weights 1 1 -2 moment -1\n"
+                        "point B weights -1 -1 2 moment 1\n")
+        for command in ("solve", "reduce"):
+            assert main([command, str(path)]) == 1
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_sphere_trivial_certificate(self):
         data = FixedPointData(1, (FixedPoint("s", (1,)), FixedPoint("n", (-1,))))

@@ -402,7 +402,7 @@ class TestBettiByCounting:
                                   FixedPoint("b", (-1, -1, 2), Fraction(1))))
         with pytest.raises(NotSemifree) as caught:
             betti_by_counting(data)
-        assert str(caught.value) == "counting formula requires semifree data"
+        assert str(caught.value) == "the deduction applies to semifree data only"
 
     def test_requires_moment_values(self):
         with pytest.raises(MissingMomentValue):
