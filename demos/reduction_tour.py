@@ -15,18 +15,23 @@ from semifree import (
     presentation_from_data,
     reduced_chern_series,
 )
+from semifree.cube import all_subsets
 
 # Reduce the n=3 model at the balanced level: the moment map is |J| - 3/2,
 # so four points sit below zero and four above.  The model level is one
 # more fixed-point document, hypercube_data(n, c), whose points carry those
-# moment values, and presentation_from_data reads the relations from it.
+# moment values, and presentation_from_data reads from it the areas
+# lambda_i and mu(empty), over one common denominator (here 2).  The
+# presentation sums mu(J) for every subset J, and the points above the
+# level are the J with mu(J) > 0, those below the J with mu(J) < 0.
 n = 3
 data = hypercube_data(n, Fraction(3, 2))
 pres = presentation_from_data(data)
+moments = list(zip(all_subsets(n), pres.moments))
 print("relations from points above the level:",
-      [sorted(J) for J in pres.positive])
+      [sorted(J) for J, mu in moments if mu > 0])
 print("relations from points below the level:",
-      [str(beta_class(J, n)) for J in pres.negative])
+      [str(beta_class(J, n)) for J, mu in moments if mu < 0])
 
 # The quotient ring, degree by degree: one integer echelon basis of the
 # relations per degree gives the rank, and Smith normal form of that basis

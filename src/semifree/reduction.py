@@ -3,9 +3,12 @@
 The kernel of the surjection onto the reduced space's cohomology is spanned
 by the upward classes at points above the level and the downward classes at
 points below it.  The moment is additive, mu(J) = mu(empty) + sum of
-lambda_i over i in J with every lambda_i > 0, so presentation_from_data
-reads both families from the moment values alone; a model level (n, c) is
-the document hypercube_data(n, c), whose n a caller bounds with
+lambda_i over i in J with every lambda_i > 0, and an IdealPresentation holds
+exactly those numbers, so its two families are the sign pattern of such a
+moment by construction: the points above the level are closed under
+supersets and those below under subsets.  presentation_from_data reads the
+numbers from a document's moment values; a model level (n, c) is the
+document hypercube_data(n, c), whose n a caller bounds with
 require_reducible before its 2^n points are listed.  Each graded piece of
 the quotient is a finite integer linear-algebra problem: square-free
 monomials times powers of y form a basis of the ambient degree slice, and
@@ -14,10 +17,9 @@ subsets.  Each degree's monomials are the first monomials of the top
 degree's, so a relation's row is the same in every degree that holds it: a
 presentation writes each row once, on first use, tagged with its degree,
 and leaves out every row beta_J a_S y^m that is already a combination of
-earlier rows.  On families read from moments that leaves 2^n rows, one per
-fixed point: an invariant the tests pin, on every regular model level
-n <= 10 and on documents cut by weighted moments, that no code here proves
-or checks.  The rows tagged with a degree extend the echelon basis of the
+earlier rows.  That leaves 2^n rows, one per fixed point: a unit row for
+each point above the level and a beta row, never empty, for each point
+below it.  The rows tagged with a degree extend the echelon basis of the
 degree below, so each row is eliminated once.  One integer echelon basis
 per degree gives the free rank (its length), the torsion (Smith normal form
 of that basis alone) and the canonical images of the Chern classes.
@@ -27,12 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations, pairwise
 from math import lcm
 
 from .algebra import echelon_basis, reduce_mod_rows, smith_normal_form
 from .cube import all_subsets, chern_coefficient, degree_basis, subset_mask
-from .errors import MomentMismatch, ReductionTooLarge
+from .errors import MomentMismatch, ReductionTooLarge, ZeroIsCritical
 from .fixed_points import FixedPointData, require_binomial_counts, split_by_moment_sign
 
 # Largest n that require_reducible accepts.  On a 2-core Xeon (wall time of
@@ -50,19 +52,32 @@ MAX_REDUCE_N = 10
 
 @dataclass(frozen=True)
 class IdealPresentation:
-    """Relations cutting out the reduced ring from Z[a_1..a_n, y].
+    """Relations cutting out the reduced ring from Z[a_1..a_n, y], from the
+    additive moment mu(J) = base + sum of areas[i - 1] over i in J.
 
-    The rewrite relations a_i y - a_i^2 are absorbed by the monomials
-    a_S y^(d - |S|), one per subset S; the two explicit families are the
-    upward classes alpha_J of the mu-positive subsets and the downward
-    classes beta_J of the mu-negative subsets.  A generator is its subset
-    J, in all_subsets order, and `relations` writes the rows of every
-    degree from J once per presentation.
+    `areas` (lambda_1..lambda_n) and `base` (mu(empty)) are integers over
+    one common denominator; a wrong number of areas, or one that is not
+    positive, raises MomentMismatch.  The rewrite relations a_i y - a_i^2
+    are absorbed by the monomials a_S y^(d - |S|), one per subset S; the two
+    explicit families are the upward classes alpha_J of the J with
+    mu(J) > 0 and the downward classes beta_J of the J with mu(J) < 0.  A
+    generator is its subset J, in all_subsets order, and `relations` writes
+    the rows of every degree from J once per presentation.
     """
 
     n: int
-    positive: tuple[frozenset, ...]  # J of alpha_J, mu(J) > 0
-    negative: tuple[frozenset, ...]  # J of beta_J, mu(J) < 0
+    areas: tuple[int, ...]  # lambda_i, each > 0
+    base: int  # mu(empty)
+
+    def __post_init__(self):
+        if len(self.areas) != self.n or not all(a > 0 for a in self.areas):
+            raise MomentMismatch(f"areas {self.areas} are not {self.n} positive numbers")
+
+    @cached_property
+    def moments(self) -> tuple[int, ...]:
+        """mu(J) for each J of all_subsets(n), in that order, summed on first
+        use, so a presentation refused by its size sums nothing."""
+        return tuple(self.base + sum(self.areas[i - 1] for i in J) for J in all_subsets(self.n))
 
     @cached_property
     def relations(self) -> tuple[tuple[int, dict[int, int]], ...]:
@@ -72,20 +87,21 @@ class IdealPresentation:
         degree_basis(n, d) is the first entries of degree_basis(n, n), so a
         subset S has one column in every degree, and the row of a relation
         is the same sparse vector in every degree that contains it: the
-        rows of degree d are the pairs tagged d or lower.
+        rows of degree d are the pairs tagged d or lower.  A zero moment
+        mu(J) raises ZeroIsCritical: the level is then critical.
 
         The generators are alpha_J and beta_J by definition, and a monomial
         a_S y^m is fixed by S, so rows are written from J and S.  alpha_J
-        a_S y^m is the unit row at J | S, tagged |J | S|.  beta_J is a
-        multiple of beta_K for J < K, so only maximal negative J count, and
-        a_j (y - a_j) = 0 makes beta_J a_S y^m zero unless S lies in J, when
-        it is the sum over T in J^c of (-1)^|T| a_(S|T) y^(...), tagged
+        a_S y^m is the unit row at J | S, tagged |J | S|, and since mu
+        grows with J the columns of the positive J are all the alpha
+        columns.  beta_J is a multiple of beta_K for J < K, so only maximal
+        negative J count: those whose every J | {i} is positive.  a_j
+        (y - a_j) = 0 makes beta_J a_S y^m zero unless S lies in J, when it
+        is the sum over T in J^c of (-1)^|T| a_(S|T) y^(...), tagged
         |J^c| + |S|.  The unit rows make every alpha column zero in the
         quotient, so beta rows are written modulo them, without those
-        columns.  A beta row keeps its column S unless S contains a
-        positive J.  On families read from a moment map the negative J are
-        closed under subsets, so no row is empty; a hand-built presentation
-        can write empty rows, which graded_quotient drops.
+        columns; S lies in the negative J, so is negative itself, and each
+        beta row keeps its column S.
 
         Of the beta rows, only those of the S that contain no difference
         J - K, K a maximal negative before J, are written.  For maximal
@@ -98,40 +114,36 @@ class IdealPresentation:
         J, the rows written span every row beta_J a_S y^m in every degree.
         S contains J - K exactly when J - S lies in K, so each S is tested
         by one lookup of J - S among the subsets of the earlier maximal K.
+        The beta row (J, S) is thus written for each negative J - S, from
+        the first maximal J that holds it, and the rows are 2^n, one per
+        fixed point.
 
         Subsets are bitmasks (subset_mask) throughout, so each entry's
-        column is read at the sum of two masks, with no sorting.  Masks run
-        by size, so every subset of a mask comes before it: the alpha
-        columns are the up-closure of the positive J, and a run backwards
-        finds the proper subsets of the negative J, leaving the maximal
-        ones, each in one step per mask and element.  The unit rows come
-        first, in column order, then each J in family order with its S by
-        increasing size, the order graded_quotient keeps among rows of one
-        degree and pivot.  The rows are shared by every degree and every
-        caller, so a caller that changes a row copies it first, as
-        echelon_basis does.
+        column is read at the sum of two masks, with no sorting.  The unit
+        rows come first, in column order, then each maximal J in
+        all_subsets order with its S by increasing size, the order
+        graded_quotient keeps among rows of one degree and pivot.  The rows
+        are shared by every degree and every caller, so a caller that
+        changes a row copies it first, as echelon_basis does.
         """
         bits = [1 << i for i in range(1, self.n + 1)]
-        masks = [subset_mask(S) for S in degree_basis(self.n, self.n)]
-        alpha = {subset_mask(J) for J in self.positive}
+        basis = degree_basis(self.n, self.n)
+        masks = [subset_mask(S) for S in basis]
         column = [None] * (2 << self.n)  # column[U], None at the alpha columns
         rows = []
-        for i, U in enumerate(masks):
-            if U in alpha:
-                alpha.update(U | b for b in bits)
+        for i, (U, mu) in enumerate(zip(masks, self.moments)):
+            if not mu:
+                raise ZeroIsCritical(f"mu(J) is 0 at J = {list(basis[i])}")
+            if mu > 0:
                 rows.append((U.bit_count(), {i: 1}))
             else:
                 column[U] = i
-        negative = [subset_mask(J) for J in self.negative]
-        below, negative_set = set(), set(negative)  # below: proper subsets of a negative J
-        for U in reversed(masks):
-            if U in negative_set or U in below:
-                below.update(U - b for b in bits if U & b)
-        maximal = [J for J in negative if J not in below]
         earlier = set()  # the subsets of the maximal J before this one
-        for J in maximal:
-            inside = [b for b in bits if J & b]
+        for J in masks:
             outside = [b for b in bits if not J & b]
+            if column[J] is None or any(column[J + b] is not None for b in outside):
+                continue
+            inside = [b for b in bits if J & b]
             terms = [(sum(T), (-1) ** t)
                      for t in range(len(outside) + 1) for T in combinations(outside, t)]
             subsets = [sum(S) for k in range(len(inside) + 1) for S in combinations(inside, k)]
@@ -176,44 +188,27 @@ def presentation_from_data(data: FixedPointData) -> IdealPresentation:
 
     The point labelled J has moment mu(J) = mu(p_0) + sum of lambda_i over
     i in J, so the index-2 points p_1..p_n, in (index, id) order, give
-    lambda_i = mu(p_i) - mu(p_0), each of which must be positive, and the
-    families are the J with mu(J) > 0 and with mu(J) < 0, in all_subsets
-    order.  Over the lcm of their denominators the moments are integers,
-    and mu(J) is summed for each J of all_subsets(n), whose k-subsets form
-    one slice of C(n, k), as the points of index 2k do; each level's points
-    must carry the sums of its slice as a multiset, or MomentMismatch names
-    the first level that differs."""
+    lambda_i = mu(p_i) - mu(p_0), each of which must be positive.  Over the
+    lcm of their denominators the moments are integers, and the
+    presentation sums mu(J) for each J of all_subsets(n), whose k-subsets
+    form one slice of C(n, k), as the points of index 2k do; each level's
+    points must carry the sums of its slice as a multiset, or
+    MomentMismatch names the first level that differs."""
     N = require_binomial_counts(data)
     split_by_moment_sign(data)  # raises, naming the first missing or zero moment
     n, points = data.n, data.points
     scale = lcm(*(p.moment_value.denominator for p in points))
     moments = [p.moment_value.numerator * (scale // p.moment_value.denominator) for p in points]
-    lam = [0] + [moment - moments[0] for moment in moments[1:n + 1]]  # lam[i] = lambda_i
-    for p, step in zip(points[1:n + 1], lam[1:]):
-        if step <= 0:
+    for p, moment in zip(points[1:n + 1], moments[1:]):
+        if moment <= moments[0]:
             raise MomentMismatch(f"index-2 point {p.id!r} has moment value {p.moment_value}, "
                                  f"not above {points[0].moment_value} at {points[0].id!r}")
-    subsets = all_subsets(n)
-    mu = [moments[0] + sum(map(lam.__getitem__, J)) for J in subsets]
-    start = 0
-    for k, N_k in enumerate(N):
-        end = start + N_k
-        if sorted(moments[start:end]) != sorted(mu[start:end]):
+    pres = IdealPresentation(n, tuple(m - moments[0] for m in moments[1:n + 1]), moments[0])
+    for k, (start, end) in enumerate(pairwise(accumulate(N, initial=0))):
+        if sorted(moments[start:end]) != sorted(pres.moments[start:end]):
             raise MomentMismatch(f"level {k} moment values are not mu(J) = mu({points[0].id}) "
                                  f"+ sum of lambda_i over i in J, |J| = {k}")
-        start = end
-    return IdealPresentation(n, tuple(J for J, m in zip(subsets, mu) if m > 0),
-                             tuple(J for J, m in zip(subsets, mu) if m < 0))
-
-
-def relation_rows(pres: IdealPresentation, d: int) -> list[dict[int, int]]:
-    """Sparse rows {column: +-1} over degree_basis spanning the degree-d
-    slice of the ideal: the rows of pres.relations of degree d or lower, in
-    the order written there.  graded_quotient does not call it; it is the
-    per-degree reference that a caller eliminates afresh in each degree.
-    The lattice, and with it every rank, torsion factor and reduced class,
-    does not depend on the order of the rows."""
-    return [row for degree, row in pres.relations if degree <= d]
+    return pres
 
 
 def graded_quotient(pres: IdealPresentation, max_degree: int) -> GradedQuotient:
@@ -221,8 +216,8 @@ def graded_quotient(pres: IdealPresentation, max_degree: int) -> GradedQuotient:
 
     The rows of degree d are those of degree d - 1 plus the rows tagged d,
     over the same columns, so one echelon basis is extended degree by
-    degree: echelon_basis takes only the nonempty rows tagged d, sorted
-    stably by pivot, largest first, and each degree's basis is a snapshot
+    degree: echelon_basis takes the rows tagged d, none of them empty,
+    sorted stably by pivot, largest first, and each degree's basis is a snapshot
     of the basis so far, so each row is eliminated once and the bases share
     rows.  In that order none of the 55 regular model levels n <= 10 makes
     a Euclid swap, and the largest basis entry at n = 10 is 8.  Documents
@@ -237,7 +232,7 @@ def graded_quotient(pres: IdealPresentation, max_degree: int) -> GradedQuotient:
     top = max_degree // 2
     tagged = [[] for _ in range(top + 1)]
     for degree, row in pres.relations:
-        if degree <= top and row:
+        if degree <= top:
             tagged[degree].append(row)
     kept = {}
     bases = [echelon_basis(sorted(rows, key=min, reverse=True), kept) for rows in tagged]

@@ -683,6 +683,27 @@ def test_reduce_reports_torsion(capsys, monkeypatch):
                      "poincare duality: FAIL", *clean[2:]]
 
 
+def test_reduce_reports_torsion_of_crafted_rows(capsys, monkeypatch):
+    # the first relation row of the level 3/2 of (S^2)^3 is the unit row
+    # of a_1 a_2 in degree 2; doubled, it leaves Z/2 there and every rank
+    # as it was, and the true Smith normal form finds it
+    assert main(["reduce", "--n", "3"]) == 0
+    clean = capsys.readouterr().out.splitlines()
+    read = reduction.presentation_from_data
+
+    def crafted(data):
+        pres = read(data)
+        (degree, row), *rest = pres.relations
+        assert (degree, row) == (2, {4: 1})
+        vars(pres)["relations"] = ((degree, {4: 2}), *rest)
+        return pres
+
+    monkeypatch.setattr(reduction, "presentation_from_data", crafted)
+    assert main(["reduce", "--n", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [clean[0], "torsion: ((), (), (2,))  FAIL", "poincare duality: FAIL"]
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_reduce_defaults_to_the_middle_level(n, capsys):
     # without --c, the half-integral offset nearest the middle, n//2 + 1/2

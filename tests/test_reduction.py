@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import heapq
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 
 from semifree import algebra, reduction
 from semifree.cli import main, parse_document
-from semifree.algebra import echelon_basis, reduce_mod_rows, smith_normal_form
+from semifree.algebra import Term, echelon_basis, reduce_mod_rows, smith_normal_form
 from semifree.cube import (
     CubeClass,
     all_subsets,
@@ -18,8 +19,8 @@ from semifree.cube import (
 )
 from semifree.errors import (MissingMomentValue, MomentMismatch, NotSemifree,
                              ReductionTooLarge, ZeroIsCritical)
-from semifree.fixed_points import FixedPoint, FixedPointData, split_by_moment_sign
-from semifree.pipeline import run_pipeline
+from semifree.fixed_points import FixedPoint, FixedPointData
+from semifree.localization import RestrictionAssignment, integrate
 from semifree.reduction import (
     GradedQuotient,
     IdealPresentation,
@@ -30,7 +31,6 @@ from semifree.reduction import (
     poincare_check,
     presentation_from_data,
     reduced_chern_series,
-    relation_rows,
 )
 
 
@@ -47,13 +47,26 @@ def sparse(row):
     return dict(enumerate(row))
 
 
+def families(pres):
+    """The J of mu(J) > 0 and of mu(J) < 0, each in all_subsets order: the
+    points above and below the level, read from the moment sums."""
+    pairs = list(zip(all_subsets(pres.n), pres.moments, strict=True))
+    return tuple(J for J, m in pairs if m > 0), tuple(J for J, m in pairs if m < 0)
+
+
+def rows_of_degree(pres, d):
+    """The rows of the degree-d slice of the ideal: those of pres.relations
+    tagged d or lower, in the order written there."""
+    return [row for degree, row in pres.relations if degree <= d]
+
+
 def product_rows(pres, d):
     """Every generator alpha_J, beta_J times every complementary-degree
     monomial, multiplied out by CubeClass, zero and repeated products
     included."""
     index = {b: i for i, b in enumerate(degree_basis(pres.n, d))}
-    gens = [alpha_class(J) for J in pres.positive] + [
-        beta_class(J, pres.n) for J in pres.negative]
+    positive, negative = families(pres)
+    gens = [alpha_class(J) for J in positive] + [beta_class(J, pres.n) for J in negative]
     rows = []
     for gen in gens:
         g = gen.degree
@@ -65,7 +78,7 @@ def product_rows(pres, d):
 
 def assert_same_lattice(pres, d):
     ncols = len(degree_basis(pres.n, d))
-    ours, reference = relation_rows(pres, d), product_rows(pres, d)
+    ours, reference = rows_of_degree(pres, d), product_rows(pres, d)
     for rows, other in ((ours, reference), (reference, ours)):
         basis = echelon_basis(other)
         for row in rows:
@@ -77,14 +90,16 @@ def assert_only_unit_rows_meet_alpha_columns(pres, d):
     """The rows with an entry at a column a_S y^m, S containing a positive
     J, are the unit rows at those columns, one each: beta rows are written
     modulo the alpha rows."""
+    positive, _ = families(pres)
     alpha = [i for i, S in enumerate(degree_basis(pres.n, d))
-             if any(J <= set(S) for J in pres.positive)]
-    meeting = [row for row in relation_rows(pres, d) if row.keys() & set(alpha)]
+             if any(J <= set(S) for J in positive)]
+    meeting = [row for row in rows_of_degree(pres, d) if row.keys() & set(alpha)]
     assert sorted(tuple(row.items()) for row in meeting) == [((i, 1),) for i in alpha]
 
 
 def random_sign_document(n, seed):
-    """The hypercube's points under shuffled ids, with random moment signs."""
+    """The hypercube's points under shuffled ids, with random moment signs:
+    no additive moment, so presentation_from_data refuses it."""
     rng = random.Random(seed)
     points = list(hypercube_data(n).points)
     rng.shuffle(points)
@@ -100,9 +115,8 @@ def weighted_cut_document(n, seed):
     of random weights w_i in {1, 2, 3} over the coordinates where the
     point's weight is negative, less a half-integer c near the middle: an
     additive moment with lambda_i = w_i that does not depend on the index
-    alone.  Under the (index, id) pairing (pairing_presentation) its points
-    get hand-built families whose minimal differences J - K can have two or
-    more elements."""
+    alone, whose minimal differences J - K can have two or more elements
+    (194 of weighted_cut_document(n, s), n = 2..9, s < 40, have one)."""
     rng = random.Random(seed)
     w = [rng.choice((1, 2, 3)) for _ in range(n)]
     c = Fraction(2 * (sum(w) // 2) + 1, 2)
@@ -126,6 +140,17 @@ def scaled_cube_document(n, seed):
                                    for i, p in enumerate(points)))
 
 
+def random_moment_presentation(n, seed):
+    """The presentation of a random additive moment, over the denominator
+    2: areas 1..6, and mu(empty) a negative half-integer from -1/2, the
+    bottom point alone below the level, down to every point below it.  No
+    subset sum is 0, and the sign pattern is random among those of
+    additive moments."""
+    rng = random.Random(seed)
+    areas = [rng.randint(1, 6) for _ in range(n)]
+    return IdealPresentation(n, tuple(2 * a for a in areas), -2 * rng.randrange(sum(areas) + 1) - 1)
+
+
 def renamed_families(data):
     """The families of a document of the hypercube's points, each point
     labelled by the spheres where its weight is negative, sphere k renamed
@@ -136,20 +161,8 @@ def renamed_families(data):
     moment = {tuple(w < 0 for w in p.weights): p.moment_value for p in data.points}
     subsets = all_subsets(n)
     mu = [moment[tuple(any(sphere[i - 1] == k for i in J) for k in range(n))] for J in subsets]
-    return IdealPresentation(n, tuple(J for J, m in zip(subsets, mu) if m > 0),
-                             tuple(J for J, m in zip(subsets, mu) if m < 0))
-
-
-def pairing_presentation(data):
-    """The families of the (index, id) pairing of run_pipeline: the point
-    paired with J puts J in the family of its moment sign.  On
-    random_sign_document and weighted_cut_document these are hand-built
-    families, not the manifold's, kept where a test exercises the rows and
-    their elimination rather than the labelling."""
-    subsets = run_pipeline(data)
-    plus, minus = split_by_moment_sign(data)
-    return IdealPresentation(data.n, tuple(subsets[p.id] for p in plus),
-                             tuple(subsets[p.id] for p in minus))
+    return (tuple(J for J, m in zip(subsets, mu) if m > 0),
+            tuple(J for J, m in zip(subsets, mu) if m < 0))
 
 
 def y_minus_a(I):
@@ -164,7 +177,8 @@ def multi_element_differences(pres):
     """The inclusion-minimal differences J - K of two or more elements, K a
     maximal negative before the maximal negative J, read from the families
     by their definition."""
-    maximal = [J for J in pres.negative if not any(J < K for K in pres.negative)]
+    _, negative = families(pres)
+    maximal = [J for J in negative if not any(J < K for K in negative)]
     found = []
     for i, J in enumerate(maximal):
         diffs = {J - K for K in maximal[:i]}
@@ -174,8 +188,8 @@ def multi_element_differences(pres):
 
 class TestBetaSyzygy:
     """Two downward classes agree once each is multiplied up to the product
-    over the complement of their intersection; relation_rows leaves out
-    every row that this identity writes from rows it keeps."""
+    over the complement of their intersection; IdealPresentation.relations
+    leaves out every row that this identity writes from rows it keeps."""
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_identity_for_every_ordered_pair(self, n):
@@ -192,18 +206,18 @@ class TestKernelGenerators:
     """The two generator families of the kernel at a model level."""
 
     def test_n1(self):
-        pres = model_presentation(1, Fraction(1, 2))
-        assert pres.positive == (frozenset({1}),)
-        assert alpha_class(pres.positive[0]) == CubeClass.gen_a(1)
-        assert pres.negative == (frozenset(),)
-        assert beta_class(pres.negative[0], 1) == CubeClass.gen_y() - CubeClass.gen_a(1)
+        positive, negative = families(model_presentation(1, Fraction(1, 2)))
+        assert positive == (frozenset({1}),)
+        assert alpha_class(positive[0]) == CubeClass.gen_a(1)
+        assert negative == (frozenset(),)
+        assert beta_class(negative[0], 1) == CubeClass.gen_y() - CubeClass.gen_a(1)
 
     def test_n3_balanced_counts(self):
-        pres = model_presentation(3, Fraction(3, 2))
-        assert len(pres.positive) == 4
-        assert all(len(J) >= 2 for J in pres.positive)
-        assert len(pres.negative) == 4
-        assert all(len(J) <= 1 for J in pres.negative)
+        positive, negative = families(model_presentation(3, Fraction(3, 2)))
+        assert len(positive) == 4
+        assert all(len(J) >= 2 for J in positive)
+        assert len(negative) == 4
+        assert all(len(J) <= 1 for J in negative)
 
     def test_integer_offset_rejected(self):
         # the document of an integral offset has points at moment 0; the
@@ -246,12 +260,10 @@ class TestGradedQuotient:
         assert len(q.bases) == 3
         assert q == GradedQuotient(3, (1, 4, 1), ((), (), ()))
 
-    @pytest.mark.parametrize("seed", (34, 160, 188, 209, 258))
-    def test_smith_normal_form_eliminates_only_where_a_pivot_is_above_one(self, seed,
-                                                                         monkeypatch):
-        # these weighted cuts have echelon bases with a pivot of 2 (seed 34
-        # in degrees 3 and 4); Smith normal form takes every other degree's
-        # basis, whose pivots are all 1, with no elimination pass
+    @staticmethod
+    def smith_passes(pres, max_degree, monkeypatch):
+        """graded_quotient of pres, and for each degree the number of
+        echelon passes Smith normal form made over its basis."""
         passes, calls = [], []
         monkeypatch.setattr(algebra, "echelon_basis",
                             lambda rows: passes.append(1) or echelon_basis(rows))
@@ -263,21 +275,66 @@ class TestGradedQuotient:
             return factors
 
         monkeypatch.setattr(reduction, "smith_normal_form", spy)
-        q = graded_quotient(pairing_presentation(weighted_cut_document(7, seed)), 14)
-        above_one = [d for d, basis in enumerate(q.bases) if any(row[min(row)] > 1 for row in basis)]
-        assert above_one
-        if seed == 34:
-            assert above_one == [3, 4]
+        q = graded_quotient(pres, max_degree)
         assert len(calls) == len(q.bases)
-        assert [d for d, made in enumerate(calls) if made] == above_one
         for basis, torsion in zip(q.bases, q.torsion, strict=True):
             assert torsion == tuple(f for f in smith_normal_form(basis) if f > 1)
+        return q, calls
+
+    @pytest.mark.parametrize("seed", (34, 160, 188, 209, 258))
+    def test_smith_normal_form_eliminates_only_where_a_pivot_is_above_one(self, seed,
+                                                                         monkeypatch):
+        # the true families of these weighted cuts have unit pivots in every
+        # degree, as every document tried so far, so Smith normal form takes
+        # each basis with no elimination pass; crafted rows reach a pivot
+        # above 1 in the tests below
+        pres = presentation_from_data(weighted_cut_document(7, seed))
+        q, calls = self.smith_passes(pres, 14, monkeypatch)
+        assert all(algebra._unit_pivots(basis) for basis in q.bases)
+        assert calls == [0] * len(q.bases)
+
+    # The crafted rows replace the relations of the level 3/2 of (S^2)^2,
+    # over the columns 1, a_1, a_2 (degree 1) and a_1 a_2 (degree 2).
+    @staticmethod
+    def crafted(*rows):
+        pres = IdealPresentation(2, (2, 2), -3)
+        vars(pres)["relations"] = rows
+        return pres
+
+    def test_a_pivot_of_two_leaves_no_torsion(self, monkeypatch):
+        # the basis {2 + a_1} has pivot 2 but spans a saturated lattice
+        q, calls = self.smith_passes(self.crafted((1, {0: 2, 1: 1})), 4, monkeypatch)
+        assert q.bases == ((), ({0: 2, 1: 1},), ({0: 2, 1: 1},))
+        assert (q.ranks, q.torsion) == ((1, 2, 3), ((), (), ()))
+        assert calls[0] == 0 and calls[1] > 0 and calls[2] > 0
+        assert poincare_check(q) is False  # ranks 1, 2 are not symmetric at n = 2
+
+    def test_a_basis_with_torsion(self, monkeypatch):
+        # 2 + a_1 and a_1 span 2 and a_1: Z/2 in degrees 1 and 2
+        q, calls = self.smith_passes(self.crafted((1, {0: 2, 1: 1}), (1, {1: 1})), 4, monkeypatch)
+        assert q.ranks == (1, 1, 2)
+        assert q.torsion == ((), (2,), (2,))
+        assert calls[0] == 0 and calls[1] > 0 and calls[2] > 0
+        assert not poincare_check(q)
 
     def test_size_guard(self):
-        pres = IdealPresentation(MAX_REDUCE_N + 1, (), ())
+        pres = IdealPresentation(MAX_REDUCE_N + 1, (1,) * (MAX_REDUCE_N + 1), -1)
         with pytest.raises(ReductionTooLarge):
             graded_quotient(pres, 0)
-        assert "relations" not in vars(pres)  # no row was written
+        assert "moments" not in vars(pres) and "relations" not in vars(pres)  # nothing summed
+
+    @pytest.mark.parametrize("areas", [(1,), (1, 2, 0), (3, -1, 2), (1, 1, 1, 1)])
+    def test_holds_n_positive_areas(self, areas):
+        # the sign pattern of an additive moment needs n positive areas
+        with pytest.raises(MomentMismatch, match="are not 3 positive numbers"):
+            IdealPresentation(3, areas, -1)
+
+    def test_a_zero_subset_sum_is_critical(self):
+        # mu({1}) = -2 + 2 = 0: the level is critical, whichever J has it
+        pres = IdealPresentation(2, (2, 3), -2)
+        with pytest.raises(ZeroIsCritical, match=r"mu\(J\) is 0 at J = \[1\]"):
+            graded_quotient(pres, 2)
+        assert pres.moments == (-2, 0, 1, 3)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_beta_rows_avoid_the_alpha_columns_on_model_levels(self, n):
@@ -289,7 +346,7 @@ class TestGradedQuotient:
     @pytest.mark.parametrize("seed", range(24))
     def test_beta_rows_avoid_the_alpha_columns_for_random_signs(self, seed):
         n = 2 + seed % 4
-        pres = pairing_presentation(random_sign_document(n, seed))
+        pres = random_moment_presentation(n, seed)
         for d in range(n + 1):
             assert_only_unit_rows_meet_alpha_columns(pres, d)
 
@@ -298,7 +355,7 @@ class TestGradedQuotient:
         for c in half_integers(n):
             pres = model_presentation(n, c)
             for d in range(n):
-                rows = [frozenset(row.items()) for row in relation_rows(pres, d)]
+                rows = [frozenset(row.items()) for row in rows_of_degree(pres, d)]
                 assert all(row for row in rows)
                 assert all(e in (1, -1) for row in rows for _, e in row)
                 assert len(set(rows)) == len(rows)
@@ -313,17 +370,16 @@ class TestGradedQuotient:
     @pytest.mark.parametrize("seed", range(24))
     def test_relation_rows_span_the_products_for_random_signs(self, seed):
         n = 2 + seed % 4
-        pres = pairing_presentation(random_sign_document(n, seed))
+        pres = random_moment_presentation(n, seed)
         for d in range(n + 1):
             assert_same_lattice(pres, d)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_relation_rows_span_the_products_for_weighted_cuts(self, seed):
         n = 2 + seed % 4
-        data = weighted_cut_document(n, seed)
-        for pres in (pairing_presentation(data), presentation_from_data(data)):
-            for d in range(n + 1):
-                assert_same_lattice(pres, d)
+        pres = presentation_from_data(weighted_cut_document(n, seed))
+        for d in range(n + 1):
+            assert_same_lattice(pres, d)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_model_levels_write_no_redundant_row(self, n):
@@ -333,50 +389,76 @@ class TestGradedQuotient:
         for c in half_integers(n):
             pres = model_presentation(n, c)
             for d in range(n + 1):
-                rows = relation_rows(pres, d)
+                rows = rows_of_degree(pres, d)
                 assert len(echelon_basis(rows)) == len(rows), (n, c, d)
 
+    @staticmethod
+    def assert_one_row_per_fixed_point(pres):
+        """The rows IdealPresentation.relations proves it writes, read from
+        the families by their definition: a unit row at each positive J, in
+        column order, then for each maximal negative J, those whose every
+        J | {i} is positive, in all_subsets order, the row (J, S) of each S
+        in J, by size, such that J - S lies in no earlier maximal K, tagged
+        |J^c| + |S| and holding its column S.  Each negative T is J - S for
+        one written (J, S) alone, J the first maximal set that holds T, so
+        the rows are 2^n."""
+        positive, negative = families(pres)
+        subsets = all_subsets(pres.n)
+        column = {J: i for i, J in enumerate(subsets)}
+        relations = pres.relations
+        assert len(relations) == 2**pres.n
+        assert [row for _, row in relations[:len(positive)]] == [{column[J]: 1} for J in positive]
+        above = set(positive)
+        maximal = [J for J in negative if all(J | {i} in above for i in range(1, pres.n + 1)
+                                               if i not in J)]
+        written = [(J, S) for k, J in enumerate(maximal) for S in subsets
+                   if S <= J and not any(J - S <= K for K in maximal[:k])]
+        assert sorted((J - S for J, S in written), key=column.get) == list(negative)
+        assert [(degree, subsets[min(row)]) for degree, row in relations[len(positive):]] == [
+            (pres.n - len(J) + len(S), S) for J, S in written]
+
     def test_model_levels_write_one_row_per_fixed_point(self):
-        # measured, not proved (ROADMAP item 2): every regular level n <= 10
-        # writes a unit row for each point above it and a beta row for each
-        # point below it, and nothing more
         levels = [(n, c) for n in range(1, 11) for c in half_integers(n)]
         assert len(levels) == 55
         for n, c in levels:
-            assert len(model_presentation(n, c).relations) == 2**n, (n, c)
+            pres = model_presentation(n, c)
+            if n <= 7:
+                self.assert_one_row_per_fixed_point(pres)
+            assert len(pres.relations) == 2**n, (n, c)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_moment_families_write_one_row_per_fixed_point(self, n):
-        # measured, not proved, as on the model levels above
         for seed in range(10):
-            assert len(presentation_from_data(weighted_cut_document(n, seed)).relations) == 2**n
+            pres = presentation_from_data(weighted_cut_document(n, seed))
+            self.assert_one_row_per_fixed_point(pres)
+            self.assert_one_row_per_fixed_point(random_moment_presentation(n, seed))
 
     def test_two_element_difference(self):
-        # J = {3, 4} and the earlier K = {1, 2} differ in two elements, so the
+        # (S^2)^3 with areas 1, 1, 2 at the level 5/2: the maximal negative
+        # J = {1, 2} and the earlier K = {3} differ in two elements, so the
         # row of S = J is left out and the rows of its elements are kept
-        n, first, second = 4, frozenset({1, 2}), frozenset({3, 4})
-        subsets = degree_basis(n, n)
-        for positive in ((), (frozenset({1, 3}), frozenset({2, 4})), (frozenset({1, 2, 3, 4}),)):
-            pres = IdealPresentation(n, positive, (first, second))
-            assert multi_element_differences(pres) == [second]
-            rows = relation_rows(pres, n)
-            # the unit rows at the alpha columns, then the rows of K and of J,
-            # each known by its smallest column, S: every S of K, and of J the
-            # empty set, {3} and {4}, not {3, 4}
-            assert rows[:-7] == [{i: 1} for i, S in enumerate(subsets)
-                                 if any(P <= set(S) for P in positive)]
-            assert [subsets[min(row)] for row in rows[-7:]] == [
-                (), (1,), (2,), (1, 2), (), (3,), (4,)]
-            for d in range(n + 1):
-                assert_same_lattice(pres, d)
+        pres = IdealPresentation(3, (2, 2, 4), -5)
+        subsets = degree_basis(3, 3)
+        J = frozenset({1, 2})
+        assert multi_element_differences(pres) == [J]
+        rows = [row for _, row in pres.relations]
+        # the unit rows at the alpha columns {1, 3}, {2, 3} and {1, 2, 3},
+        # then the rows of K and of J, each known by its smallest column, S:
+        # every S of K, and of J the empty set, {1} and {2}, not {1, 2}
+        assert rows[:3] == [{5: 1}, {6: 1}, {7: 1}]
+        assert [subsets[min(row)] for row in rows[3:]] == [(), (3,), (), (1,), (2,)]
+        for d in range(4):
+            assert_same_lattice(pres, d)
 
     def test_random_signs_meet_a_multi_element_difference(self):
         # the seeds of test_relation_rows_span_the_products_for_random_signs
-        # reach the test of each S against the differences J - K in
-        # IdealPresentation.relations
+        # and ..._for_weighted_cuts reach the test of each S against the
+        # differences J - K in IdealPresentation.relations
+        assert any(multi_element_differences(random_moment_presentation(2 + seed % 4, seed))
+                   for seed in range(24))
         assert any(multi_element_differences(
-            pairing_presentation(random_sign_document(2 + seed % 4, seed)))
-            for seed in range(24))
+            presentation_from_data(weighted_cut_document(2 + seed % 4, seed)))
+            for seed in range(12))
 
     def test_degree_basis_sizes(self):
         assert len(degree_basis(3, 0)) == 1
@@ -448,21 +530,18 @@ class TestReducedChern:
 
 def relations_presentations(group):
     """The presentations whose relations RELATIONS_DIGESTS freezes: every
-    regular level n <= 9, and the (index, id) pairing's families of
-    documents of sizes 1..9 by seed."""
+    regular level n <= 9, and the weighted cuts of sizes 1..9 by seed."""
     if group == "model levels":
         return [model_presentation(n, c) for n in range(1, 10) for c in half_integers(n)]
-    document, seeds = {"random signs": (random_sign_document, 40),
-                       "weighted cuts": (weighted_cut_document, 12)}[group]
-    return [pairing_presentation(document(1 + seed % 9, seed)) for seed in range(seeds)]
+    return [presentation_from_data(weighted_cut_document(1 + seed % 9, seed)) for seed in range(40)]
 
 
 # sha256 over each presentation's relations as (degree, list(row.items()))
-# pairs: the rows, their order and the key order inside each row
+# pairs: the rows, their order and the key order inside each row, frozen
+# from the presentation that held its two families as lists of subsets
 RELATIONS_DIGESTS = {
     "model levels": "a5373275544c37dcdb20d16a3812d4384021c0ba50b06d7581b644208af541b2",
-    "random signs": "8b0854fe9eda0ed0eead1463a7a4408b217248c23232ca9bd75e9c90ad649864",
-    "weighted cuts": "3bbdd0304d1e8917fb18cd174c94483ee8cb5d362485ad1a303b3ba5f1c598c6",
+    "weighted cuts": "746e84262af2b862e295e337a1fcaea59a6198a3bb8759b4b338fd47df4407de",
 }
 
 
@@ -477,14 +556,14 @@ def test_relations_are_frozen(group):
 
 def quotient_with_rows(pres, reorder):
     """Ranks, torsion and reduced Chern classes of pres in every degree up to
-    n, each degree's relation_rows reordered and eliminated afresh."""
+    n, each degree's rows reordered and eliminated afresh."""
     q = per_degree_reference(pres, 2 * pres.n, reorder)
     return q.ranks, q.torsion, reduced_chern_series(q)
 
 
-# relation_rows writes the unit rows first, then each maximal negative J in
-# family order with its S by increasing size; the lattice, and with it every
-# result, is the same in that order, reversed and shuffled
+# relations writes the unit rows first, then each maximal negative J in
+# all_subsets order with its S by increasing size; the lattice, and with it
+# every result, is the same in that order, reversed and shuffled
 ROW_ORDERS = {
     "written": lambda rows: rows,
     "reversed": lambda rows: rows[::-1],
@@ -506,17 +585,15 @@ class TestRowOrder:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_signs(self, seed):
-        self.assert_order_free(pairing_presentation(random_sign_document(1 + seed % 6, seed)))
+        self.assert_order_free(random_moment_presentation(1 + seed % 6, seed))
 
     @staticmethod
     def assert_degrees_keep_the_order(pres):
         # the rows of degree d appear among those of degree d + 1 in the
-        # order written there; rows are matched in turn, not by value, since
-        # on documents that are not model levels one value, the empty row,
-        # can repeat
+        # order written there, matched in turn
         for d in range(pres.n):
-            above = iter(relation_rows(pres, d + 1))
-            assert all(any(row == other for other in above) for row in relation_rows(pres, d)), d
+            above = iter(rows_of_degree(pres, d + 1))
+            assert all(any(row == other for other in above) for row in rows_of_degree(pres, d)), d
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_degrees_keep_the_order_on_model_levels(self, n):
@@ -526,8 +603,8 @@ class TestRowOrder:
     @pytest.mark.parametrize("seed", range(12))
     def test_degrees_keep_the_order_for_random_signs_and_weighted_cuts(self, seed):
         n = 1 + seed % 7
-        for document in (random_sign_document, weighted_cut_document):
-            self.assert_degrees_keep_the_order(pairing_presentation(document(n, seed)))
+        self.assert_degrees_keep_the_order(random_moment_presentation(n, seed))
+        self.assert_degrees_keep_the_order(presentation_from_data(weighted_cut_document(n, seed)))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_smith_normal_form_makes_no_column_pass_on_model_levels(self, n, monkeypatch):
@@ -539,7 +616,7 @@ class TestRowOrder:
         for c in half_integers(n):
             pres = model_presentation(n, c)
             for d in range(n + 1):
-                basis = echelon_basis(relation_rows(pres, d))
+                basis = echelon_basis(rows_of_degree(pres, d))
                 calls.clear()
                 assert smith_normal_form(basis) == (1,) * len(basis)
                 assert calls == [], (n, c, d)
@@ -550,8 +627,8 @@ class TestRowOrder:
 
 def per_degree_reference(pres, max_degree, reorder=lambda rows: rows):
     """Each degree's rows eliminated afresh, written here from echelon_basis
-    and relation_rows alone, reordered by reorder, as a GradedQuotient."""
-    bases = [echelon_basis(reorder(relation_rows(pres, d))) for d in range(max_degree // 2 + 1)]
+    and rows_of_degree alone, reordered by reorder, as a GradedQuotient."""
+    bases = [echelon_basis(reorder(rows_of_degree(pres, d))) for d in range(max_degree // 2 + 1)]
     return GradedQuotient(
         pres.n,
         tuple(len(degree_basis(pres.n, d)) - len(basis) for d, basis in enumerate(bases)),
@@ -619,8 +696,8 @@ def top_quotient(n, c):
 
 class TestExtendedBasis:
     """graded_quotient extends one echelon basis degree by degree, feeding
-    each nonempty relation row once, and gives what eliminating each
-    degree's rows afresh gives."""
+    each relation row once, and gives what eliminating each degree's rows
+    afresh gives."""
 
     @pytest.mark.parametrize("n,c", [(n, c) for n in range(1, 10) for c in half_integers(n)]
                              + [(10, Fraction(11, 2))])
@@ -657,20 +734,6 @@ class TestExtendedBasis:
                     assert [id(row) for row in rows] == [
                         id(row) for row in sorted(tagged, key=min, reverse=True)], d
 
-    @pytest.mark.parametrize("group", ("random signs", "weighted cuts"))
-    def test_hand_built_families_match_the_per_degree_reference(self, group):
-        # the (index, id) pairing's families write empty rows (3824 over the
-        # random-sign presentations), which have no pivot to sort by
-        presentations = relations_presentations(group)
-        if group == "random signs":
-            assert sum(not row for pres in presentations for _, row in pres.relations) == 3824
-        for pres in presentations:
-            q = graded_quotient(pres, 2 * pres.n)
-            reference = per_degree_reference(pres, 2 * pres.n)
-            assert q == reference
-            for basis, other in zip(q.bases, reference.bases, strict=True):
-                assert_same_row_lattice(basis, other)
-
     @pytest.mark.parametrize("document", (weighted_cut_document, scaled_cube_document))
     @pytest.mark.parametrize("n", (4, 6, 8))
     def test_moment_families_match_the_per_degree_reference(self, document, n):
@@ -687,7 +750,7 @@ class TestExtendedBasis:
         # the degree-2 row {0: 3, 3: 1} leaves remainder 1 at column 0 against
         # the kept degree-1 row {0: 2, 1: 1}, which is displaced and reduced
         # further while the degree-1 basis still holds it
-        pres = IdealPresentation(2, (frozenset({1, 2}),), (frozenset(),))
+        pres = IdealPresentation(2, (2, 2), -3)
         vars(pres)["relations"] = ((1, {0: 2, 1: 1}), (2, {0: 3, 3: 1}))
         q = graded_quotient(pres, 4)
         assert q.bases == ((), ({0: 2, 1: 1},), ({0: 1, 1: -1, 3: 1}, {1: 3, 3: -2}))
@@ -763,18 +826,19 @@ class TestPresentationFromData:
     def test_matches_model_presentation(self):
         data = hypercube_data(3, Fraction(3, 2))
         pres = presentation_from_data(data)
+        # the moments |J| - 3/2 over the denominator 2
+        assert pres == IdealPresentation(3, (2, 2, 2), -3)
         subsets = all_subsets(3)
-        assert pres == IdealPresentation(3, tuple(J for J in subsets if len(J) >= 2),
-                                         tuple(J for J in subsets if len(J) <= 1))
+        assert families(pres) == (tuple(J for J in subsets if len(J) >= 2),
+                                  tuple(J for J in subsets if len(J) <= 1))
         q = graded_quotient(pres, 4)
         assert q.ranks == (1, 4, 1)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_families_split_by_size_in_all_subsets_order(self, n):
-        # relation_rows writes rows in the families' order, and row order
-        # moves the time of echelon_basis: both families stay
-        # in all_subsets order, however the document's points are named and
-        # listed
+        # relations writes rows in the families' order, and row order moves
+        # the time of echelon_basis: both families stay in all_subsets
+        # order, however the document's points are named and listed
         rng = random.Random(n)
         for c in half_integers(n):
             points = list(hypercube_data(n, c).points)
@@ -783,10 +847,10 @@ class TestPresentationFromData:
                 FixedPoint(f"q{rng.randrange(10**6)}_{i}", p.weights, p.moment_value)
                 for i, p in enumerate(points)))
             subsets = all_subsets(n)
-            expected = IdealPresentation(n, tuple(J for J in subsets if len(J) > c),
-                                         tuple(J for J in subsets if len(J) < c))
-            assert model_presentation(n, c) == expected
-            assert presentation_from_data(relabelled) == expected
+            expected = (tuple(J for J in subsets if len(J) > c),
+                        tuple(J for J in subsets if len(J) < c))
+            assert families(model_presentation(n, c)) == expected
+            assert presentation_from_data(relabelled) == model_presentation(n, c)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_weighted_cuts_pass_counting_and_duality(self, seed):
@@ -799,7 +863,7 @@ class TestPresentationFromData:
     @pytest.mark.parametrize("seed", range(12))
     def test_weighted_cut_families_are_the_points_own_up_to_renaming(self, seed):
         data = weighted_cut_document(2 + seed % 5, seed)
-        assert presentation_from_data(data) == renamed_families(data)
+        assert families(presentation_from_data(data)) == renamed_families(data)
 
     def test_names_the_first_missing_or_zero_moment(self):
         # in (index, id) order, whichever fault comes first
@@ -875,9 +939,8 @@ class TestUnequalAreas:
 
     @staticmethod
     def true_families():
-        subsets = all_subsets(4)
-        return IdealPresentation(4, tuple(J for J in subsets if area_moment(J) > 0),
-                                 tuple(J for J in subsets if area_moment(J) < 0))
+        # the areas and mu(empty) = -9/2 over the denominator 2
+        return IdealPresentation(4, tuple(2 * a for a in AREAS), -9)
 
     def test_families_from_the_moment_signs(self):
         q = graded_quotient(self.true_families(), 6)
@@ -890,14 +953,14 @@ class TestUnequalAreas:
         pres = self.true_families()
         assert len(pres.relations) == 16
         for d in range(pres.n + 1):
-            assert algebra._unit_pivots(echelon_basis(relation_rows(pres, d))), d
+            assert algebra._unit_pivots(echelon_basis(rows_of_degree(pres, d))), d
 
     def test_presentation_reads_the_true_families_up_to_renaming(self):
         # the index-2 points in id order are e, r, t, w, negative on the
         # spheres of areas 2, 3, 5 and 1
         data = parse_document(UNEQUAL_AREAS)
         pres = presentation_from_data(data)
-        assert pres == renamed_families(data)
+        assert families(pres) == renamed_families(data)
         assert graded_quotient(pres, 6) == graded_quotient(self.true_families(), 6)
 
     def test_reduce_file(self, tmp_path, capsys):
@@ -906,6 +969,32 @@ class TestUnequalAreas:
         rc = main(["reduce", str(path)])
         assert capsys.readouterr().out.splitlines()[0] == "betti: 1 4 4 1"
         assert rc == 0
+
+
+class TestAreasByLocalization:
+    """A label-free check of the areas: the equivariant class [omega - mu]
+    restricts to mu(p) x at p, and the Euler class of a semifree point is
+    (-1)^k x^n, k its negative weights, so by localization the integral of
+    the class mu(p)^j x^j is 0 for j < n, and at j = n it is (-1)^n n! times
+    the volume, which for an additive moment is the product of the areas
+    lambda_i (Duistermaat-Heckman).  The integrals read only the points'
+    weights and moments; the areas are those presentation_from_data holds,
+    over the lcm of the moments' denominators."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_moment_powers_integrate_to_the_product_of_the_areas(self, n):
+        documents = [hypercube_data(n, c) for c in half_integers(n)]
+        documents += [weighted_cut_document(n, seed) for seed in range(10)]
+        for data in documents:
+            scale = math.lcm(*(p.moment_value.denominator for p in data.points))
+            areas = presentation_from_data(data).areas
+            integrals = [integrate(data, RestrictionAssignment(
+                {p.id: Term(p.moment_value ** j, j) for p in data.points})) for j in range(n + 1)]
+            volume = math.prod(Fraction(a, scale) for a in areas)
+            assert integrals[:n] == [0] * n
+            assert integrals[n] == (-1) ** n * math.factorial(n) * volume
+            # one area shifted by 1 scales the product by (a + 1) / a
+            assert integrals[n] != (-1) ** n * math.factorial(n) * volume * (areas[0] + 1) / areas[0]
 
 
 class TestHermite:
