@@ -554,6 +554,19 @@ def test_relations_are_frozen(group):
     assert digest.hexdigest() == RELATIONS_DIGESTS[group]
 
 
+def test_model_level_row_sets_are_frozen():
+    # sha256 over each model level's relations as sorted (degree,
+    # sorted(row.items())) pairs: the set of rows alone, frozen from the
+    # presentation that scanned the maximal sets below the level, which
+    # wrote the same rows in another order
+    digest = hashlib.sha256()
+    for pres in relations_presentations("model levels"):
+        digest.update(repr(sorted((degree, sorted(row.items()))
+                                  for degree, row in pres.relations)).encode())
+    assert digest.hexdigest() == (
+        "78886ff410455c3cf6b258ac6f63d4b739306dd204e07d64947e76e077ab32ec")
+
+
 def quotient_with_rows(pres, reorder):
     """Ranks, torsion and reduced Chern classes of pres in every degree up to
     n, each degree's rows reordered and eliminated afresh."""
