@@ -41,7 +41,10 @@ print("\nBetti numbers of the reduced space:", q.ranks)
 print("torsion:", q.torsion, "(always empty here)")
 print("Euler characteristic:", q.euler_characteristic)
 
-# The same ranks fall out of pure point counting below the level.
+# The same ranks fall out of pure point counting below the level: in each
+# degree the count is the number of monomials less the number of relation
+# rows, one per point, so the two agree exactly when those rows are
+# independent.
 print("by counting:", betti_by_counting(data))
 
 # Duality of the reduced space, and the images of the Chern classes,

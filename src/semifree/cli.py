@@ -281,7 +281,9 @@ def cmd_reduce(args) -> int:
             raise InputError("reduce needs --n (with optional --c) or a file")
         # default: the half-integral offset nearest the middle, n//2 + 1/2
         c = Fraction(2 * (args.n // 2) + 1, 2) if args.c is None else parse_rational(args.c)
-        if c.denominator == 1:
+        # an integral c puts the points of size c at moment 0 when 0 <= c <= n;
+        # any other puts every point on one side of the level: the empty space
+        if c.denominator == 1 and 0 <= c <= args.n:
             raise ZeroIsCritical(f"offset {c} makes 0 a critical level")
         reduction.require_reducible(args.n)
         data = hypercube_data(args.n, c)

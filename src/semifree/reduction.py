@@ -16,20 +16,21 @@ the relations in it are written in closed form from the generators'
 subsets.  Each degree's monomials are the first monomials of the top
 degree's, so a relation's row is the same in every degree that holds it: a
 presentation writes each row once, on first use, tagged with its degree,
-and leaves out every row beta_J a_S y^m that is already a combination of
-earlier rows.  That leaves 2^n rows, one per fixed point: a unit row for
-each point above the level and a beta row, never empty, for each point
-below it.  The rows tagged with a degree extend the echelon basis of the
-degree below, so each row is eliminated once.  One integer echelon basis
-per degree gives the free rank (its length), the torsion (Smith normal form
-of that basis alone) and the canonical images of the Chern classes.
+one row per fixed point, 2^n in all: the unit row of alpha_T for each
+point T above the level, and for each point T below it the row, never
+empty, of beta_J a_(J - T), J the set T grows to greedily below the level.
+These rows span every relation in every degree.  The rows tagged with a
+degree extend the echelon basis of the degree below, so each row is
+eliminated once.  One integer echelon basis per degree gives the free rank
+(its length), the torsion (Smith normal form of that basis alone) and the
+canonical images of the Chern classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, combinations, pairwise
+from itertools import accumulate, pairwise
 from math import lcm
 
 from .algebra import echelon_basis, reduce_mod_rows, smith_normal_form
@@ -60,9 +61,9 @@ class IdealPresentation:
     positive, raises MomentMismatch.  The rewrite relations a_i y - a_i^2
     are absorbed by the monomials a_S y^(d - |S|), one per subset S; the two
     explicit families are the upward classes alpha_J of the J with
-    mu(J) > 0 and the downward classes beta_J of the J with mu(J) < 0.  A
-    generator is its subset J, in all_subsets order, and `relations` writes
-    the rows of every degree from J once per presentation.
+    mu(J) > 0 and the downward classes beta_J of the J with mu(J) < 0.
+    `relations` writes the rows of every degree once per presentation, one
+    per point J, in all_subsets order.
     """
 
     n: int
@@ -81,8 +82,10 @@ class IdealPresentation:
 
     @cached_property
     def relations(self) -> tuple[tuple[int, dict[int, int]], ...]:
-        """Every relation row any degree needs, as (degree, row) pairs, each
-        row a sparse map {column: +-1} over degree_basis(n, n).
+        """The relation rows of every degree, one per fixed point: the pair
+        (degree, row) of the point T of all_subsets(n) at position i is
+        relations[i], each row a sparse map {column: +-1} over
+        degree_basis(n, n).
 
         degree_basis(n, d) is the first entries of degree_basis(n, n), so a
         subset S has one column in every degree, and the row of a relation
@@ -90,39 +93,28 @@ class IdealPresentation:
         rows of degree d are the pairs tagged d or lower.  A zero moment
         mu(J) raises ZeroIsCritical: the level is then critical.
 
-        The generators are alpha_J and beta_J by definition, and a monomial
-        a_S y^m is fixed by S, so rows are written from J and S.  alpha_J
-        a_S y^m is the unit row at J | S, tagged |J | S|, and since mu
-        grows with J the columns of the positive J are all the alpha
-        columns.  beta_J is a multiple of beta_K for J < K, so only maximal
-        negative J count: those whose every J | {i} is positive.  a_j
-        (y - a_j) = 0 makes beta_J a_S y^m zero unless S lies in J, when it
-        is the sum over T in J^c of (-1)^|T| a_(S|T) y^(...), tagged
-        |J^c| + |S|.  The unit rows make every alpha column zero in the
-        quotient, so beta rows are written modulo them, without those
-        columns; S lies in the negative J, so is negative itself, and each
-        beta row keeps its column S.
+        A point T above the level has the unit row {i: 1} of alpha_T,
+        tagged |T|; since mu grows with J, every alpha_J a_S y^m is the unit
+        row at J | S, and the unit rows are at all the alpha columns.  A
+        point T below it has the row of beta_J a_(J - T), tagged n - |T|,
+        where J = J(T) is T grown greedily: for i = 1..n, i joins J when
+        J | {i} is below the level.  As a_j (y - a_j) = 0, that product is
+        the sum over U in J^c of (-1)^|U| a_((J - T) | U) y^(...), the
+        signed interval [J - T, (J - T) | J^c], written without the alpha
+        columns, which the unit rows make zero.
 
-        Of the beta rows, only those of the S that contain no difference
-        J - K, K a maximal negative before J, are written.  For maximal
-        negative J and K, both sides of
-            beta_J prod_{i in J-K} (y - a_i) = beta_K prod_{i in K-J} (y - a_i)
-        are the product of y - a_j over j outside J & K.  For S containing
-        D = J - K, multiplying by a_(S-D) y^m writes +-(J, S) as rows
-        (J, S'), S' a proper subset of S, plus rows of K, all of the degree
-        of (J, S).  So by induction on (position of J, |S|), with K before
-        J, the rows written span every row beta_J a_S y^m in every degree.
-        S contains J - K exactly when J - S lies in K, so each S is tested
-        by one lookup of J - S among the subsets of the earlier maximal K.
-        The beta row (J, S) is thus written for each negative J - S, from
-        the first maximal J that holds it, and the rows are 2^n, one per
-        fixed point.
+        If T <= T' <= J(T), then J(T') = J(T): by induction on i, the
+        greedy run from T' holds the run from T and stays inside J(T).  So
+        beta_T, the product of y - a_i over i in J - T times beta_J, is the
+        sum over T <= T' <= J(T) of (-1)^|J - T'| y^|T' - T| times the row
+        of T', with coefficient +-1 on the row of T itself, and the rows
+        span every beta_T.  As a_i beta_K = y beta_K - beta_(K - {i}) for i
+        in K, the beta_T span every beta_K a_S y^m, so the rows span the
+        relations in every degree.  J - T lies below the level with J, so
+        each beta row keeps its column J - T and is never empty.
 
         Subsets are bitmasks (subset_mask) throughout, so each entry's
-        column is read at the sum of two masks, with no sorting.  The unit
-        rows come first, in column order, then each maximal J in
-        all_subsets order with its S by increasing size, the order
-        graded_quotient keeps among rows of one degree and pivot.  The rows
+        column is read at the sum of two masks, with no sorting.  The rows
         are shared by every degree and every caller, so a caller that
         changes a row copies it first, as echelon_basis does.
         """
@@ -130,28 +122,26 @@ class IdealPresentation:
         basis = degree_basis(self.n, self.n)
         masks = [subset_mask(S) for S in basis]
         column = [None] * (2 << self.n)  # column[U], None at the alpha columns
-        rows = []
         for i, (U, mu) in enumerate(zip(masks, self.moments)):
             if not mu:
                 raise ZeroIsCritical(f"mu(J) is 0 at J = {list(basis[i])}")
-            if mu > 0:
-                rows.append((U.bit_count(), {i: 1}))
-            else:
+            if mu < 0:
                 column[U] = i
-        earlier = set()  # the subsets of the maximal J before this one
-        for J in masks:
-            outside = [b for b in bits if not J & b]
-            if column[J] is None or any(column[J + b] is not None for b in outside):
+        rows = []
+        for i, T in enumerate(masks):
+            if column[T] is None:
+                rows.append((T.bit_count(), {i: 1}))
                 continue
-            inside = [b for b in bits if J & b]
-            terms = [(sum(T), (-1) ** t)
-                     for t in range(len(outside) + 1) for T in combinations(outside, t)]
-            subsets = [sum(S) for k in range(len(inside) + 1) for S in combinations(inside, k)]
-            for s in subsets:
-                if J - s not in earlier:
-                    rows.append((len(outside) + s.bit_count(),
-                                 {c: sign for t, sign in terms if (c := column[s + t]) is not None}))
-            earlier.update(subsets)
+            J = T
+            for b in bits:
+                if column[J | b] is not None:
+                    J |= b
+            terms = [(0, 1)]  # (U, (-1)^|U|) for each U in J^c
+            for b in bits:
+                if not J & b:
+                    terms += [(U + b, -sign) for U, sign in terms]
+            rows.append((self.n - T.bit_count(),
+                         {c: sign for U, sign in terms if (c := column[J - T + U]) is not None}))
         return tuple(rows)
 
 
@@ -221,9 +211,9 @@ def graded_quotient(pres: IdealPresentation, max_degree: int) -> GradedQuotient:
     of the basis so far, so each row is eliminated once and the bases share
     rows.  In that order none of the 55 regular model levels n <= 10 makes
     a Euclid swap, and the largest basis entry at n = 10 is 8.  Documents
-    cut by weighted moments do: 27 of the 280 weighted_cut_document(n, s)
+    cut by weighted moments do: 24 of the 280 weighted_cut_document(n, s)
     of tests/test_reduction.py, n = 2..8 and s < 40, make 1-6 swaps each,
-    all at n >= 6, and n = 10, s = 0..5, make 45 in all.  echelon_basis
+    all at n >= 6, and n = 10, s = 0..5, make 49 in all.  echelon_basis
     copies a row that a swap displaces, so no snapshot changes after it is
     taken.  Smith normal form reads the torsion from each basis; it returns
     at once, with no elimination, when every pivot is 1, and makes its own
@@ -249,11 +239,16 @@ def betti_by_counting(data: FixedPointData) -> tuple[int, ...]:
 
     Rank 2i counts the downward-class basis elements that survive in degree
     2i: points below the level whose index allows an upward contribution
-    minus those whose co-index already does.  It calls the deduction's one
-    input check, require_binomial_counts, and the moment split on purpose,
-    even where the presentation of the same data has just run them: this
-    route reads the points' signs alone, not the subset sums that label
-    them, so it cross-checks the quotient ranks independently.
+    minus those whose co-index already does.  That is len(degree_basis(n, i))
+    less the number of relation rows tagged i or lower, one per point T,
+    tagged |T| above the level and n - |T| below it, so it equals the
+    quotient rank exactly when those rows are independent: a reduce run
+    that passes the counting check certifies that in every degree it
+    computes.  It calls the deduction's one input check,
+    require_binomial_counts, and the moment split on purpose, even where the
+    presentation of the same data has just run them: this route reads the
+    points' signs alone, not the subset sums that label them, so it
+    cross-checks the quotient ranks independently.
     """
     n = data.n
     require_binomial_counts(data)

@@ -409,6 +409,16 @@ class TestCommands:
         assert capsys.readouterr() == (
             "", f"error: offset {c} makes 0 a critical level\n")
 
+    @pytest.mark.parametrize("integral,half", [(["--c", "5"], ["--c", "5/2"]),
+                                               (["--c=-1"], ["--c=-1/2"])], ids=["5", "-1"])
+    def test_reduce_takes_an_integral_offset_outside_the_range(self, integral, half, capsys):
+        # no point of (S^2)^2 sits at moment 0: every point lies on one side
+        # of the level, as at the half-integral offset on that side
+        assert main(["reduce", "--n", "2", *integral]) == 0
+        printed = capsys.readouterr()
+        assert main(["reduce", "--n", "2", *half]) == 0
+        assert printed == capsys.readouterr()
+
     def test_reduce_refuses_an_empty_offset(self, capsys):
         assert main(["reduce", "--n", "3", "--c", ""]) == 2
         assert capsys.readouterr() == ("", "input error: bad rational ''\n")
@@ -684,18 +694,20 @@ def test_reduce_reports_torsion(capsys, monkeypatch):
 
 
 def test_reduce_reports_torsion_of_crafted_rows(capsys, monkeypatch):
-    # the first relation row of the level 3/2 of (S^2)^3 is the unit row
-    # of a_1 a_2 in degree 2; doubled, it leaves Z/2 there and every rank
-    # as it was, and the true Smith normal form finds it
+    # at the level 3/2 of (S^2)^3 the relation row of the point {1, 2},
+    # the fifth of all_subsets(3), is the unit row of a_1 a_2 in degree 2;
+    # doubled, it leaves Z/2 there and every rank as it was, and the true
+    # Smith normal form finds it
     assert main(["reduce", "--n", "3"]) == 0
     clean = capsys.readouterr().out.splitlines()
     read = reduction.presentation_from_data
 
     def crafted(data):
         pres = read(data)
-        (degree, row), *rest = pres.relations
-        assert (degree, row) == (2, {4: 1})
-        vars(pres)["relations"] = ((degree, {4: 2}), *rest)
+        rows = list(pres.relations)
+        assert rows[4] == (2, {4: 1})
+        rows[4] = (2, {4: 2})
+        vars(pres)["relations"] = tuple(rows)
         return pres
 
     monkeypatch.setattr(reduction, "presentation_from_data", crafted)
