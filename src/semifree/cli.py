@@ -1,6 +1,6 @@
 """Command-line surface: check, count, ring, solve, reduce, search.
 
-Input files are plain text.  A document looks like
+Input files are UTF-8 text.  A document looks like
 
     # the two-point configuration in dimension 6
     n = 3
@@ -8,14 +8,15 @@ Input files are plain text.  A document looks like
     point B weights -1 -1 2 moment 1/2
 
 Rationals are written p/q or as plain integers.  Exit codes: 0 success,
-1 a mathematical constraint failed or a size is above its bound, 2 malformed
-input.
+1 a mathematical constraint failed, a size is above its bound or the reader
+closed stdout early, 2 malformed input.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -59,15 +60,8 @@ def check_ranges(args) -> None:
 
 
 def parse_rational(text: str) -> Fraction:
-    """text as Fraction(text) reads it, or InputError where Fraction fails.
-    A token [+-]p or [+-]p/q of ASCII digits is read by int, about twice as
-    fast as Fraction's own parse; every other token is left to Fraction."""
-    numerator, slash, denominator = text.partition("/")
-    digits = numerator[1:] if numerator.startswith(("+", "-")) else numerator
+    """text as Fraction(text) reads it, or InputError where Fraction fails."""
     try:
-        if (digits.isascii() and digits.isdigit()
-                and (not slash or denominator.isascii() and denominator.isdigit())):
-            return Fraction(int(numerator), int(denominator) if slash else 1)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"bad rational {text!r}") from e
@@ -131,9 +125,9 @@ def parse_document(text: str) -> FixedPointData:
 
 def load_document(path: str) -> FixedPointData:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read {path}: {e}") from e
     return parse_document(text)
 
@@ -205,8 +199,8 @@ def structured_text(value, newline: str = "\n") -> str:
     with string keys, lists, strings and ints; any other type, bool
     included, raises TypeError.  Strings are escaped by json's own C
     encoder and each list is joined once, where json.dumps with an indent
-    runs its pure-Python encoder item by item.  newline is the line break
-    and indent of the enclosing level."""
+    runs its pure-Python encoder item by item before Python 3.13.  newline
+    is the line break and indent of the enclosing level."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, int) and not isinstance(value, bool):
@@ -377,7 +371,14 @@ def main(argv=None) -> int:
     try:
         check_ranges(args)
         # by name, so a cmd_* rebound after the parser was cached is the one run
-        return globals()["cmd_" + args.command](args)
+        status = globals()["cmd_" + args.command](args)
+        sys.stdout.flush()  # here, so a reader that closed early is caught below
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull, so the
+        # interpreter's last flush does not fail again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CONSTRAINT
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT

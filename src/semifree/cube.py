@@ -197,27 +197,30 @@ def subset_mask(S) -> int:
     return sum(1 << i for i in S)
 
 
+def submasks(mask: int, base: int = 0) -> list[int]:
+    """base plus each subset of mask, for a base disjoint from mask: the
+    list starts at base and doubles once per element of mask, from the
+    smallest, each copy adding that element to every sum before it."""
+    added = [base]
+    while mask:
+        b = mask & -mask
+        mask -= b
+        added += [U + b for U in added]
+    return added
+
+
 def superset_columns(n: int) -> list[list[int]]:
     """For each subset J in degree_basis order, the positions in that order
     of the subsets containing J: the points where alpha_J restricts to a
     nonzero class.  The supersets of J are J plus each subset of its
-    complement, and those are listed by doubling, one element at a time, so
-    the table costs its 3^n entries and no subset test."""
+    complement, listed by submasks, so the table costs its 3^n entries and
+    no subset test."""
     masks = [subset_mask(S) for S in degree_basis(n, n)]
     column = [0] * (2 << n)
     for k, U in enumerate(masks):
         column[U] = k
     full = subset_mask(range(1, n + 1))
-    table = []
-    for J in masks:
-        added = [J]
-        rest = full - J
-        while rest:
-            b = rest & -rest
-            rest -= b
-            added += [U + b for U in added]
-        table.append([column[U] for U in added])
-    return table
+    return [[column[U] for U in submasks(full - J, J)] for J in masks]
 
 
 def subset_id(J) -> str:

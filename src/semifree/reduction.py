@@ -34,7 +34,7 @@ from itertools import accumulate, pairwise
 from math import lcm
 
 from .algebra import echelon_basis, reduce_mod_rows, smith_normal_form
-from .cube import all_subsets, chern_coefficient, degree_basis, subset_mask
+from .cube import all_subsets, chern_coefficient, degree_basis, submasks, subset_mask
 from .errors import MomentMismatch, ReductionTooLarge, ZeroIsCritical
 from .fixed_points import FixedPointData, require_binomial_counts, split_by_moment_sign
 
@@ -100,8 +100,8 @@ class IdealPresentation:
         where J = J(T) is T grown greedily: for i = 1..n, i joins J when
         J | {i} is below the level.  As a_j (y - a_j) = 0, that product is
         the sum over U in J^c of (-1)^|U| a_((J - T) | U) y^(...), the
-        signed interval [J - T, (J - T) | J^c], written without the alpha
-        columns, which the unit rows make zero.
+        signed interval [J - T, (J - T) | J^c] that submasks lists, written
+        without the alpha columns, which the unit rows make zero.
 
         If T <= T' <= J(T), then J(T') = J(T): by induction on i, the
         greedy run from T' holds the run from T and stays inside J(T).  So
@@ -114,11 +114,12 @@ class IdealPresentation:
         each beta row keeps its column J - T and is never empty.
 
         Subsets are bitmasks (subset_mask) throughout, so each entry's
-        column is read at the sum of two masks, with no sorting.  The rows
-        are shared by every degree and every caller, so a caller that
-        changes a row copies it first, as echelon_basis does.
+        column is read at its mask, with no sorting.  The rows are shared
+        by every degree and every caller, so a caller that changes a row
+        copies it first, as echelon_basis does.
         """
         bits = [1 << i for i in range(1, self.n + 1)]
+        full = sum(bits)
         basis = degree_basis(self.n, self.n)
         masks = [subset_mask(S) for S in basis]
         column = [None] * (2 << self.n)  # column[U], None at the alpha columns
@@ -136,12 +137,9 @@ class IdealPresentation:
             for b in bits:
                 if column[J | b] is not None:
                     J |= b
-            terms = [(0, 1)]  # (U, (-1)^|U|) for each U in J^c
-            for b in bits:
-                if not J & b:
-                    terms += [(U + b, -sign) for U, sign in terms]
             rows.append((self.n - T.bit_count(),
-                         {c: sign for U, sign in terms if (c := column[J - T + U]) is not None}))
+                         {c: -1 if (U - J + T).bit_count() & 1 else 1
+                          for U in submasks(full - J, J - T) if (c := column[U]) is not None}))
         return tuple(rows)
 
 

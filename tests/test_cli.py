@@ -102,8 +102,7 @@ class TestParser:
         assert str(caught.value) == message
 
 
-# tokens at the edges of Fraction's grammar, each read by parse_rational's
-# integer route or left to Fraction itself
+# tokens at the edges of Fraction's grammar
 RATIONAL_EDGES = [
     "1/-2", "+3/4", "/2", "2/", "1/0", "0/7", "1.5", "1e3", "-", "+", "", "007", "-0",
     "1_000", "1__0", "_1", "1/2_0", "\u0661\u0662", "1/\u0663", "\u00b2", " 1/2 ", "1 /2",
@@ -179,6 +178,16 @@ class TestExitCodes:
     def test_missing_file(self):
         assert main(["check", "/nonexistent/path.txt"]) == 2
 
+    @pytest.mark.parametrize("command", ["check", "solve", "reduce"])
+    def test_a_file_that_is_not_utf8(self, command, tmp_path, capsys):
+        f = tmp_path / "latin1.txt"
+        f.write_bytes(b"n = 1\n# \xff\npoint A weights 1 moment -1/2\n")
+        assert main([command, str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: cannot read {f}: ")
+        assert "can't decode byte 0xff" in captured.err
+
     @pytest.mark.parametrize("line", ["points A weights 1", "pointless A weights 1"])
     def test_misspelled_point_directive(self, tmp_path, capsys, line):
         # only the word `point` opens a point line, as only `n` opens the n line
@@ -242,6 +251,45 @@ class TestExitCodes:
         f = tmp_path / "zero.txt"
         f.write_text("n = 2\npoint A weights 1 0\n")
         assert main(["check", str(f)]) == 2
+
+
+def cli_command(argv):
+    return [sys.executable, "-m", "semifree.cli", *argv]
+
+
+def cli_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early stops the command with exit code 1
+    and nothing on stderr: no traceback, and no failed flush at exit."""
+
+    def test_a_reader_that_stops_reading(self):
+        # count --n 4000 writes 3.5 MB, far more than a pipe holds
+        with subprocess.Popen(cli_command(["count", "--n", "4000"]), env=cli_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            assert (proc.wait(timeout=10), proc.stderr.read()) == (1, b"")
+
+    def test_a_reader_that_closed_before_the_last_flush(self):
+        # the output of reduce --n 3 fits the buffer, so it meets the closed
+        # pipe only when main flushes it; PYTHONUNBUFFERED would write it at once
+        env = cli_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(cli_command(["reduce", "--n", "3"]), env=env,
+                                  stdout=write_end, stderr=subprocess.PIPE, timeout=10)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def fresh_cli(monkeypatch):
@@ -378,6 +426,15 @@ class TestCommands:
         assert "betti: 1 4 1" in out
         assert "euler characteristic: 6" in out
 
+    def test_reduce_names_a_degree_where_the_counting_check_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(reduction, "betti_by_counting", lambda data: (1, 5, 1))
+        assert main(["reduce", "--n", "3", "--c", "3/2"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["betti: 1 4 1",
+                             "degree 2: quotient rank 4 != counting rank 5  FAIL"]
+        assert "poincare duality: ok" in lines
+        assert lines[-1] == "euler characteristic: 6"
+
     def test_reduce_below_the_top_degree(self, capsys):
         # degrees 0..2 of 0..3: duality compares only the computed pairs, and
         # the Euler characteristic, a sum over every degree, is not printed
@@ -475,13 +532,9 @@ class TestOutOfRange:
     # fails the test instead of computing for hours.
     @staticmethod
     def run_cli_subprocess(argv, preexec_fn=None):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "semifree.cli", *argv],
-                              capture_output=True, text=True, timeout=10, env=env,
-                              preexec_fn=preexec_fn)
+        proc = subprocess.run(cli_command(argv), capture_output=True, text=True, timeout=10,
+                              env=cli_env(), preexec_fn=preexec_fn)
         assert time.perf_counter() - start < 1.0
         return proc
 
@@ -1025,13 +1078,15 @@ class TestStructuredText:
         assert out == json.dumps(cli._ring_tables(n), indent=2) + "\n"
 
     def test_ring_never_reaches_the_pure_python_encoder(self, capsys, monkeypatch):
-        # json.dumps with an indent builds its encoder by _make_iterencode
+        # before Python 3.13, json.dumps with an indent builds its encoder by
+        # _make_iterencode; from 3.13 on, json's C encoder takes the indent
         def refuse(*args, **kwargs):
             raise AssertionError("the pure-Python JSON encoder ran")
 
         monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
-        with pytest.raises(AssertionError):
-            json.dumps([1], indent=2)
+        if sys.version_info < (3, 13):
+            with pytest.raises(AssertionError):
+                json.dumps([1], indent=2)
         for n in range(1, 5):
             rc = main(["ring", "--n", str(n), "--format", "structured"])
             out = capsys.readouterr().out

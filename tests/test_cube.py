@@ -456,6 +456,9 @@ class TestRingProperties:
             CubeClass.gen_a(1) + CubeClass.unit()
         with pytest.raises(ValueError, match="degrees differ"):
             CubeClass.gen_y() - 1
+        with pytest.raises(ValueError, match="degrees differ"):
+            1 - CubeClass.gen_y()
+        assert 5 - CubeClass.unit() == 4
 
     def test_subset_larger_than_the_degree_is_refused(self):
         with pytest.raises(ValueError, match="larger than the degree 0"):
