@@ -28,10 +28,12 @@ from .fixed_points import FixedPoint, FixedPointData
 class CubeClass:
     """The homogeneous class sum c_S a_S y^(degree - |S|), integer c_S.
 
-    Immutable.  `terms` maps each sorted subset S to its nonzero c_S; zero
-    has degree -1 and no terms, and a constant (degree 0) equals, and hashes
-    as, its integer.  A subset larger than the degree, or a coefficient or
-    scalar that is not an int, is refused.  Classes multiply and take
+    Immutable.  `terms` maps each sorted subset S to its nonzero c_S: keys
+    naming the same subset have their coefficients summed, and a key naming
+    a generator twice is refused.  Zero has degree -1 and no terms, and a
+    constant (degree 0) equals, and hashes as, its integer.  A subset larger
+    than the degree, or a coefficient or scalar that is not an int, is
+    refused.  Classes multiply and take
     powers; two classes add only when they have the same degree or one of
     them is zero.
     """
@@ -42,7 +44,13 @@ class CubeClass:
         terms = terms or {}
         if bad := [c for c in terms.values() if not isinstance(c, int)]:
             raise TypeError(f"expected integer coefficients, got {type(bad[0]).__name__}")
-        cleaned = {tuple(sorted(S)): int(c) for S, c in terms.items() if c}
+        summed: dict[tuple[int, ...], int] = {}
+        for S, c in terms.items():
+            key = tuple(sorted(set(S)))
+            if len(key) < len(S):
+                raise ValueError(f"key {S} names a generator twice")
+            summed[key] = summed.get(key, 0) + int(c)
+        cleaned = {S: c for S, c in summed.items() if c}
         if cleaned and len(big := max(cleaned, key=len)) > degree:
             raise ValueError(f"subset {big} is larger than the degree {degree}")
         object.__setattr__(self, "terms", cleaned)

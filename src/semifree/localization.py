@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from .algebra import Term
 from .errors import (CountTooLarge, IntegralTooLarge, NotSemifree,
@@ -152,19 +152,22 @@ def verify_moment_equations(data: FixedPointData) -> tuple[tuple[int, int], ...]
 
 
 # Most Chern monomials that chern_monomials lists, and most exponents they
-# hold (monomials times n).  On a 2-core Xeon the largest `check` of a
-# two-point document these allow takes 1.8-2.3 s at 53-75 MB (n = 1..10) or
-# less (larger n); the tests and the benchmark use degrees up to 6.
+# hold (monomials times n).  On a 2-core Xeon the largest `check` these allow
+# of the two points of weights all 1 and all -1 takes 1.2-2.0 s at 56-69 MB
+# (n = 1..20) or less (n = 40: 1 s); the tests and the benchmark use degrees
+# up to 6.
 MAX_CHERN_MONOMIALS = 100_000
 MAX_CHERN_EXPONENTS = 2_000_000
 
 
 @dataclass(frozen=True)
 class ChernMonomials:
-    """The monomials c_1^e1 ... c_n^en of degree <= a bound, in graded-lex order.
+    """The monomials c_1^e1 ... c_n^en of degree <= a bound, by degree, and
+    within a degree in decreasing lexicographic order of (e1..en).
 
     Monomial 0 is 1; steps[j - 1] = (k, i) writes monomial j as monomial k
-    times one more factor c_{i+1}, so a point's values follow in one pass.
+    times its first factor c_{i+1} (the c with the least index that occurs),
+    so a point's values follow in one pass.
     """
 
     n: int
@@ -173,49 +176,35 @@ class ChernMonomials:
     steps: tuple[tuple[int, int], ...]
 
 
-def _more_monomials_than(cap: int, n: int, max_degree: int) -> bool:
-    """Whether more than cap (e_1..e_n) have sum i*e_i <= max_degree: the
-    partitions of each degree into parts of size at most n, counted one part
-    size at a time, so the count only grows and stops at the first over cap."""
-    if max_degree >= cap:  # c_1^e alone gives max_degree + 1
-        return True
-    ways = [1] * (max_degree + 1)  # parts of size 1 only
-    for i in range(2, min(n, max_degree) + 1):
-        for r in range(i):
-            ways[r::i] = accumulate(ways[r::i])
-        if sum(ways) > cap:
-            return True
-    return False
-
-
 def chern_monomials(n: int, max_degree: int) -> ChernMonomials:
     """All (e_1..e_n) with sum i*e_i <= max_degree, with their degrees and
-    steps (see ChernMonomials).
+    steps (see ChernMonomials), listed in their final order.
 
-    Refused, before any is listed, above MAX_CHERN_MONOMIALS monomials or
-    MAX_CHERN_EXPONENTS exponents.  Only c_i with i <= max_degree occur.
+    A monomial of degree d whose first factor is c_{i+1} is one of degree
+    d - i - 1 with no earlier factor, times c_{i+1}; taking i = 0, 1, ... in
+    turn, each block in the order of its lower degree, lists degree d in
+    decreasing lexicographic order, and the pair (index of the lower
+    monomial, i) is its step.  Refused above MAX_CHERN_MONOMIALS monomials
+    or MAX_CHERN_EXPONENTS exponents as soon as the degree listed passes the
+    cap, before any exponents are built.  Only c_i with i <= max_degree occur.
     """
     cap = min(MAX_CHERN_MONOMIALS, MAX_CHERN_EXPONENTS // n)
-    if _more_monomials_than(cap, n, max_degree):
-        raise TooManyMonomials(
-            f"Chern monomials of degree <= {max_degree} in n={n} exceed cap {cap}"
-        )
-    m = min(n, max_degree)
-    vectors = [((), 0)]  # (e_1..e_i, degree)
-    for i in range(1, m + 1):
-        vectors = [(e + (k,), d + i * k) for e, d in vectors
-                   for k in range((max_degree - d) // i + 1)]
-    # by degree, then by exponents in decreasing lexicographic order
-    vectors.sort(key=lambda v: (v[1], tuple(-k for k in v[0])))
-    zeros = (0,) * (n - m)
-    exponents = [e + zeros for e, _ in vectors]
-    index = {e: j for j, e in enumerate(exponents)}
-    steps = []
-    for e in exponents[1:]:
-        i = next(i for i, ei in enumerate(e) if ei)
-        steps.append((index[e[:i] + (e[i] - 1,) + e[i + 1:]], i))
-    degrees = tuple(d for _, d in vectors)
-    return ChernMonomials(n, tuple(exponents), degrees, tuple(steps))
+    steps = [(0, n)]  # monomial 1, whose i = n says that it has no factor
+    start = [0]  # start[d]: index of the first monomial of degree d
+    for d in range(max_degree + 1):
+        for i in range(min(n, d)):
+            steps += [(k, i) for k in range(start[d - i - 1], start[d - i]) if steps[k][1] >= i]
+        if len(steps) > cap:
+            raise TooManyMonomials(
+                f"Chern monomials of degree <= {max_degree} in n={n} exceed cap {cap}"
+            )
+        start.append(len(steps))
+    exponents, degrees = [(0,) * n], [0]
+    for k, i in steps[1:]:
+        e = exponents[k]
+        exponents.append(e[:i] + (e[i] + 1,) + e[i + 1:])
+        degrees.append(degrees[k] + i + 1)
+    return ChernMonomials(n, tuple(exponents), tuple(degrees), tuple(steps[1:]))
 
 
 def monomial_numerators(monomials: ChernMonomials, shapes):
@@ -344,10 +333,10 @@ def search_candidates(
     canonical (weights sorted within a point, points sorted) and
     duplicate-free.  The configurations are counted, and refused above
     MAX_SEARCH_CONFIGS or when they sum more than MAX_SEARCH_POINTS_SUMMED
-    points, the Chern monomials are counted (chern_monomials), and the
+    points, the Chern monomials are listed (chern_monomials), and the
     search is refused when (n * weight_bound)^max_degree, a bound on every
     monomial's value, reaches DIGITS_LIMIT, all before any point shape is
-    listed; counting stops once a count passes its cap.
+    listed; counting and listing stop once a count passes its cap.
 
     The numerators of the monomials below the middle degree are computed
     once per point shape, over one common denominator for all shapes

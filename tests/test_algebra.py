@@ -139,6 +139,7 @@ class TestTerm:
     ])
     def test_str(self, term, text):
         assert str(term) == text
+        assert eval(repr(term)) == term
 
     def test_equal_constants_hash_equal(self):
         # a constant equals its scalar, so a set or dict finds it by that scalar
@@ -151,6 +152,8 @@ class TestTerm:
         assert Term(3, 1) not in {3}
         assert Term(3, 1) != 3 and Term(3, 1) != Term(3, 2)
         assert hash(Term(3, 1)) == hash(Term(Fraction(3), 1))
+        # nor a float nor a string equals a term, not even its text
+        assert (Term(Fraction(1, 2)) == 0.5) is False and Term(1, 1) != "x"
 
     def test_immutable(self):
         with pytest.raises(AttributeError):

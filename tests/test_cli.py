@@ -626,7 +626,7 @@ class TestOutOfRange:
         assert "exceed cap 2000000" in proc.stderr
 
     @pytest.mark.parametrize("command", ["check", "search"])
-    def test_too_many_chern_monomials_are_refused_before_listing(self, command, tmp_path):
+    def test_too_many_chern_monomials_are_refused_at_the_cap(self, command, tmp_path):
         # about 3000^3 / 36 exponent vectors of degree <= 3000 in c_1, c_2, c_3
         path = tmp_path / "pair.txt"
         path.write_text(REMARK_PAIR)

@@ -150,6 +150,9 @@ class TestStr:
         assert str(a1 * a2 - y * y * 2) == "-2*y^2 + a1*a2"
         assert str(-(a1 * y) + a2 * 3 * y - y * y) == "-y^2 - a1*y + 3*a2*y"
         assert str(CubeClass({(12, 3): -1, (): 5}, 4)) == "5*y^4 - a3*a12*y^2"
+        # keys that name the same subset are one term
+        assert str(CubeClass({(1, 2): 1, (2, 1): 1}, 2)) == "2*a1*a2"
+        assert CubeClass({(1, 2): 1, (2, 1): -1}, 2) == 0
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_the_term_by_term_text(self, seed):
@@ -159,6 +162,7 @@ class TestStr:
             scaled = cls * rng.choice([-1, 2, -(10**30)])
             assert str(cls) == written_out(cls)
             assert str(scaled) == written_out(scaled)
+            assert eval(repr(cls)) == cls
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_chern_series(self, n):
@@ -434,6 +438,8 @@ class TestRingProperties:
         assert CubeClass.unit() in {1}
         assert {CubeClass({(): -4}): "c"}[-4] == "c"
         assert CubeClass.gen_y() not in {1}
+        # nor a float nor a string equals a class, not even its text
+        assert (CubeClass.unit() == 1.0) is False and CubeClass.gen_a(1) != "a1"
 
     def test_restriction_is_multiplicative(self):
         rng = random.Random(17)
@@ -465,6 +471,11 @@ class TestRingProperties:
             CubeClass({(1,): 1})
         with pytest.raises(ValueError, match="larger than the degree 1"):
             CubeClass({(1, 2): 1}, 1)
+        # a key that names a generator twice is no subset, a1*a1 being a1*y
+        with pytest.raises(ValueError, match=r"key \(1, 1\) names a generator twice"):
+            CubeClass({(1, 1): 1}, 2)
+        with pytest.raises(ValueError, match=r"key \(2, 3, 2\) names"):
+            CubeClass({(1,): 1, (2, 3, 2): 1}, 3)
 
     @pytest.mark.parametrize("terms,degree,name", [
         ({(): Fraction(1, 2)}, 0, "Fraction"),

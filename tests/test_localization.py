@@ -2,7 +2,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import accumulate, combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -23,6 +23,7 @@ from semifree.fixed_points import FixedPoint, FixedPointData, counts
 from semifree.localization import (
     MAX_COUNT_N,
     MAX_SEARCH_POINTS_SUMMED,
+    ChernMonomials,
     RestrictionAssignment,
     chern_monomials,
     consistency_check,
@@ -580,7 +581,75 @@ class TestTwoIntegrationRoutes:
             assert integrate(data, alpha) == entry.value, entry.exponents
 
 
+def more_monomials_than(cap, n, max_degree):
+    """Whether more than cap (e_1..e_n) have sum i*e_i <= max_degree: the
+    partitions of each degree into parts of size at most n, counted one part
+    size at a time."""
+    if max_degree >= cap:  # c_1^e alone gives max_degree + 1
+        return True
+    ways = [1] * (max_degree + 1)  # parts of size 1 only
+    for i in range(2, min(n, max_degree) + 1):
+        for r in range(i):
+            ways[r::i] = accumulate(ways[r::i])
+        if sum(ways) > cap:
+            return True
+    return False
+
+
+def sorted_chern_monomials(n, max_degree):
+    """chern_monomials by another route: the monomials counted by
+    partitions and refused above the cap, then every exponent vector by a
+    nested product, sorted by degree and decreasing lexicographic order, and
+    each step found by looking up the monomial with its first factor taken
+    off."""
+    cap = min(localization.MAX_CHERN_MONOMIALS, localization.MAX_CHERN_EXPONENTS // n)
+    if more_monomials_than(cap, n, max_degree):
+        raise TooManyMonomials(
+            f"Chern monomials of degree <= {max_degree} in n={n} exceed cap {cap}")
+    m = min(n, max_degree)
+    vectors = [((), 0)]  # (e_1..e_i, degree)
+    for i in range(1, m + 1):
+        vectors = [(e + (k,), d + i * k) for e, d in vectors
+                   for k in range((max_degree - d) // i + 1)]
+    vectors.sort(key=lambda v: (v[1], tuple(-k for k in v[0])))
+    exponents = [e + (0,) * (n - m) for e, _ in vectors]
+    index = {e: j for j, e in enumerate(exponents)}
+    steps = []
+    for e in exponents[1:]:
+        i = next(i for i, ei in enumerate(e) if ei)
+        steps.append((index[e[:i] + (e[i] - 1,) + e[i + 1:]], i))
+    return ChernMonomials(n, tuple(exponents), tuple(d for _, d in vectors), tuple(steps))
+
+
+def listed_or_refused(listing, n, max_degree):
+    try:
+        return listing(n, max_degree)
+    except TooManyMonomials as refusal:
+        return str(refusal)
+
+
+ORACLE_SIZES = [(n, d) for n in range(1, 13) for d in range(16)] + [(40, 3), (1200, 1)]
+
+
 class TestChernMonomials:
+    @pytest.mark.parametrize("n, max_degree", ORACLE_SIZES)
+    def test_matches_the_sorted_listing(self, n, max_degree):
+        assert chern_monomials(n, max_degree) == sorted_chern_monomials(n, max_degree)
+
+    @pytest.mark.parametrize("n, max_degree", [(1, 0), (1, 5), (2, 0), (3, 7), (4, 2),
+                                               (6, 9), (12, 15), (40, 3), (1200, 1)])
+    @pytest.mark.parametrize("bound", ["MAX_CHERN_MONOMIALS", "MAX_CHERN_EXPONENTS"])
+    def test_refuses_as_the_sorted_listing(self, n, max_degree, bound, monkeypatch):
+        # caps 0, 1, count - 1 and count, the exponent cap as a multiple of n
+        # and one short of the next
+        count = len(chern_monomials(n, max_degree).exponents)
+        for cap in (0, 1, count - 1, count):
+            for value in ((cap,) if bound == "MAX_CHERN_MONOMIALS" else (cap * n, cap * n + n - 1)):
+                monkeypatch.setattr(localization, bound, value)
+                expected = listed_or_refused(sorted_chern_monomials, n, max_degree)
+                assert listed_or_refused(chern_monomials, n, max_degree) == expected
+                assert isinstance(expected, str) == (cap < count)
+
     @pytest.mark.parametrize("n, max_degree", [(1, 5), (3, 7), (4, 2), (6, 9), (40, 3)])
     def test_count_refuses_exactly_above_the_cap(self, n, max_degree, monkeypatch):
         count = len(chern_monomials(n, max_degree).exponents)
