@@ -7,9 +7,12 @@ Input files are UTF-8 text.  A document looks like
     point A weights 1 1 -2 moment -1/2
     point B weights -1 -1 2 moment 1/2
 
-Rationals are written p/q or as plain integers.  Exit codes: 0 success,
-1 a mathematical constraint failed, a size is above its bound or the reader
-closed stdout early, 2 malformed input.
+Rationals follow Fraction's grammar: p/q, integers, decimals such as 0.5,
+exponents such as 1e3 and, from Python 3.11 on, _ between digits; an
+exponent outside -4300..4300 (MAX_COUNT_DIGITS), or a numerator or
+denominator of more than 4300 digits, is refused as malformed.  Exit
+codes: 0 success, 1 a mathematical constraint failed, a size is above its
+bound or the reader closed stdout early, 2 malformed input.
 """
 
 from __future__ import annotations
@@ -60,11 +63,23 @@ def check_ranges(args) -> None:
 
 
 def parse_rational(text: str) -> Fraction:
-    """text as Fraction(text) reads it, or InputError where Fraction fails."""
+    """text as Fraction(text) reads it, or InputError where Fraction fails
+    and where the value is too long to print: a token whose text after its
+    last e or E reads by int as beyond +-MAX_COUNT_DIGITS is refused before
+    Fraction computes 10 to that power, and a value whose numerator or
+    denominator has more than MAX_COUNT_DIGITS digits is refused after."""
+    _, e, exponent = text.lower().rpartition("e")
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as e:
-        raise InputError(f"bad rational {text!r}") from e
+        if e and abs(int(exponent)) > localization.MAX_COUNT_DIGITS:
+            raise InputError(f"rational {text!r} has an exponent outside "
+                             f"-{localization.MAX_COUNT_DIGITS}..{localization.MAX_COUNT_DIGITS}")
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as err:
+        raise InputError(f"bad rational {text!r}") from err
+    if max(abs(value.numerator), value.denominator) >= localization.DIGITS_LIMIT:
+        raise InputError(f"rational {text!r} has more than "
+                         f"{localization.MAX_COUNT_DIGITS} digits")
+    return value
 
 
 def parse_document(text: str) -> FixedPointData:

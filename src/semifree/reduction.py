@@ -9,18 +9,19 @@ moment by construction: the points above the level are closed under
 supersets and those below under subsets.  presentation_from_data reads the
 numbers from a document's moment values; a model level (n, c) is the
 document hypercube_data(n, c), whose n a caller bounds with
-require_reducible before its 2^n points are listed.  Each graded piece of
-the quotient is a finite integer linear-algebra problem: square-free
-monomials times powers of y form a basis of the ambient degree slice, and
-the relations in it are written in closed form from the generators'
-subsets.  Each degree's monomials are the first monomials of the top
-degree's, so a relation's row is the same in every degree that holds it: a
-presentation writes each row once, on first use, tagged with its degree,
-one row per fixed point, 2^n in all: the unit row of alpha_T for each
-point T above the level, and for each point T below it the row, never
-empty, of beta_J a_(J - T), J the set T grows to greedily below the level.
-These rows span every relation in every degree.  The rows tagged with a
-degree extend the echelon basis of the degree below, so each row is
+require_reducible before its 2^n points are listed, and a presentation
+checks the same bound when it is built.  Each graded piece of the quotient
+is a finite integer linear-algebra problem: square-free monomials times
+powers of y form a basis of the ambient degree slice, and the relations in
+it are written in closed form from the generators' subsets.  Each degree's
+monomials are the first monomials of the top degree's, so a relation's row
+is the same in every degree that holds it: a presentation writes each row
+once, on first use, tagged with its degree, one row per fixed point, 2^n
+in all: the unit row of alpha_T for each point T above the level, and for
+each point T below it the row, never empty, of beta_J a_(J - T), J the set
+T grows to greedily below the level.  These rows span every relation in
+every degree.  One loop over the degrees extends the echelon basis of the
+degree below by the rows tagged with the degree, so each row is
 eliminated once.  One integer echelon basis per degree gives the free rank
 (its length), the torsion (Smith normal form of that basis alone) and the
 canonical images of the Chern classes.
@@ -51,13 +52,20 @@ from .fixed_points import FixedPointData, require_binomial_counts, split_by_mome
 MAX_REDUCE_N = 10
 
 
+def require_reducible(n: int) -> None:
+    if n > MAX_REDUCE_N:
+        raise ReductionTooLarge(f"n={n} exceeds the reduction bound {MAX_REDUCE_N}")
+
+
 @dataclass(frozen=True)
 class IdealPresentation:
     """Relations cutting out the reduced ring from Z[a_1..a_n, y], from the
     additive moment mu(J) = base + sum of areas[i - 1] over i in J.
 
     `areas` (lambda_1..lambda_n) and `base` (mu(empty)) are integers over
-    one common denominator; a wrong number of areas, or one that is not
+    one common denominator.  The size bound is checked when it is built:
+    an n above MAX_REDUCE_N raises ReductionTooLarge, so no presentation
+    too large to reduce exists; a wrong number of areas, or one that is not
     positive, raises MomentMismatch.  The rewrite relations a_i y - a_i^2
     are absorbed by the monomials a_S y^(d - |S|), one per subset S; the two
     explicit families are the upward classes alpha_J of the J with
@@ -71,13 +79,14 @@ class IdealPresentation:
     base: int  # mu(empty)
 
     def __post_init__(self):
+        require_reducible(self.n)
         if len(self.areas) != self.n or not all(a > 0 for a in self.areas):
             raise MomentMismatch(f"areas {self.areas} are not {self.n} positive numbers")
 
     @cached_property
     def moments(self) -> tuple[int, ...]:
         """mu(J) for each J of all_subsets(n), in that order, summed on first
-        use, so a presentation refused by its size sums nothing."""
+        use, 2^n sums for an n that the constructor has bounded."""
         return tuple(self.base + sum(self.areas[i - 1] for i in J) for J in all_subsets(self.n))
 
     @cached_property
@@ -166,11 +175,6 @@ class GradedQuotient:
         return sum(self.ranks)
 
 
-def require_reducible(n: int) -> None:
-    if n > MAX_REDUCE_N:
-        raise ReductionTooLarge(f"n={n} exceeds the reduction bound {MAX_REDUCE_N}")
-
-
 def presentation_from_data(data: FixedPointData) -> IdealPresentation:
     """Relations for semifree data with binomial counts and moment values.
 
@@ -203,32 +207,30 @@ def graded_quotient(pres: IdealPresentation, max_degree: int) -> GradedQuotient:
     """Quotient ring data in cohomological degrees 0, 2, ..., max_degree.
 
     The rows of degree d are those of degree d - 1 plus the rows tagged d,
-    over the same columns, so one echelon basis is extended degree by
-    degree: echelon_basis takes the rows tagged d, none of them empty,
-    sorted stably by pivot, largest first, and each degree's basis is a snapshot
-    of the basis so far, so each row is eliminated once and the bases share
-    rows.  In that order none of the 55 regular model levels n <= 10 makes
-    a Euclid swap, and the largest basis entry at n = 10 is 8.  Documents
-    cut by weighted moments do: 24 of the 280 weighted_cut_document(n, s)
-    of tests/test_reduction.py, n = 2..8 and s < 40, make 1-6 swaps each,
-    all at n >= 6, and n = 10, s = 0..5, make 49 in all.  echelon_basis
-    copies a row that a swap displaces, so no snapshot changes after it is
-    taken.  Smith normal form reads the torsion from each basis; it returns
-    at once, with no elimination, when every pivot is 1, and makes its own
-    passes only over a basis with a pivot above 1."""
-    require_reducible(pres.n)
-    top = max_degree // 2
-    tagged = [[] for _ in range(top + 1)]
-    for degree, row in pres.relations:
-        if degree <= top:
-            tagged[degree].append(row)
-    kept = {}
-    bases = [echelon_basis(sorted(rows, key=min, reverse=True), kept) for rows in tagged]
-    ranks, torsion = [], []
-    for d, basis in enumerate(bases):
+    over the same columns, so one loop over d = 0..max_degree // 2 extends
+    one echelon basis: each pass hands echelon_basis the rows tagged d, in
+    the order written, none of them empty, sorted stably by pivot, largest
+    first, keeps a snapshot of the basis so far, and reads that degree's
+    free rank (its monomials less the basis length) and torsion, so each
+    row is eliminated once and the snapshots share rows.  In that order
+    none of the 55 regular model levels n <= 10 makes a Euclid swap, and
+    the largest basis entry at n = 10 is 8.  Documents cut by weighted
+    moments do: 24 of the 280 weighted_cut_document(n, s) of
+    tests/test_reduction.py, n = 2..8 and s < 40, make 1-6 swaps each, all
+    at n >= 6, and n = 10, s = 0..5, make 49 in all.  echelon_basis copies
+    a row that a swap displaces, so no snapshot changes after it is taken.
+    Smith normal form reads the torsion from each snapshot; it returns at
+    once, with no elimination, when every pivot is 1, and makes its own
+    passes only over a basis with a pivot above 1.  The size bound is the
+    presentation's own: no IdealPresentation above MAX_REDUCE_N exists."""
+    kept, ranks, torsion, bases = {}, [], [], []
+    for d in range(max_degree // 2 + 1):
+        rows = [row for degree, row in pres.relations if degree == d]
+        basis = echelon_basis(sorted(rows, key=min, reverse=True), kept)
+        bases.append(tuple(basis))
         ranks.append(len(degree_basis(pres.n, d)) - len(basis))
         torsion.append(tuple(f for f in smith_normal_form(basis) if f > 1))
-    return GradedQuotient(pres.n, tuple(ranks), tuple(torsion), tuple(map(tuple, bases)))
+    return GradedQuotient(pres.n, tuple(ranks), tuple(torsion), tuple(bases))
 
 
 def betti_by_counting(data: FixedPointData) -> tuple[int, ...]:

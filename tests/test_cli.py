@@ -102,30 +102,52 @@ class TestParser:
         assert str(caught.value) == message
 
 
-# tokens at the edges of Fraction's grammar
+# tokens at the edges of Fraction's grammar, and of the digit bound
 RATIONAL_EDGES = [
     "1/-2", "+3/4", "/2", "2/", "1/0", "0/7", "1.5", "1e3", "-", "+", "", "007", "-0",
     "1_000", "1__0", "_1", "1/2_0", "\u0661\u0662", "1/\u0663", "\u00b2", " 1/2 ", "1 /2",
     "--1", "+-1", "1/+2", "1//2", "0x10", "inf", "nan", "-1/3", "10/4", "9" * 5000,
-    "1/" + "9" * 5000,
+    "1/" + "9" * 5000, "9" * 4300, "1/" + "9" * 4300, "1e4299", "1E-4299", "1e4300",
+    "1e-4300", "1e4301", "-2.5E-4301", "0e4301", "0e4300", "1e4_301", "1e+4301 ",
+    "1e\u0664\u0663\u0660\u0661", "1e 4301", "e4301", "1e4301e", "0.5e999999",
+    "-1e-999999", "0." + "0" * 4299 + "1", "0." + "0" * 4298 + "1", "1e" + "9" * 5000,
 ]
 
 
 def assert_reads_as_fraction(text):
+    """parse_rational(text) is Fraction(text), or the InputError naming why
+    not: the text after the last e or E reads by int as an exponent outside
+    -MAX_COUNT_DIGITS..MAX_COUNT_DIGITS, refused before Fraction expands it;
+    Fraction fails; or the value's numerator or denominator has more than
+    MAX_COUNT_DIGITS digits."""
+    _, e, exponent = text.lower().rpartition("e")
     try:
-        expected = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        with pytest.raises(InputError) as caught:
-            parse_rational(text)
-        assert str(caught.value) == f"bad rational {text!r}"
+        far = bool(e) and abs(int(exponent)) > MAX_COUNT_DIGITS
+    except ValueError:
+        far = False
+    if far:
+        message = (f"rational {text!r} has an exponent outside "
+                   f"-{MAX_COUNT_DIGITS}..{MAX_COUNT_DIGITS}")
     else:
-        got = parse_rational(text)
-        assert type(got) is Fraction and got == expected
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            message = f"bad rational {text!r}"
+        else:
+            if max(abs(expected.numerator), expected.denominator) < 10**MAX_COUNT_DIGITS:
+                got = parse_rational(text)
+                assert type(got) is Fraction and got == expected
+                return
+            message = f"rational {text!r} has more than {MAX_COUNT_DIGITS} digits"
+    with pytest.raises(InputError) as caught:
+        parse_rational(text)
+    assert str(caught.value) == message
 
 
 class TestParseRational:
     """parse_rational reads a token as Fraction(text) does, or raises
-    InputError where Fraction fails."""
+    InputError where Fraction fails and where the value is too long to
+    print."""
 
     @pytest.mark.parametrize("text", RATIONAL_EDGES)
     def test_edges(self, text):
@@ -141,6 +163,21 @@ class TestParseRational:
     @settings(deadline=None)
     def test_integer_tokens(self, sign, p, q):
         assert_reads_as_fraction(f"{sign}{p}" + ("" if q is None else f"/{q}"))
+
+    @given(st.sampled_from(["1", "-2.5", "0", ".05", "1_0", "9" * 20]), st.sampled_from("eE"),
+           st.integers(-10**6, 10**6) | st.integers(-4400, 4400))
+    @settings(deadline=None)
+    def test_exponent_tokens(self, mantissa, e, exponent):
+        assert_reads_as_fraction(f"{mantissa}{e}{exponent}")
+
+    # Fraction alone takes about 0.3 s to expand each of these, and seconds
+    # from 1e10000000 on, which the subprocess tests below refuse
+    @pytest.mark.parametrize("text", ["1e999999", "1e-999999"])
+    def test_a_far_exponent_is_refused_before_it_is_expanded(self, text):
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="has an exponent outside"):
+            parse_rational(text)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestExitCodes:
@@ -290,6 +327,28 @@ class TestClosedStdout:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def console_script_target():
+    """The target of `semifree` under [project.scripts] in pyproject.toml,
+    read by tomllib, or where there is none (Python 3.10) from its line."""
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    try:
+        import tomllib
+    except ModuleNotFoundError:
+        scripts = text.partition("\n[project.scripts]\n")[2].partition("\n[")[0]
+        lines = [line.partition("=") for line in scripts.splitlines()]
+        return {key.strip(): value.strip().strip('"') for key, _, value in lines}["semifree"]
+    return tomllib.loads(text)["project"]["scripts"]["semifree"]
+
+
+class TestConsoleScript:
+    def test_the_installed_command_runs_cli_main(self, capsys):
+        module, _, name = console_script_target().partition(":")
+        entry = getattr(importlib.import_module(module), name)
+        assert entry is cli.main
+        assert entry(["count", "--n", "3"]) == 0
+        assert capsys.readouterr().out == "1 3 3 1\n"
 
 
 def fresh_cli(monkeypatch):
@@ -568,6 +627,25 @@ class TestOutOfRange:
         assert proc.stderr.count("\n") == 1 and len(proc.stderr.encode()) < 200
         assert proc.stderr == (
             "error: level 1 has 0 point(s), the binomial row needs C(3000, 1) = 3000\n")
+
+    @pytest.mark.parametrize("command", ["check", "solve", "reduce FILE", "reduce --c"])
+    @pytest.mark.parametrize("moment,message", [
+        ("1e10000000", "has an exponent outside -4300..4300"),
+        ("-1e-100000000", "has an exponent outside -4300..4300"),
+        ("1e4300", "has more than 4300 digits"),
+    ])
+    def test_a_short_rational_of_too_many_digits_is_refused_at_once(
+            self, command, moment, message, tmp_path):
+        # Fraction alone expands 1e10000000 for seconds; the moment 1e4300
+        # could not be printed in an error line
+        path = tmp_path / "far.txt"
+        path.write_text(f"n = 1\npoint A weights 1 moment -1/2\npoint B weights -1 moment {moment}\n")
+        argv = {"check": ["check", str(path)], "solve": ["solve", str(path)],
+                "reduce FILE": ["reduce", str(path)],
+                "reduce --c": ["reduce", "--n", "2", f"--c={moment}"]}[command]
+        proc = self.run_cli_subprocess(argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"input error: rational {moment!r} {message}\n"
 
     def test_search_refuses_before_listing_point_shapes(self):
         # 20 million point shapes of 22 weights: listing them needs gigabytes,

@@ -3,6 +3,7 @@ import hashlib
 import heapq
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -305,10 +306,20 @@ class TestGradedQuotient:
         assert not poincare_check(q)
 
     def test_size_guard(self):
-        pres = IdealPresentation(MAX_REDUCE_N + 1, (1,) * (MAX_REDUCE_N + 1), -1)
-        with pytest.raises(ReductionTooLarge):
-            graded_quotient(pres, 0)
-        assert "moments" not in vars(pres) and "relations" not in vars(pres)  # nothing summed
+        # the bound is the presentation's own: none above it is built
+        with pytest.raises(ReductionTooLarge, match=f"n={MAX_REDUCE_N + 1} exceeds"):
+            IdealPresentation(MAX_REDUCE_N + 1, (1,) * (MAX_REDUCE_N + 1), -1)
+
+    def test_data_above_the_size_bound_is_refused(self):
+        with pytest.raises(ReductionTooLarge, match=f"n={MAX_REDUCE_N + 1} exceeds"):
+            presentation_from_data(hypercube_data(MAX_REDUCE_N + 1, Fraction(MAX_REDUCE_N + 1, 2)))
+
+    def test_a_presentation_far_above_the_bound_is_refused_at_once(self):
+        # writing the 2^18 relation rows of this one took about 30 s
+        start = time.perf_counter()
+        with pytest.raises(ReductionTooLarge, match="n=18 exceeds"):
+            IdealPresentation(18, (2,) * 18, -19)
+        assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize("areas", [(1,), (1, 2, 0), (3, -1, 2), (1, 1, 1, 1)])
     def test_holds_n_positive_areas(self, areas):
